@@ -87,16 +87,6 @@ def greedy_majority_attacker(b: int) -> Attacker:
 # Attackers on the tamper-detecting wrapped problem
 # ---------------------------------------------------------------------------
 
-def _parse_c1(x: BitString, d: int, ots: OtsParams,
-              ecc: EccParams) -> WrappedInstance:
-    return WrappedInstance.from_bits(x, d, ots, ecc)
-
-
-def _reassemble_c1(inst: WrappedInstance, new_x: BitString,
-                   new_sigma: BitString) -> BitString:
-    return WrappedInstance(new_x, new_sigma, inst.vk_code).to_bits()
-
-
 def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
                           ecc: EccParams) -> Attacker:
     """Flip the base instance greedily, then forge a signature for it.
@@ -109,7 +99,7 @@ def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
     rs = reed_solomon(ecc)
 
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
-        inst = _parse_c1(x, d, ots, ecc)
+        inst = WrappedInstance.from_bits(x, d, ots, ecc)
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
@@ -118,7 +108,7 @@ def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
             sigma = index.forge(vk, flipped, counters).to_bits()
         except (DecodeFailure, PreimageNotFound):
             return x
-        return _reassemble_c1(inst, flipped, sigma)
+        return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
 
     return Attacker("unbounded_c1", Power.UNBOUNDED, perturb)
 
@@ -135,7 +125,7 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
     rs = reed_solomon(ecc)
 
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
-        inst = _parse_c1(x, d, ots, ecc)
+        inst = WrappedInstance.from_bits(x, d, ots, ecc)
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
@@ -164,8 +154,8 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
                 missing.pop(0)
         if missing:
             return x
-        return _reassemble_c1(inst, flipped,
-                              Signature(tuple(preimages)).to_bits())
+        return WrappedInstance(flipped, Signature(tuple(preimages)).to_bits(),
+                               inst.vk_code).to_bits()
 
     return Attacker("bounded_c1", Power.BOUNDED, perturb,
                     query_budget=query_budget)

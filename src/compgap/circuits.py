@@ -18,7 +18,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .bitstring import BitString
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, FormatError
-from .ots import OtsParams
+from .game import GOLDEN, MASK64, MUL1, MUL2
+from .ots import INIT, OtsParams
 
 Ref = Union[bool, int]
 
@@ -28,12 +29,6 @@ _OR = "OR"
 _XOR = "XOR"
 
 GATE_OPS = (_NOT, _AND, _OR, _XOR)
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_INIT = 0x6A09E667F3BCC909
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -256,9 +251,9 @@ def _mul_const(b: CircuitBuilder, u: List[Ref], c: int) -> List[Ref]:
 
 def _hash_round(b: CircuitBuilder, z: List[Ref]) -> List[Ref]:
     z = _xorshift_right(b, z, 30)
-    z = _mul_const(b, z, _MUL1)
+    z = _mul_const(b, z, MUL1)
     z = _xorshift_right(b, z, 27)
-    z = _mul_const(b, z, _MUL2)
+    z = _mul_const(b, z, MUL2)
     return _xorshift_right(b, z, 31)
 
 
@@ -271,15 +266,15 @@ def hash_circuit(b: CircuitBuilder, bits_msb: Sequence[Ref], length: int,
     """
     if length > 64 or out_bits > 64:
         raise ConfigError("hash circuit limited to one 64-bit word")
-    state = _const_word(_INIT ^ ((length * _GOLDEN) & _MASK64))
+    state = _const_word(INIT ^ ((length * GOLDEN) & MASK64))
     word: List[Ref] = [False] * 64
     for j in range(length):
         word[j] = bits_msb[length - 1 - j]
     state = _xor_words(b, state, word)
     for _ in range(rounds):
-        state = _add_words(b, state, _const_word(_GOLDEN))
+        state = _add_words(b, state, _const_word(GOLDEN))
         state = _hash_round(b, state)
-    state = _add_words(b, state, _const_word(_GOLDEN))
+    state = _add_words(b, state, _const_word(GOLDEN))
     state = _hash_round(b, state)
     return [state[63 - j] for j in range(out_bits)]
 
@@ -323,24 +318,6 @@ def circuit_of_majority(d: int) -> BoolCircuit:
     return b.build([b.or_(gt, eq)])
 
 
-def _parity_masks(ecc: EccParams) -> List[int]:
-    """GF(2) dependence of each parity bit on the data bits, by unit probes.
-
-    Systematic Reed-Solomon encoding is linear over the bit level, so
-    parity(m) = XOR of parity(e_i) over the set bits of m.
-    """
-    rs = reed_solomon(ecc)
-    k = ecc.data_bits
-    p = ecc.n_bits - k
-    masks = [0] * p
-    for i in range(k):
-        cw = rs.encode(BitString(1 << (k - 1 - i), k))
-        for j in range(p):
-            if cw[k + j]:
-                masks[j] |= 1 << i
-    return masks
-
-
 C1_CIRCUIT_HLEN_CAP = 4
 C1_CIRCUIT_SLEN_CAP = 8
 
@@ -373,11 +350,15 @@ def circuit_of_classifier_c1(base: BoolCircuit, ots: OtsParams,
     code = [b.input(d + ots.sig_bits + i) for i in range(ecc.n_bits)]
     data, parity = code[: ecc.data_bits], code[ecc.data_bits:]
 
+    # parity bit j (MSB-first) is the XOR of the data bits whose parity
+    # column has it set
+    columns = reed_solomon(ecc).parity_columns
     checks: List[Ref] = []
-    for j, mask in enumerate(_parity_masks(ecc)):
-        pred = b.xor_all([data[i] for i in range(ecc.data_bits)
-                          if (mask >> i) & 1])
-        checks.append(b.xnor(pred, parity[j]))
+    for j, pbit in enumerate(parity):
+        shift = len(parity) - 1 - j
+        pred = b.xor_all([data[i] for i, col in enumerate(columns)
+                          if (col >> shift) & 1])
+        checks.append(b.xnor(pred, pbit))
 
     dig = hash_circuit(b, x, d, hlen, ots.hash_rounds)
     for i in range(hlen):

@@ -13,9 +13,7 @@ violation (including a failed oracle check).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -37,19 +35,6 @@ from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
 from .solver import Status, solve_small
 
 CSV_HEADER = "experiment,params,point,half_width,trials,seed"
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("COMPGAP_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"COMPGAP_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError("COMPGAP_THREADS must be >= 1")
-    return n
 
 
 def _csv_row(experiment: str, params: str, point: float, half_width: float,
@@ -211,9 +196,7 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
         return sample_s_final(prob, circuit, fc.b, fc.k, tau, fc.reps, seed)
 
     bundles = [build(i) for i in range(fc.count)]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        results = list(pool.map(
-            lambda bdl: solve_small(bdl.formula, fc.var_cap), bundles))
+    results = [solve_small(bdl.formula, fc.var_cap) for bdl in bundles]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, transcript = [], []

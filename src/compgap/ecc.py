@@ -6,15 +6,21 @@ Symbol width is configurable because a single RS block over GF(256) caps out
 at 255 symbols, which is too short for the redundancy the signature-wrapped
 construction needs (see EccParams docstring).
 
-Hot paths (encode, syndrome computation, Berlekamp-Massey, Chien/Forney) are
-vectorized with numpy over symbol arrays; the Monte-Carlo suites decode tens
-of thousands of codewords.
+Systematic encoding is GF(2)-linear on bits, so the code is held as one
+linear map: a parity column per data bit (the parity bits of the unit
+message with that bit set), built once per code.  Encoding and the codeword
+test ("does the parity part equal the parity of the message part?") are
+XORs of Python ints over those columns; the circuit emitter reads the same
+columns.  Only error correction (syndromes, Berlekamp-Massey, Chien/Forney)
+works on numpy symbol arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 import numpy as np
 
@@ -42,6 +48,9 @@ _PRIM_POLY_CANDIDATES = {
 }
 
 _TABLE_CACHE: dict = {}
+
+# maps the digits of format(n, "b") to selector bytes 0/1
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _build_tables(bps: int):
@@ -108,14 +117,6 @@ class EccParams:
     def n_bits(self) -> int:
         return self.n_sym * self.bits_per_symbol
 
-    @property
-    def code_rate(self) -> Fraction:
-        return Fraction(self.k_sym, self.n_sym)
-
-    @property
-    def error_rate(self) -> Fraction:
-        return Fraction(self.t_max, self.n_bits)
-
 
 class ReedSolomon:
     def __init__(self, params: EccParams) -> None:
@@ -137,6 +138,8 @@ class ReedSolomon:
         degs = (params.n_sym - 1 - np.arange(params.n_sym, dtype=np.int64))
         js = np.arange(1, self.nparity + 1, dtype=np.int64)
         self._syn_exp = (degs[None, :] * js[:, None]) % self.order
+        self.parity_bits = self.nparity * params.bits_per_symbol
+        self.parity_columns = self._parity_columns()
 
     # ---- GF helpers ----------------------------------------------------
 
@@ -162,14 +165,14 @@ class ReedSolomon:
 
     # ---- bit packing ---------------------------------------------------
 
-    def _bits_to_symbols(self, bits: BitString, n_sym: int) -> np.ndarray:
+    def _bits_to_symbols(self, bits: BitString) -> np.ndarray:
         bps = self.params.bits_per_symbol
         if bps == 8:
             return np.frombuffer(bits.to_bytes(), dtype=">u1").astype(np.int64)
         if bps == 16:
             return np.frombuffer(bits.to_bytes(), dtype=">u2").astype(np.int64)
-        return np.array([bits.extract(i * bps, bps).value for i in range(n_sym)],
-                        dtype=np.int64)
+        return np.array([bits.extract(i * bps, bps).value
+                         for i in range(bits.length // bps)], dtype=np.int64)
 
     def _symbols_to_bits(self, syms: np.ndarray) -> BitString:
         bps = self.params.bits_per_symbol
@@ -186,24 +189,45 @@ class ReedSolomon:
 
     # ---- encode / decode ----------------------------------------------
 
-    def _parity(self, msg: np.ndarray) -> np.ndarray:
-        rem = np.zeros(self.nparity, dtype=np.int64)
-        for coef in msg:
-            feedback = int(coef) ^ int(rem[0])
-            rem[:-1] = rem[1:]
-            rem[-1] = 0
+    def _parity_columns(self) -> tuple:
+        """Parity bits of each unit message, one int per data bit, MSB-first.
+
+        The unit column of symbol j is x^(nparity+k-1-j) mod g: gen_tail
+        (= x^nparity mod g) for the last symbol, one LFSR step (times x)
+        per symbol before it.  Bit b of a symbol is alpha^b = 2^b times that.
+        """
+        bps = self.params.bits_per_symbol
+        cols = []
+        rem = self.gen_tail.copy()
+        for _ in range(self.params.k_sym):  # last symbol first
+            cols.extend(self._symbols_to_bits(self._mul_scalar(rem, 1 << b)).value
+                        for b in range(bps))  # least significant bit first
+            feedback = int(rem[0])
+            rem = np.append(rem[1:], 0)
             if feedback:
                 rem ^= self._mul_scalar(self.gen_tail, feedback)
-        return rem
+        return tuple(reversed(cols))
+
+    def parity_of(self, message: int) -> int:
+        """Parity bits of the systematic encoding: the XOR of the columns
+        of the set data bits."""
+        bits = format(message, f"0{self.params.data_bits}b")
+        return reduce(xor, compress(self.parity_columns,
+                                    bits.encode().translate(_ZERO_ONE)), 0)
+
+    def is_codeword(self, word: int) -> bool:
+        """Whether the parity part of an n_bits word is the parity of its
+        message part; for RS codes this holds iff all syndromes vanish."""
+        return self.parity_of(word >> self.parity_bits) == \
+            word & ((1 << self.parity_bits) - 1)
 
     def encode(self, message: BitString) -> BitString:
         p = self.params
         if message.length != p.data_bits:
             raise FormatError(
                 f"message must be {p.data_bits} bits, got {message.length}")
-        msg = self._bits_to_symbols(message, p.k_sym)
-        parity = self._parity(msg)
-        return self._symbols_to_bits(np.concatenate([msg, parity]))
+        return BitString((message.value << self.parity_bits)
+                         | self.parity_of(message.value), p.n_bits)
 
     def _syndromes(self, recv: np.ndarray) -> np.ndarray:
         nz = recv != 0
@@ -219,14 +243,10 @@ class ReedSolomon:
         if codeword.length != p.n_bits:
             raise FormatError(
                 f"codeword must be {p.n_bits} bits, got {codeword.length}")
-        recv = self._bits_to_symbols(codeword, p.n_sym)
-        msg = recv[:p.k_sym]
-        # fast path: received word already a codeword
-        if np.array_equal(self._parity(msg), recv[p.k_sym:]):
-            return self._symbols_to_bits(msg)
+        if self.is_codeword(codeword.value):
+            return BitString(codeword.value >> self.parity_bits, p.data_bits)
+        recv = self._bits_to_symbols(codeword)
         synd = self._syndromes(recv)
-        if not synd.any():
-            return self._symbols_to_bits(msg)
         locator = self._berlekamp_massey(synd)
         n_err = len(locator) - 1
         if n_err > p.t_max:
@@ -239,9 +259,10 @@ class ReedSolomon:
         if np.any(magnitudes == 0):
             raise DecodeFailure("zero error magnitude")
         corrected[positions] ^= magnitudes
-        if self._syndromes(corrected).any():
-            raise DecodeFailure("correction left nonzero syndromes")
-        return self._symbols_to_bits(corrected[:p.k_sym])
+        word = self._symbols_to_bits(corrected).value
+        if not self.is_codeword(word):
+            raise DecodeFailure("correction did not reach a codeword")
+        return BitString(word >> self.parity_bits, p.data_bits)
 
     def _berlekamp_massey(self, synd: np.ndarray) -> np.ndarray:
         """Error-locator polynomial, low-degree-first coefficients."""

@@ -37,21 +37,26 @@ STAR = _Star()
 
 Label = Union[int, _Star]
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# splitmix64's constants; ots.toy_hash and its gate-level twin in circuits
+# use the same mixer
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+MUL1 = 0xBF58476D1CE4E5B9
+MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    """The splitmix64 finalizer of z mod 2^64."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * MUL1) & MASK64
+    z = ((z ^ (z >> 27)) * MUL2) & MASK64
     return z ^ (z >> 31)
 
 
 def mix_seed(master_seed: int, i: int) -> int:
     """Per-trial (or per-stream) seed: splitmix64 of master advanced i+1 steps
     of the golden-ratio increment."""
-    return splitmix64((master_seed + (i + 1) * _GOLDEN) & _MASK64)
+    return splitmix64(master_seed + (i + 1) * GOLDEN)
 
 
 class Reason(enum.Enum):
@@ -106,15 +111,6 @@ class Hypothesis:
 
     def __call__(self, x: BitString) -> Label:
         return self.classify(x)
-
-
-def constant_learner(h: Hypothesis) -> Callable[[object], Hypothesis]:
-    """Learner that ignores its training set and outputs a fixed hypothesis.
-
-    The only learner shipped: all constructions here are stated for fixed
-    classifier families, so the learning step of the game is degenerate.
-    """
-    return lambda _dataset: h
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,19 +15,10 @@ from typing import Optional, Tuple
 
 from .bitstring import BitString, concat_all
 from .errors import FormatError, PreimageNotFound
-from .game import Counters, mix_seed
+from .game import GOLDEN, MASK64, Counters, splitmix64
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_INIT = 0x6A09E667F3BCC909
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
-
-
-def _round(z: int) -> int:
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-    return z ^ (z >> 31)
+# toy_hash's initial state; its round function is game.splitmix64
+INIT = 0x6A09E667F3BCC909
 
 
 def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
@@ -42,19 +33,19 @@ def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
         raise FormatError("out_bits must be >= 1")
     if counter is not None:
         counter.charge()
-    state = (_INIT ^ (x.length * _GOLDEN)) & _MASK64
+    state = (INIT ^ (x.length * GOLDEN)) & MASK64
     n_words = (x.length + 63) // 64
     for w in range(n_words):
         shift = max(0, x.length - 64 * (w + 1))
-        word = (x.value >> shift) & _MASK64
+        word = (x.value >> shift) & MASK64
         state ^= word
         for _ in range(rounds):
-            state = _round((state + _GOLDEN) & _MASK64)
+            state = splitmix64(state + GOLDEN)
     out = 0
     produced = 0
     j = 0
     while produced < out_bits:
-        state = _round((state + (j + 1) * _GOLDEN) & _MASK64)
+        state = splitmix64(state + (j + 1) * GOLDEN)
         out = (out << 64) | state
         produced += 64
         j += 1
@@ -224,8 +215,3 @@ class PreimageIndex:
                     f"no {self.params.slen}-bit preimage for vk[{i}][{d[i]}]")
             preimages.append(cand)
         return Signature(tuple(preimages))
-
-
-def random_keypair_seed(master_seed: int, i: int) -> int:
-    """Derived key-generation seed stream, distinct from the example stream."""
-    return mix_seed(master_seed, 0x4B47 + i)

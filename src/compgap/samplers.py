@@ -14,7 +14,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
@@ -106,20 +106,20 @@ def _merge_guarded(f: CnfFormula, sub: CnfFormula,
     return off
 
 
-def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
-              tau: float, seed: int) -> SamplerBundle:
-    """k independent stage-1 formulas on disjoint variables, of which at
-    least ceil(tau*k) must hold, chosen by selector variables."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if not 0 < tau <= 1:
-        raise ConfigError("tau must be in (0, 1]")
+def _drawn_block(problem: Problem, circuit: BoolCircuit, b: int,
+                 seed: int) -> Tuple[CnfFormula, BitString, int]:
+    x, y = problem.sample(seed)
+    return _compile_block(x, y, circuit, b), x, y
+
+
+def _assemble_s2(parts: Iterable[Tuple[CnfFormula, BitString, int]],
+                 tau: float) -> Tuple[CnfFormula, List[BlockInfo]]:
+    """Stage-2 formula over compiled (formula, x, y) blocks: each on fresh
+    variables behind its own selector, at least ceil(tau*k) selectors set."""
     f = CnfFormula()
     selectors: List[int] = []
     blocks: List[BlockInfo] = []
-    for j in range(k):
-        x, y = problem.sample(mix_seed(seed, j))
-        sub = _compile_block(x, y, circuit, b)
+    for sub, x, y in parts:
         s = f.new_var()
         selectors.append(s)
         # decide each selector right before its block's variables; a set
@@ -129,8 +129,22 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
         off = _merge_guarded(f, sub, s)
         blocks.append(BlockInfo(
             s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
-    at_least(f, selectors, math.ceil(tau * k))
+    at_least(f, selectors, math.ceil(tau * len(selectors)))
     f.annotate("selectors", selectors)
+    return f, blocks
+
+
+def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
+              tau: float, seed: int) -> SamplerBundle:
+    """k independent stage-1 formulas on disjoint variables, of which at
+    least ceil(tau*k) must hold, chosen by selector variables."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if not 0 < tau <= 1:
+        raise ConfigError("tau must be in (0, 1]")
+    f, blocks = _assemble_s2(
+        (_drawn_block(problem, circuit, b, mix_seed(seed, j))
+         for j in range(k)), tau)
 
     def decode(assignment: dict) -> List[Tuple[int, BitString]]:
         return [(j, _decode_inputs(assignment, blk.input_vars))
@@ -205,25 +219,10 @@ def planted_slot_demo(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     if planted is None:
         raise SamplerError("no satisfiable stage-1 draw found to plant")
     slot = rng.randrange(k)
-
-    f = CnfFormula()
-    selectors: List[int] = []
-    blocks: List[BlockInfo] = []
-    for j in range(k):
-        if j == slot:
-            sub, x, y = planted.formula, planted.blocks[0].x, planted.blocks[0].y
-        else:
-            x, y = problem.sample(mix_seed(seed, j))
-            sub = _compile_block(x, y, circuit, b)
-        s = f.new_var()
-        selectors.append(s)
-        f.branch_order.append(s)
-        f.prefer_true.append(s)
-        off = _merge_guarded(f, sub, s)
-        blocks.append(BlockInfo(
-            s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
-    at_least(f, selectors, math.ceil(tau * k))
-    f.annotate("selectors", selectors)
+    f, blocks = _assemble_s2(
+        ((planted.formula, planted.blocks[0].x, planted.blocks[0].y)
+         if j == slot else _drawn_block(problem, circuit, b, mix_seed(seed, j))
+         for j in range(k)), tau)
 
     res = solve_small(f, var_cap)
     if res.status is not Status.SAT:

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,7 +68,38 @@ def test_beyond_radius_detected_or_wrong_never_silent_success():
             out = rs.decode(cw.flip(*flips))
         except DecodeFailure:
             continue
-        assert out != msg or True  # miscorrection allowed, silence is not
+        # a decoded word lies within t_max of the received word, and the
+        # original codeword lies at t_max+1, so a miscorrection never
+        # returns the message
+        assert out != msg
+
+
+@pytest.mark.parametrize("params", [
+    TINY, EccParams(k_sym=16, n_sym=40, bits_per_symbol=8), DEFAULT,
+    EccParams(k_sym=3, n_sym=7, bits_per_symbol=4)])
+def test_encode_output_has_zero_syndromes(params):
+    # the syndromes are an oracle independent of the parity columns
+    rs = reed_solomon(params)
+    rng = random.Random(params.n_sym)
+    for _ in range(20):
+        cw = rs.encode(BitString.random(rng, params.data_bits))
+        syms = np.array([cw.extract(i * params.bits_per_symbol,
+                                    params.bits_per_symbol).value
+                         for i in range(params.n_sym)], dtype=np.int64)
+        assert not rs._syndromes(syms).any()
+
+
+def test_post_correction_check_rejects_wrong_magnitudes(monkeypatch):
+    rs = reed_solomon(TINY)
+    cw = rs.encode(BitString(0x1234, 16))
+    real_forney = rs._forney
+
+    def wrong_magnitudes(*args):
+        mags = real_forney(*args)
+        return np.where(mags == 1, 2, mags ^ 1)
+    monkeypatch.setattr(rs, "_forney", wrong_magnitudes)
+    with pytest.raises(DecodeFailure):
+        rs.decode(cw.flip(3))
 
 
 def test_wrong_length_input():
