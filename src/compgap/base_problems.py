@@ -80,6 +80,10 @@ def analytic_adv_risk(params: MajorityNoiseParams, b: int) -> Fraction:
     untampered, and a clean instance is flippable iff its majority margin is
     within reach of b minority-side flips (flipping minority bits is optimal,
     see docs/greedy_majority.md).
+
+    Exact for the binary float params.alpha, taken as Fraction(alpha), not
+    for the decimal it was written as: alpha=0.05 enters as
+    3602879701896397/2^56, not 1/20.
     """
     if b < 0:
         raise ConfigError("budget must be >= 0")
@@ -96,7 +100,8 @@ def brute_force_adv_risk(params: MajorityNoiseParams, h: Hypothesis, b: int,
 
     For every instance x and both label branches (clean weight 1-alpha,
     noisy weight alpha), checks whether the identity wins or some x' within
-    b flips is misclassified without tripping STAR.
+    b flips is misclassified without tripping STAR.  Like analytic_adv_risk,
+    exact for the binary float params.alpha, not for its decimal spelling.
     """
     d = params.d
     if d > max_d:

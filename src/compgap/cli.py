@@ -279,12 +279,16 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     csv_path = out_dir / "results.csv"
     if not csv_path.exists():
         raise ConfigError(f"no results.csv under {out_dir}")
-    lines = csv_path.read_text().splitlines()
-    rows = [line.split(",") for line in lines[1:] if line]
-    widths = [max(len(r[i]) for r in rows + [lines[0].split(",")])
-              for i in range(6)]
-    header = lines[0].split(",")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()
+            if line]
+    if not rows:
+        raise ConfigError(f"{csv_path} is empty")
+    columns = len(CSV_HEADER.split(","))
+    for line_no, r in enumerate(rows, start=1):
+        if len(r) != columns:
+            raise ConfigError(f"{csv_path}: row {line_no} has {len(r)} "
+                              f"columns, expected {columns}")
+    widths = [max(len(r[i]) for r in rows) for i in range(columns)]
     for r in rows:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
     return 0
@@ -328,8 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.trials = args.trials
         if args.out is not None:
             cfg.out = args.out
-        kind = args.command if args.command != "report" else "risk"
-        cfg.validate(kind)
+        cfg.validate(args.command)
         return _COMMANDS[args.command](cfg, Path(cfg.out))
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from .errors import ConfigError, ParseError
 from .ots import OtsParams
 
 EXPERIMENT_KINDS = ("risk", "adv-risk", "separation", "c3", "np-forge",
-                    "oracle-check")
+                    "oracle-check", "report")
 
 ATTACKER_NAMES = ("identity", "greedy", "bounded_c1", "unbounded_c1",
                   "bounded_c3", "unbounded_c3")
@@ -112,6 +112,8 @@ class ExperimentConfig:
     def validate(self, kind: str) -> None:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
+        if kind == "report":
+            return  # report reads only `out`
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0 or self.seed >= 1 << 64:
@@ -122,7 +124,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"attacker.name must be one of {ATTACKER_NAMES}, got "
                 f"{self.attacker.name!r}")
-        self.problem_params()
+        if kind != "np-forge":  # np-forge reads forge.d, not problem.d
+            self.problem_params()
         if kind in ("adv-risk", "separation"):
             ots = self.ots_params()
             ecc = self.ecc_params()
@@ -153,6 +156,8 @@ class ExperimentConfig:
             if min(self.forge.k, self.forge.reps, self.forge.count,
                    self.forge.var_cap) < 1:
                 raise ConfigError("forge.k/reps/count/var_cap must be >= 1")
+            # the instances np-forge samples; this checks problem.alpha
+            MajorityNoiseParams(self.forge.d, self.problem.alpha)
 
 
 _GROUPS = ("problem", "ots", "ecc", "c3", "attacker", "forge")

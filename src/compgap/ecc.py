@@ -13,6 +13,14 @@ test ("does the parity part equal the parity of the message part?") are
 XORs of Python ints over those columns; the circuit emitter reads the same
 columns.  Only error correction (syndromes, Berlekamp-Massey, Chien/Forney)
 works on numpy symbol arrays.
+
+Error correction works on logarithms.  log[0] is the sentinel Z = 2*order,
+and exp is zero from index Z on (it has 4*order + 1 entries), so
+exp[log[a] + log[b]] is a*b for every a and b, zero included, as long as
+each addend is a log or an exponent in [0, order]: no zero mask and no
+modulo.  log X^-j is order - (log X * j mod order), which lies in
+[1, order], so one exponent matrix (_syn_exp) serves syndromes, Chien and
+Forney alike.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from itertools import compress
 from operator import xor
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitstring import BitString
 from .errors import ConfigError, DecodeFailure, FormatError
@@ -54,7 +63,8 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _build_tables(bps: int):
-    """Log/antilog tables for GF(2^bps) with generator alpha=2."""
+    """exp/log tables for GF(2^bps) with generator alpha=2 and the zero
+    sentinel log[0] = 2*order (see the module docstring)."""
     if bps in _TABLE_CACHE:
         return _TABLE_CACHE[bps]
     if bps not in _PRIM_POLY_CANDIDATES:
@@ -62,7 +72,7 @@ def _build_tables(bps: int):
     q = 1 << bps
     n = q - 1
     for poly in _PRIM_POLY_CANDIDATES[bps]:
-        exp = np.zeros(2 * n, dtype=np.int64)
+        exp = np.zeros(4 * n + 1, dtype=np.uint16)  # symbols are <= 16 bits
         log = np.full(q, -1, dtype=np.int64)
         x = 1
         ok = True
@@ -77,6 +87,7 @@ def _build_tables(bps: int):
                 x ^= poly
         if ok and x == 1:
             exp[n:2 * n] = exp[:n]
+            log[0] = 2 * n
             _TABLE_CACHE[bps] = (exp, log, n)
             return _TABLE_CACHE[bps]
     raise ConfigError(f"no primitive polynomial validated for width {bps}")
@@ -127,14 +138,15 @@ class ReedSolomon:
         # stored high-degree first
         g = np.ones(1, dtype=np.int64)
         for j in range(1, self.nparity + 1):
-            root = int(self.exp[j % self.order])
+            root = int(self.exp[j])
             nxt = np.zeros(len(g) + 1, dtype=np.int64)
             nxt[:-1] ^= g                       # g * x
             nxt[1:] ^= self._mul_scalar(g, root)  # g * root
             g = nxt
         self.gen = g  # degree nparity, gen[0] == 1
         self.gen_tail = g[1:].copy()
-        # syndrome exponent matrix E[j-1, i] = ((n-1-i)*j) mod order
+        # syndrome exponent matrix E[j-1, i] = ((n-1-i)*j) mod order, i.e.
+        # log X_i^j for the locator X_i = alpha^(n-1-i) of symbol i
         degs = (params.n_sym - 1 - np.arange(params.n_sym, dtype=np.int64))
         js = np.arange(1, self.nparity + 1, dtype=np.int64)
         self._syn_exp = (degs[None, :] * js[:, None]) % self.order
@@ -144,24 +156,7 @@ class ReedSolomon:
     # ---- GF helpers ----------------------------------------------------
 
     def _mul_scalar(self, vec: np.ndarray, s: int) -> np.ndarray:
-        if s == 0:
-            return np.zeros_like(vec)
-        ls = int(self.log[s])
-        out = np.zeros_like(vec)
-        nz = vec != 0
-        out[nz] = self.exp[(self.log[vec[nz]] + ls) % self.order]
-        return out
-
-    def _mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self.exp[(self.log[a[nz]] + self.log[b[nz]]) % self.order]
-        return out
-
-    def _div(self, a: int, b: int) -> int:
-        if a == 0:
-            return 0
-        return int(self.exp[(self.log[a] - self.log[b]) % self.order])
+        return self.exp[self.log[vec] + self.log[s]]
 
     # ---- bit packing ---------------------------------------------------
 
@@ -230,13 +225,9 @@ class ReedSolomon:
                          | self.parity_of(message.value), p.n_bits)
 
     def _syndromes(self, recv: np.ndarray) -> np.ndarray:
-        nz = recv != 0
-        logs = np.zeros_like(recv)
-        logs[nz] = self.log[recv[nz]]
-        expo = (logs[None, :] + self._syn_exp) % self.order
-        terms = self.exp[expo]
-        terms[:, ~nz] = 0
-        return np.bitwise_xor.reduce(terms, axis=1)
+        """S_j, the received polynomial at alpha^j, for j = 1..nparity."""
+        return np.bitwise_xor.reduce(
+            self.exp[self.log[recv] + self._syn_exp], axis=1)
 
     def decode(self, codeword: BitString) -> BitString:
         p = self.params
@@ -246,8 +237,11 @@ class ReedSolomon:
         if self.is_codeword(codeword.value):
             return BitString(codeword.value >> self.parity_bits, p.data_bits)
         recv = self._bits_to_symbols(codeword)
-        synd = self._syndromes(recv)
-        locator = self._berlekamp_massey(synd)
+        # syndrome logs, last first, then t_max zeros (Z) for Forney's
+        # windows that run past S_1
+        srev = np.concatenate((self.log[self._syndromes(recv)[::-1]],
+                               np.full(p.t_max, 2 * self.order)))
+        locator = self._berlekamp_massey(srev)
         n_err = len(locator) - 1
         if n_err > p.t_max:
             raise DecodeFailure(f"{n_err} errors exceed correction radius {p.t_max}")
@@ -255,7 +249,7 @@ class ReedSolomon:
         if len(positions) != n_err:
             raise DecodeFailure("error locator does not split over the field")
         corrected = recv.copy()
-        magnitudes = self._forney(synd, locator, positions)
+        magnitudes = self._forney(srev, locator, positions)
         if np.any(magnitudes == 0):
             raise DecodeFailure("zero error magnitude")
         corrected[positions] ^= magnitudes
@@ -264,84 +258,69 @@ class ReedSolomon:
             raise DecodeFailure("correction did not reach a codeword")
         return BitString(word >> self.parity_bits, p.data_bits)
 
-    def _berlekamp_massey(self, synd: np.ndarray) -> np.ndarray:
-        """Error-locator polynomial, low-degree-first coefficients."""
-        nsyn = len(synd)
+    def _berlekamp_massey(self, srev: np.ndarray) -> np.ndarray:
+        """Error-locator polynomial, low-degree-first coefficients.
+
+        The discrepancy at step n is sum_{i<=L} C_i S_(n+1-i), one window
+        of srev.  deg C <= L and deg B <= the L at which B was saved, so B
+        is kept as logs over that live degree only.
+        """
+        exp, log, order = self.exp, self.log, self.order
+        nsyn = self.nparity
         C = np.zeros(nsyn + 1, dtype=np.int64)
-        B = np.zeros(nsyn + 1, dtype=np.int64)
-        C[0] = B[0] = 1
-        L, m, b = 0, 1, 1
+        C[0] = 1
+        B_log = np.zeros(1, dtype=np.int64)  # B = 1
+        L, m, b_log = 0, 1, 0
         for n_ in range(nsyn):
-            if L:
-                terms = self._mul_vec(C[1:L + 1], synd[n_ - 1::-1][:L])
-                d = int(synd[n_]) ^ int(np.bitwise_xor.reduce(terms))
-            else:
-                d = int(synd[n_])
+            C_log = log[C[:L + 1]]
+            start = nsyn - 1 - n_
+            d = int(np.bitwise_xor.reduce(
+                exp[C_log + srev[start:start + L + 1]]))
             if d == 0:
                 m += 1
                 continue
-            coef = self._div(d, b)
+            d_log = int(log[d])
+            C[m:m + len(B_log)] ^= exp[B_log + (d_log - b_log) % order]
             if 2 * L <= n_:
-                T = C.copy()
-                C[m:] ^= self._mul_scalar(B[:len(B) - m], coef)
                 L = n_ + 1 - L
-                B = T
-                b = d
-                m = 1
+                B_log, b_log, m = C_log, d_log, 1
             else:
-                C[m:] ^= self._mul_scalar(B[:len(B) - m], coef)
                 m += 1
         return C[:L + 1]
 
     def _chien(self, locator: np.ndarray) -> np.ndarray:
-        """Indices of erroneous symbols (0 = first symbol of the codeword)."""
-        p = self.params
-        degs = p.n_sym - 1 - np.arange(p.n_sym, dtype=np.int64)  # X_i = alpha^degs
-        js = np.arange(len(locator), dtype=np.int64)
-        nz = locator != 0
-        loclog = np.zeros_like(locator)
-        loclog[nz] = self.log[locator[nz]]
-        # evaluate locator at X_i^{-1} = alpha^{-degs}
-        expo = (loclog[None, :] + (self.order - (degs[:, None] * js[None, :])
-                                   % self.order) % self.order) % self.order
-        terms = self.exp[expo]
-        terms[:, ~nz] = 0
-        vals = np.bitwise_xor.reduce(terms, axis=1)
+        """Indices of erroneous symbols (0 = first symbol of the codeword):
+        those i with locator(X_i^-1) = 0."""
+        expo = ((self.log[locator[1:]] + self.order)[:, None]
+                - self._syn_exp[:len(locator) - 1])
+        vals = np.bitwise_xor.reduce(self.exp[expo], axis=0) ^ locator[0]
         return np.nonzero(vals == 0)[0]
 
-    def _forney(self, synd: np.ndarray, locator: np.ndarray,
+    def _forney(self, srev: np.ndarray, locator: np.ndarray,
                 positions: np.ndarray) -> np.ndarray:
-        p = self.params
-        # omega = (S * locator) mod x^{2t}, S low-degree-first
-        nsyn = len(synd)
-        omega = np.zeros(nsyn, dtype=np.int64)
-        for j, lam in enumerate(locator):
-            if lam == 0 or j >= nsyn:
-                continue
-            omega[j:] ^= self._mul_scalar(synd[:nsyn - j], int(lam))
-        degs = (p.n_sym - 1 - positions).astype(np.int64)
-        inv_logs = (self.order - degs % self.order) % self.order  # log of X_i^{-1}
-
-        def eval_many(poly: np.ndarray, shift: int) -> np.ndarray:
-            js = np.arange(len(poly), dtype=np.int64)
-            nz = poly != 0
-            plog = np.zeros_like(poly)
-            plog[nz] = self.log[poly[nz]]
-            expo = (plog[None, :] + inv_logs[:, None] * (js[None, :] - shift)
-                    ) % self.order
-            terms = self.exp[expo]
-            terms[:, ~nz] = 0
-            return np.bitwise_xor.reduce(terms, axis=1)
-
-        om = eval_many(omega, 0)
-        deriv = locator.copy()
-        deriv[::2] = 0  # char-2 formal derivative keeps odd coefficients
-        dprime = eval_many(deriv, 1)
-        if np.any(dprime == 0):
+        """Error magnitudes omega(X_i^-1) / locator'(X_i^-1), where
+        omega = S * locator mod x^nparity and S = sum_j S_(j+1) x^j."""
+        exp, log, order = self.exp, self.log, self.order
+        L = len(locator) - 1
+        lam_log = log[locator]
+        # omega_k = sum_{j<=k} lambda_j S_(k+1-j), and omega_k = 0 for k >= L
+        # because the locator generates the syndromes.  Window nsyn-1-k of
+        # srev is S_(k+1), S_k, ... (zeros below S_1), so windows
+        # nsyn-L .. nsyn-1 give omega_(L-1) .. omega_0.
+        windows = sliding_window_view(srev, L)[self.nparity - L:self.nparity]
+        omega = np.bitwise_xor.reduce(exp[windows + lam_log[:L]],
+                                      axis=1)[::-1]
+        deriv_log = lam_log[1:].copy()  # locator' has lambda_(j+1) at x^j
+        deriv_log[1::2] = 2 * order     # for even j only (char 2)
+        # log X_i^-j: 0 for j = 0, order - _syn_exp[j-1, i] after
+        inv_pow = np.zeros((L, len(positions)), dtype=np.int64)
+        inv_pow[1:] = order - self._syn_exp[:L - 1, positions]
+        coefs = np.stack((log[omega], deriv_log))
+        om, dprime = np.bitwise_xor.reduce(exp[coefs[:, :, None] + inv_pow],
+                                           axis=1)
+        if not dprime.all():
             return np.zeros(len(positions), dtype=np.int64)
-        mags = self.exp[(self.log[om] - self.log[dprime]) % self.order]
-        mags[om == 0] = 0
-        return mags
+        return exp[log[om] + order - log[dprime]]
 
 
 _RS_CACHE: dict = {}

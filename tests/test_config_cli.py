@@ -128,6 +128,32 @@ def test_cli_report_missing_results_exit_2(tmp_path):
     assert run_cli(["report", "--out", str(tmp_path / "nope")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "experiment,params,point\nrisk,d=15,0.1\n",
+    "experiment,params,point,half_width,trials,seed\nrisk,d=15\n"],
+    ids=["empty", "short_header", "short_row"])
+def test_cli_report_malformed_results_exit_2(tmp_path, text):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "results.csv").write_text(text)
+    assert run_cli(["report", "--out", str(out)]) == 2
+
+
+def test_cli_report_reads_only_results(tmp_path, capsys):
+    # np-forge samples width forge.d and never reads problem.d, so an even
+    # problem.d is valid for it but not for risk; report accepts it too
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("problem.d = 14\nforge.count = 2\nforge.d = 9\n")
+    out = tmp_path / "o"
+    assert run_cli(["risk", "--config", str(cfg),
+                    "--out", str(tmp_path / "r")]) == 2
+    assert run_cli(["np-forge", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "np-forge" in capsys.readouterr().out
+
+
 
 def test_thread_cap_env(tmp_path, monkeypatch):
     # np-forge solves in a plain loop and reads no COMPGAP_THREADS: a junk or

@@ -141,3 +141,64 @@ def test_default_parameters_full_radius():
 def test_module_level_helpers():
     msg = BitString(0x77, 16)
     assert ecc_decode(ecc_encode(msg, TINY), TINY) == msg
+
+
+@pytest.mark.parametrize("params", [
+    EccParams(k_sym=2, n_sym=6, bits_per_symbol=4),
+    EccParams(k_sym=2, n_sym=7, bits_per_symbol=3)])
+def test_bounded_distance_decoding_matches_brute_force(params):
+    # decode returns the nearest codeword's message when it lies within
+    # t_max symbols and raises DecodeFailure otherwise; small fields make
+    # zero symbols and zero locator coefficients common
+    rs = reed_solomon(params)
+    bps, n = params.bits_per_symbol, params.n_sym
+
+    def symbols(word):
+        return [(word >> (bps * (n - 1 - i))) & ((1 << bps) - 1)
+                for i in range(n)]
+    book = np.array([symbols(rs.encode(BitString(v, params.data_bits)).value)
+                     for v in range(1 << params.data_bits)])
+    rng = random.Random(n)
+    words = [rng.getrandbits(params.n_bits) for _ in range(2000)]
+    for _ in range(1000):
+        word = rs.encode(BitString.random(rng, params.data_bits)).value
+        for s in rng.sample(range(n), rng.randrange(params.t_max + 3)):
+            word ^= rng.randrange(1, 1 << bps) << (bps * (n - 1 - s))
+        words.append(word)
+    for word in words:
+        dist = (book != symbols(word)).sum(axis=1)
+        nearest = int(dist.argmin())
+        received = BitString(word, params.n_bits)
+        if dist[nearest] <= params.t_max:
+            assert rs.decode(received).value == nearest
+        else:
+            with pytest.raises(DecodeFailure):
+                rs.decode(received)
+
+
+def _gf_mul(a, b, poly, width):
+    # shift-and-XOR product modulo the primitive polynomial
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> width:
+            a ^= poly
+    return out
+
+
+@pytest.mark.parametrize("width", [3, 4, 8, 12, 16])
+def test_mul_scalar_matches_shift_and_xor(width):
+    from compgap.ecc import _PRIM_POLY_CANDIDATES
+    rs = reed_solomon(EccParams(k_sym=1, n_sym=3, bits_per_symbol=width))
+    poly = (1 << width) | int(rs.exp[width])  # alpha^width = poly - x^width
+    assert poly in _PRIM_POLY_CANDIDATES[width]
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    for s in [0, 1, top] + [rng.randrange(1 << width) for _ in range(20)]:
+        vec = [rng.choice((0, 1, top, rng.randrange(1 << width)))
+               for _ in range(64)]
+        got = rs._mul_scalar(np.array(vec, dtype=np.int64), s)
+        assert got.tolist() == [_gf_mul(v, s, poly, width) for v in vec]
