@@ -9,7 +9,6 @@ precomputed preimage table whose construction is not charged.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,18 +21,12 @@ from .ots import (OtsParams, PreimageIndex, Signature, digest, toy_hash,
                   verify, vk_from_bits)
 
 
-class Power(enum.Enum):
-    BOUNDED = "bounded"
-    UNBOUNDED = "unbounded"
-
-
 PerturbFn = Callable[..., BitString]
 
 
 @dataclass(frozen=True)
 class Attacker:
     name: str
-    power: Power
     perturb: PerturbFn
     query_budget: Optional[int] = None
 
@@ -46,7 +39,7 @@ def identity_attacker() -> Attacker:
     """Never perturbs; its win rate equals the plain risk by definition."""
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
         return x
-    return Attacker("identity", Power.BOUNDED, perturb, query_budget=0)
+    return Attacker("identity", perturb, query_budget=0)
 
 
 def _majority_flip(x: BitString, y: Label, b: int) -> Optional[BitString]:
@@ -80,7 +73,7 @@ def greedy_majority_attacker(b: int) -> Attacker:
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
         flipped = _majority_flip(x, y, b)
         return x if flipped is None else flipped
-    return Attacker("greedy_majority", Power.BOUNDED, perturb, query_budget=0)
+    return Attacker("greedy_majority", perturb, query_budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
             return x
         return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
 
-    return Attacker("unbounded_c1", Power.UNBOUNDED, perturb)
+    return Attacker("unbounded_c1", perturb)
 
 
 def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
@@ -157,8 +150,7 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
         return WrappedInstance(flipped, Signature(tuple(preimages)).to_bits(),
                                inst.vk_code).to_bits()
 
-    return Attacker("bounded_c1", Power.BOUNDED, perturb,
-                    query_budget=query_budget)
+    return Attacker("bounded_c1", perturb, query_budget=query_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +192,7 @@ def unbounded_c3_attacker(ots: OtsParams, ecc: EccParams) -> Attacker:
             return x
         return _c3_replace_slot0(x, sigma, ots, ecc)
 
-    return Attacker("unbounded_c3", Power.UNBOUNDED, perturb)
+    return Attacker("unbounded_c3", perturb)
 
 
 def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
@@ -232,5 +224,4 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
                 return _c3_replace_slot0(x, cand.to_bits(), ots, ecc)
         return x
 
-    return Attacker("bounded_c3", Power.BOUNDED, perturb,
-                    query_budget=query_budget)
+    return Attacker("bounded_c3", perturb, query_budget=query_budget)

@@ -51,7 +51,6 @@ def sample_majority_noise(params: MajorityNoiseParams, seed: int):
 def majority_noise_problem(params: MajorityNoiseParams) -> Problem:
     return Problem(
         instance_len=params.d,
-        label_set=frozenset({0, 1}),
         sampler=lambda seed: sample_majority_noise(params, seed),
     )
 
@@ -70,7 +69,7 @@ def uniform_balanced_problem(d: int) -> Problem:
         rng = random.Random(seed)
         return BitString.random(rng, d), rng.getrandbits(1)
 
-    return Problem(instance_len=d, label_set=frozenset({0, 1}), sampler=sampler)
+    return Problem(instance_len=d, sampler=sampler)
 
 
 def analytic_adv_risk(params: MajorityNoiseParams, b: int) -> Fraction:

@@ -29,8 +29,7 @@ from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .errors import ConfigError, InvariantViolation, ParseError
-from .game import (GameOutcome, Problem, binomial_half_width, estimate_risk,
-                   game_transcript, mix_seed)
+from .game import binomial_half_width, estimate_risk, game_transcript, mix_seed
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
 from .solver import Status, solve_small
 
@@ -44,24 +43,33 @@ def _csv_row(experiment: str, params: str, point: float, half_width: float,
 
 
 def _write_out(out_dir: Path, rows: List[str],
-               transcript: List[str]) -> None:
+               transcript: List[str]) -> int:
+    """Write results.csv and transcript.log, echo the rows; exit code 0."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(
         CSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
     (out_dir / "transcript.log").write_text(
         "".join(line + "\n" for line in transcript))
-
-
-def _transcript_lines(outcomes: List[GameOutcome], seed: int) -> List[str]:
-    return [
-        f"trial={i} seed={mix_seed(seed, i)} won={int(o.won)} "
-        f"reason={o.reason.value} dist={o.perturbation_used} "
-        f"queries={o.queries_used}"
-        for i, o in enumerate(outcomes)]
+    for r in rows:
+        print(r)
+    return 0
 
 
 def _build_attacker(cfg: ExperimentConfig, name: str) -> Tuple:
     """Returns (problem, hypothesis, attacker, budget, params string)."""
+    if name.endswith("_c3"):
+        ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
+        prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
+        h = classifier_c3(ots, ecc)
+        budget = ots.sig_bits
+        tag = (f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} "
+               f"budget={budget} attacker={name}")
+        if name == "bounded_c3":
+            a = atk.bounded_c3_attacker(ots, ecc, cfg.c3.query_budget)
+            tag += f" queries={cfg.c3.query_budget}"
+        else:
+            a = atk.unbounded_c3_attacker(ots, ecc)
+        return prob, h, a, budget, tag
     p = cfg.problem_params()
     base = majority_noise_problem(p)
     base_h = majority_hypothesis(p.d)
@@ -71,38 +79,43 @@ def _build_attacker(cfg: ExperimentConfig, name: str) -> Tuple:
     if name == "greedy":
         return (base, base_h, atk.greedy_majority_attacker(cfg.problem.b),
                 cfg.problem.b, tag)
-    if name.endswith("_c1"):
-        ots, ecc = cfg.ots_params(), cfg.ecc_params()
-        prob = wrapped_problem_c1(base, ots, ecc)
-        h = classifier_c1(base_h, ots, ecc)
-        budget = cfg.problem.b + ots.sig_bits
-        tag += f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
-        if name == "bounded_c1":
-            a = atk.bounded_c1_attacker(p.d, cfg.problem.b, ots, ecc,
-                                        cfg.attacker.query_budget)
-            tag += f" queries={cfg.attacker.query_budget}"
-        else:
-            a = atk.unbounded_c1_attacker(p.d, cfg.problem.b, ots, ecc)
-        return prob, h, a, budget, tag
-    # *_c3
-    ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
-    prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
-    h = classifier_c3(ots, ecc)
-    budget = ots.sig_bits
-    tag = (f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} "
-           f"budget={budget} attacker={name}")
-    if name == "bounded_c3":
-        a = atk.bounded_c3_attacker(ots, ecc, cfg.c3.query_budget)
-        tag += f" queries={cfg.c3.query_budget}"
+    # *_c1
+    ots, ecc = cfg.ots_params(), cfg.ecc_params()
+    prob = wrapped_problem_c1(base, ots, ecc)
+    h = classifier_c1(base_h, ots, ecc)
+    budget = cfg.problem.b + ots.sig_bits
+    tag += f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
+    if name == "bounded_c1":
+        a = atk.bounded_c1_attacker(p.d, cfg.problem.b, ots, ecc,
+                                    cfg.attacker.query_budget)
+        tag += f" queries={cfg.attacker.query_budget}"
     else:
-        a = atk.unbounded_c3_attacker(ots, ecc)
+        a = atk.unbounded_c1_attacker(p.d, cfg.problem.b, ots, ecc)
     return prob, h, a, budget, tag
 
 
-def _run_games(prob: Problem, h, attacker, budget: int, trials: int,
-               seed: int) -> Tuple[float, List[GameOutcome]]:
-    outcomes = game_transcript(prob, h, attacker, budget, trials, seed)
-    return sum(o.won for o in outcomes) / trials, outcomes
+def _play_games(cfg: ExperimentConfig, kind: str, rows: List[str],
+                transcript: List[str]) -> dict:
+    """Play each attacker of cfg.games(kind) for cfg.trials games, append
+    its row and transcript lines, and return its win rate by name."""
+    names = cfg.games(kind)
+    points = {}
+    for name in names:
+        prob, h, attacker, budget, tag = _build_attacker(cfg, name)
+        outcomes = game_transcript(prob, h, attacker, budget, cfg.trials,
+                                   cfg.seed)
+        point = points[name] = sum(o.won for o in outcomes) / cfg.trials
+        rows.append(_csv_row(kind, tag, point,
+                             binomial_half_width(point, cfg.trials),
+                             cfg.trials, cfg.seed))
+        if len(names) > 1:  # label each attacker's part of the transcript
+            transcript.append(f"# {name}")
+        transcript.extend(
+            f"trial={i} seed={mix_seed(cfg.seed, i)} won={int(o.won)} "
+            f"reason={o.reason.value} dist={o.perturbation_used} "
+            f"queries={o.queries_used}"
+            for i, o in enumerate(outcomes))
+    return points
 
 
 def cmd_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -111,49 +124,27 @@ def cmd_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
                         cfg.trials, cfg.seed)
     rows = [_csv_row("risk", f"d={p.d} alpha={p.alpha}", est.point,
                      est.half_width, cfg.trials, cfg.seed)]
-    _write_out(out_dir, rows, [f"risk point={est.point:.6f}"])
-    print(rows[0])
-    return 0
+    return _write_out(out_dir, rows, [f"risk point={est.point:.6f}"])
 
 
 def cmd_adv_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
-    prob, h, attacker, budget, tag = _build_attacker(cfg, cfg.attacker.name)
-    point, outcomes = _run_games(prob, h, attacker, budget, cfg.trials,
-                                 cfg.seed)
-    rows = [_csv_row("adv-risk", tag, point,
-                     binomial_half_width(point, cfg.trials), cfg.trials,
-                     cfg.seed)]
-    _write_out(out_dir, rows, _transcript_lines(outcomes, cfg.seed))
-    print(rows[0])
-    return 0
+    rows, transcript = [], []
+    _play_games(cfg, "adv-risk", rows, transcript)
+    return _write_out(out_dir, rows, transcript)
 
 
 def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
     p = cfg.problem_params()
-    oracle = float(analytic_adv_risk(p, cfg.problem.b))
-    rows = [_csv_row("separation-oracle",
-                     f"d={p.d} alpha={p.alpha} b={cfg.problem.b}",
-                     oracle, 0.0, 0, cfg.seed)]
+    params = f"d={p.d} alpha={p.alpha} b={cfg.problem.b}"
+    rows = [_csv_row("separation-oracle", params,
+                     float(analytic_adv_risk(p, cfg.problem.b)), 0.0, 0,
+                     cfg.seed)]
     transcript: List[str] = []
-    points = {}
-    for name in ("bounded_c1", "unbounded_c1"):
-        prob, h, attacker, budget, tag = _build_attacker(cfg, name)
-        point, outcomes = _run_games(prob, h, attacker, budget, cfg.trials,
-                                     cfg.seed)
-        points[name] = point
-        rows.append(_csv_row("separation", tag, point,
-                             binomial_half_width(point, cfg.trials),
-                             cfg.trials, cfg.seed))
-        transcript.append(f"# {name}")
-        transcript.extend(_transcript_lines(outcomes, cfg.seed))
-    gap = points["unbounded_c1"] - points["bounded_c1"]
-    rows.append(_csv_row("separation-gap",
-                         f"d={p.d} alpha={p.alpha} b={cfg.problem.b}",
-                         gap, 0.0, cfg.trials, cfg.seed))
-    _write_out(out_dir, rows, transcript)
-    for r in rows:
-        print(r)
-    return 0
+    points = _play_games(cfg, "separation", rows, transcript)
+    rows.append(_csv_row("separation-gap", params,
+                         points["unbounded_c1"] - points["bounded_c1"], 0.0,
+                         cfg.trials, cfg.seed))
+    return _write_out(out_dir, rows, transcript)
 
 
 def cmd_c3(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -163,20 +154,9 @@ def cmd_c3(cfg: ExperimentConfig, out_dir: Path) -> int:
     est = estimate_risk(prob, h, cfg.trials, cfg.seed)
     rows = [_csv_row("c3-risk", f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen}",
                      est.point, est.half_width, cfg.trials, cfg.seed)]
-    transcript: List[str] = [f"c3 honest risk point={est.point:.6f}"]
-    for name in ("unbounded_c3", "bounded_c3"):
-        prob, h, attacker, budget, tag = _build_attacker(cfg, name)
-        point, outcomes = _run_games(prob, h, attacker, budget, cfg.trials,
-                                     cfg.seed)
-        rows.append(_csv_row("c3", tag, point,
-                             binomial_half_width(point, cfg.trials),
-                             cfg.trials, cfg.seed))
-        transcript.append(f"# {name}")
-        transcript.extend(_transcript_lines(outcomes, cfg.seed))
-    _write_out(out_dir, rows, transcript)
-    for r in rows:
-        print(r)
-    return 0
+    transcript = [f"c3 honest risk point={est.point:.6f}"]
+    _play_games(cfg, "c3", rows, transcript)
+    return _write_out(out_dir, rows, transcript)
 
 
 def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -224,9 +204,7 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
                      f"tau={tau:.6f} witnesses={witness_ok}",
                      frac, binomial_half_width(frac, fc.count), fc.count,
                      cfg.seed)]
-    _write_out(out_dir, rows, transcript)
-    print(rows[0])
-    return 0
+    return _write_out(out_dir, rows, transcript)
 
 
 def cmd_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -334,10 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.out = args.out
         cfg.validate(args.command)
         return _COMMANDS[args.command](cfg, Path(cfg.out))
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (ParseError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

@@ -5,12 +5,17 @@ into the config groups below, values are integers, decimals, or bare words.
 Unknown keys are errors, missing keys take the defaults, and the defaults
 are the worked separation configuration, so an empty file runs everything
 out of the box.
+
+`validate(kind)` checks exactly the settings command `kind` reads (for a
+game command, those of each attacker it plays; see `GAMES`), and a failed
+check raises ConfigError, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from .base_problems import MajorityNoiseParams
 from .ecc import EccParams
@@ -22,6 +27,10 @@ EXPERIMENT_KINDS = ("risk", "adv-risk", "separation", "c3", "np-forge",
 
 ATTACKER_NAMES = ("identity", "greedy", "bounded_c1", "unbounded_c1",
                   "bounded_c3", "unbounded_c3")
+
+#: Attackers each game command plays, in order; adv-risk plays attacker.name
+GAMES = {"separation": ("bounded_c1", "unbounded_c1"),
+         "c3": ("unbounded_c3", "bounded_c3")}
 
 
 @dataclass
@@ -109,43 +118,20 @@ class ExperimentConfig:
         return EccParams(self.c3.k_sym, self.c3.n_sym,
                          self.c3.bits_per_symbol)
 
+    def games(self, kind: str) -> Tuple[str, ...]:
+        """The attackers command `kind` plays, in playing order."""
+        if kind == "adv-risk":
+            return (self.attacker.name,)
+        return GAMES.get(kind, ())
+
     def validate(self, kind: str) -> None:
+        """Check exactly the settings command `kind` reads."""
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        if kind == "report":
-            return  # report reads only `out`
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if kind in ("report", "oracle-check"):
+            return  # report reads only `out`, oracle-check nothing
         if self.seed < 0 or self.seed >= 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        if self.problem.b < 0:
-            raise ConfigError("problem.b must be >= 0")
-        if self.attacker.name not in ATTACKER_NAMES:
-            raise ConfigError(
-                f"attacker.name must be one of {ATTACKER_NAMES}, got "
-                f"{self.attacker.name!r}")
-        if kind != "np-forge":  # np-forge reads forge.d, not problem.d
-            self.problem_params()
-        if kind in ("adv-risk", "separation"):
-            ots = self.ots_params()
-            ecc = self.ecc_params()
-            if ecc.data_bits != ots.vk_bits:
-                raise ConfigError(
-                    f"ecc.data_bits {ecc.data_bits} != ots.vk_bits {ots.vk_bits}")
-            if kind == "separation" or self.attacker.name.endswith("_c1"):
-                budget = self.problem.b + ots.sig_bits
-                if budget > ecc.t_max:
-                    raise ConfigError(
-                        f"separation needs b + sig_bits <= t_max; "
-                        f"{budget} > {ecc.t_max}")
-        if kind == "c3" or self.attacker.name.endswith("_c3"):
-            ots = self.c3_ots_params()
-            ecc = self.c3_ecc_params()
-            if ecc.data_bits != self.c3.d or ecc.data_bits != ots.vk_bits:
-                raise ConfigError(
-                    f"c3 needs d == k_sym*bits_per_symbol == 2*hlen^2; got "
-                    f"d={self.c3.d}, data_bits={ecc.data_bits}, "
-                    f"vk_bits={ots.vk_bits}")
         if kind == "np-forge":
             if self.forge.d % 2 == 0 or self.forge.d < 1:
                 raise ConfigError("forge.d must be odd and positive")
@@ -158,6 +144,42 @@ class ExperimentConfig:
                 raise ConfigError("forge.k/reps/count/var_cap must be >= 1")
             # the instances np-forge samples; this checks problem.alpha
             MajorityNoiseParams(self.forge.d, self.problem.alpha)
+            return
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        if kind == "risk":
+            self.problem_params()
+        for name in self.games(kind):
+            self._validate_attacker(name)
+
+    def _validate_attacker(self, name: str) -> None:
+        if name not in ATTACKER_NAMES:
+            raise ConfigError(
+                f"attacker.name must be one of {ATTACKER_NAMES}, got "
+                f"{name!r}")
+        if name.endswith("_c3"):  # C3 reads c3.* only
+            ots = self.c3_ots_params()
+            ecc = self.c3_ecc_params()
+            if ecc.data_bits != self.c3.d or ecc.data_bits != ots.vk_bits:
+                raise ConfigError(
+                    f"c3 needs d == k_sym*bits_per_symbol == 2*hlen^2; got "
+                    f"d={self.c3.d}, data_bits={ecc.data_bits}, "
+                    f"vk_bits={ots.vk_bits}")
+            return
+        if self.problem.b < 0:
+            raise ConfigError("problem.b must be >= 0")
+        self.problem_params()
+        if name.endswith("_c1"):
+            ots = self.ots_params()
+            ecc = self.ecc_params()
+            if ecc.data_bits != ots.vk_bits:
+                raise ConfigError(
+                    f"ecc.data_bits {ecc.data_bits} != ots.vk_bits {ots.vk_bits}")
+            budget = self.problem.b + ots.sig_bits
+            if budget > ecc.t_max:
+                raise ConfigError(
+                    f"separation needs b + sig_bits <= t_max; "
+                    f"{budget} > {ecc.t_max}")
 
 
 _GROUPS = ("problem", "ots", "ecc", "c3", "attacker", "forge")

@@ -83,7 +83,6 @@ def wrapped_problem_c1(base: Problem, ots: OtsParams,
     _check_c1_params(ots, ecc)
     return Problem(
         instance_len=base.instance_len + ots.sig_bits + ecc.n_bits,
-        label_set=base.label_set,
         sampler=lambda seed: (
             lambda inst_y: (inst_y[0].to_bits(), inst_y[1])
         )(wrap_sample_c1(base, ots, ecc, seed)),
@@ -177,7 +176,6 @@ def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
     _check_c3_params(base, ots, ecc)
     return Problem(
         instance_len=c3_instance_len(ots, ecc),
-        label_set=frozenset({0, 1}),
         sampler=lambda seed: (
             lambda inst_y: (inst_y[0].to_bits(), inst_y[1])
         )(sample_c3(base, ots, ecc, seed)),

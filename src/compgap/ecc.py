@@ -36,24 +36,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bitstring import BitString
 from .errors import ConfigError, DecodeFailure, FormatError
 
-# First entry per width that generates the full multiplicative group; checked
-# at table-build time.
-_PRIM_POLY_CANDIDATES = {
-    2: (0x7,),
-    3: (0xB,),
-    4: (0x13,),
-    5: (0x25,),
-    6: (0x43,),
-    7: (0x89,),
-    8: (0x11D,),
-    9: (0x211,),
-    10: (0x409,),
-    11: (0x805,),
-    12: (0x1053, 0x1069),
-    13: (0x201B,),
-    14: (0x4443, 0x402B),
-    15: (0x8003,),
-    16: (0x1100B, 0x1002D, 0x16F63),
+# A primitive polynomial per supported symbol width; that x generates the
+# full multiplicative group is checked at table-build time.
+_PRIM_POLY = {
+    2: 0x7,
+    3: 0xB,
+    4: 0x13,
+    5: 0x25,
+    6: 0x43,
+    7: 0x89,
+    8: 0x11D,
+    9: 0x211,
+    10: 0x409,
+    11: 0x805,
+    12: 0x1053,
+    13: 0x201B,
+    14: 0x4443,
+    15: 0x8003,
+    16: 0x1100B,
 }
 
 _TABLE_CACHE: dict = {}
@@ -67,30 +67,25 @@ def _build_tables(bps: int):
     sentinel log[0] = 2*order (see the module docstring)."""
     if bps in _TABLE_CACHE:
         return _TABLE_CACHE[bps]
-    if bps not in _PRIM_POLY_CANDIDATES:
-        raise ConfigError(f"unsupported symbol width {bps}")
-    q = 1 << bps
+    q = 1 << bps  # EccParams admits only the widths of _PRIM_POLY
     n = q - 1
-    for poly in _PRIM_POLY_CANDIDATES[bps]:
-        exp = np.zeros(4 * n + 1, dtype=np.uint16)  # symbols are <= 16 bits
-        log = np.full(q, -1, dtype=np.int64)
-        x = 1
-        ok = True
-        for i in range(n):
-            if log[x] != -1:
-                ok = False
-                break
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & q:
-                x ^= poly
-        if ok and x == 1:
-            exp[n:2 * n] = exp[:n]
-            log[0] = 2 * n
-            _TABLE_CACHE[bps] = (exp, log, n)
-            return _TABLE_CACHE[bps]
-    raise ConfigError(f"no primitive polynomial validated for width {bps}")
+    poly = _PRIM_POLY[bps]
+    exp = np.zeros(4 * n + 1, dtype=np.uint16)  # symbols are <= 16 bits
+    log = np.full(q, -1, dtype=np.int64)
+    x = 1
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x & q:
+            x ^= poly
+    # primitive iff the n powers of x are the n nonzero elements
+    if x != 1 or (log[1:] < 0).any():
+        raise ConfigError(f"{poly:#x} is not primitive for width {bps}")
+    exp[n:2 * n] = exp[:n]
+    log[0] = 2 * n
+    _TABLE_CACHE[bps] = (exp, log, n)
+    return _TABLE_CACHE[bps]
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +106,9 @@ class EccParams:
     def __post_init__(self) -> None:
         if self.k_sym < 1 or self.n_sym <= self.k_sym:
             raise ConfigError("need n_sym > k_sym >= 1")
+        if self.bits_per_symbol not in _PRIM_POLY:
+            raise ConfigError(
+                f"bits_per_symbol must be in 2..16, got {self.bits_per_symbol}")
         if self.n_sym > (1 << self.bits_per_symbol) - 1:
             raise ConfigError(
                 f"n_sym {self.n_sym} exceeds field bound "
@@ -143,8 +141,7 @@ class ReedSolomon:
             nxt[:-1] ^= g                       # g * x
             nxt[1:] ^= self._mul_scalar(g, root)  # g * root
             g = nxt
-        self.gen = g  # degree nparity, gen[0] == 1
-        self.gen_tail = g[1:].copy()
+        self.gen_tail = g[1:]  # g is monic of degree nparity
         # syndrome exponent matrix E[j-1, i] = ((n-1-i)*j) mod order, i.e.
         # log X_i^j for the locator X_i = alpha^(n-1-i) of symbol i
         degs = (params.n_sym - 1 - np.arange(params.n_sym, dtype=np.int64))

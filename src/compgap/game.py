@@ -13,7 +13,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Tuple, Union
+from typing import Callable, Tuple, Union
 
 from .bitstring import BitString, hamming_distance
 from .errors import AttackerProtocolError
@@ -95,7 +95,6 @@ class Problem:
     """A samplable labeled distribution over fixed-length instances."""
 
     instance_len: int
-    label_set: FrozenSet[int]
     sampler: Callable[[int], Tuple[BitString, Label]]
 
     def sample(self, seed: int) -> Tuple[BitString, Label]:
@@ -193,11 +192,8 @@ def estimate_risk(problem: Problem, h: Hypothesis, trials: int,
 def estimate_adv_risk(problem: Problem, h: Hypothesis, attacker, budget: int,
                       trials: int, seed: int) -> RiskEstimate:
     """Fraction of won games over per-trial seeds shared with estimate_risk."""
-    wins = 0
-    for i in range(trials):
-        if play_game(problem, h, attacker, budget, mix_seed(seed, i)).won:
-            wins += 1
-    point = wins / trials
+    outcomes = game_transcript(problem, h, attacker, budget, trials, seed)
+    point = sum(o.won for o in outcomes) / trials
     return RiskEstimate(point, trials, binomial_half_width(point, trials), seed)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .bitstring import BitString, concat_all
-from .errors import FormatError, PreimageNotFound
+from .errors import ConfigError, FormatError, PreimageNotFound
 from .game import GOLDEN, MASK64, Counters, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
@@ -60,7 +60,7 @@ class OtsParams:
 
     def __post_init__(self) -> None:
         if self.hlen < 1 or self.slen < 1 or self.hash_rounds < 1:
-            raise FormatError("hlen, slen, hash_rounds must be >= 1")
+            raise ConfigError("hlen, slen, hash_rounds must be >= 1")
 
     @property
     def sig_bits(self) -> int:

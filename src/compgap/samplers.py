@@ -14,7 +14,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
@@ -48,11 +48,14 @@ class SamplerBundle:
     seed: int
     b: int
     blocks: Tuple[BlockInfo, ...]
-    witness_decoder: Callable[[dict], List[Tuple[int, BitString]]]
 
-
-def _decode_inputs(assignment: dict, input_vars: Tuple[int, ...]) -> BitString:
-    return BitString.from_bits(int(assignment[v]) for v in input_vars)
+    def witness_decoder(self, assignment: dict) -> List[Tuple[int, BitString]]:
+        """(block index, perturbed x) of each block the assignment selects;
+        a block with selector 0 always counts."""
+        return [(j, BitString.from_bits(int(assignment[v])
+                                        for v in blk.input_vars))
+                for j, blk in enumerate(self.blocks)
+                if not blk.selector or assignment[blk.selector]]
 
 
 def _compile_block(x: BitString, y: int, circuit: BoolCircuit,
@@ -83,13 +86,8 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
     if not isinstance(y, int):
         raise SamplerError("stage-1 compilation needs integer labels")
     f = _compile_block(x, y, circuit, b)
-    inputs = f.annotations["inputs"]
-    block = BlockInfo(0, inputs, x, y)
-
-    def decode(assignment: dict) -> List[Tuple[int, BitString]]:
-        return [(0, _decode_inputs(assignment, inputs))]
-
-    return SamplerBundle(f, Stage.S1, seed, b, (block,), decode)
+    block = BlockInfo(0, f.annotations["inputs"], x, y)
+    return SamplerBundle(f, Stage.S1, seed, b, (block,))
 
 
 def _merge_guarded(f: CnfFormula, sub: CnfFormula,
@@ -145,12 +143,7 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     f, blocks = _assemble_s2(
         (_drawn_block(problem, circuit, b, mix_seed(seed, j))
          for j in range(k)), tau)
-
-    def decode(assignment: dict) -> List[Tuple[int, BitString]]:
-        return [(j, _decode_inputs(assignment, blk.input_vars))
-                for j, blk in enumerate(blocks) if assignment[blk.selector]]
-
-    return SamplerBundle(f, Stage.S2, seed, b, tuple(blocks), decode)
+    return SamplerBundle(f, Stage.S2, seed, b, tuple(blocks))
 
 
 def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
@@ -168,11 +161,7 @@ def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
             blocks.append(BlockInfo(blk.selector + off,
                                     tuple(v + off for v in blk.input_vars),
                                     blk.x, blk.y))
-    def decode(assignment: dict) -> List[Tuple[int, BitString]]:
-        return [(j, _decode_inputs(assignment, blk.input_vars))
-                for j, blk in enumerate(blocks) if assignment[blk.selector]]
-
-    return SamplerBundle(f, Stage.S, seed, b, tuple(blocks), decode)
+    return SamplerBundle(f, Stage.S, seed, b, tuple(blocks))
 
 
 def check_witness(bundle: SamplerBundle, circuit: BoolCircuit,

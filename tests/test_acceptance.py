@@ -8,6 +8,7 @@ import math
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,8 @@ from compgap.game import (STAR, Hypothesis, binomial_half_width,
 from compgap.ots import OtsParams
 from compgap.samplers import check_witness, sample_s1, sample_s2
 from compgap.solver import Status, solve_enumerate, solve_small
+
+pytestmark = pytest.mark.acceptance
 
 OTS = OtsParams(hlen=16, slen=16)
 ECC = EccParams(k_sym=32, n_sym=640, bits_per_symbol=16)

@@ -171,3 +171,100 @@ def test_thread_cap_env(tmp_path, monkeypatch):
                         "--out", str(out)]) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# results.csv and transcript.log of `--trials 3 --seed 11` with the default
+# config, pinned byte for byte
+PINNED = {
+    "separation": (
+        "experiment,params,point,half_width,trials,seed\n"
+        "separation-oracle,d=15 alpha=0.05 b=2,0.713330,0.000000,0,11\n"
+        "separation,d=15 alpha=0.05 b=2 attacker=bounded_c1 hlen=16 slen=16"
+        " budget=258 queries=1024,0.000000,0.000000,3,11\n"
+        "separation,d=15 alpha=0.05 b=2 attacker=unbounded_c1 hlen=16"
+        " slen=16 budget=258,1.000000,0.000000,3,11\n"
+        "separation-gap,d=15 alpha=0.05 b=2,1.000000,0.000000,3,11\n",
+        "# bounded_c1\n"
+        "trial=0 seed=5833679380957638813 won=0 reason=correct_label dist=0"
+        " queries=1024\n"
+        "trial=1 seed=4839782808629744545 won=0 reason=correct_label dist=0"
+        " queries=1024\n"
+        "trial=2 seed=11769803791402734189 won=0 reason=correct_label dist=0"
+        " queries=1024\n"
+        "# unbounded_c1\n"
+        "trial=0 seed=5833679380957638813 won=1 reason=tamper_win dist=99"
+        " queries=1\n"
+        "trial=1 seed=4839782808629744545 won=1 reason=tamper_win dist=79"
+        " queries=1\n"
+        "trial=2 seed=11769803791402734189 won=1 reason=tamper_win dist=86"
+        " queries=1\n"),
+    "c3": (
+        "experiment,params,point,half_width,trials,seed\n"
+        "c3-risk,d=128 hlen=8 slen=10,0.000000,0.000000,3,11\n"
+        "c3,d=128 hlen=8 slen=10 budget=80 attacker=unbounded_c3,0.333333,"
+        "0.533444,3,11\n"
+        "c3,d=128 hlen=8 slen=10 budget=80 attacker=bounded_c3 queries=1024,"
+        "0.000000,0.000000,3,11\n",
+        "c3 honest risk point=0.000000\n"
+        "# unbounded_c3\n"
+        "trial=0 seed=5833679380957638813 won=0 reason=correct_label dist=0"
+        " queries=0\n"
+        "trial=1 seed=4839782808629744545 won=0 reason=correct_label dist=0"
+        " queries=0\n"
+        "trial=2 seed=11769803791402734189 won=1 reason=tamper_win dist=43"
+        " queries=1\n"
+        "# bounded_c3\n"
+        "trial=0 seed=5833679380957638813 won=0 reason=correct_label dist=0"
+        " queries=0\n"
+        "trial=1 seed=4839782808629744545 won=0 reason=correct_label dist=0"
+        " queries=0\n"
+        "trial=2 seed=11769803791402734189 won=0 reason=correct_label dist=0"
+        " queries=1024\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_cli_game_commands_pinned_bytes(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert run_cli([command, "--trials", "3", "--seed", "11",
+                    "--out", str(out)]) == 0
+    results, transcript = PINNED[command]
+    assert (out / "results.csv").read_text() == results
+    assert (out / "transcript.log").read_text() == transcript
+    # stdout repeats the rows without the header
+    assert capsys.readouterr().out == results.split("\n", 1)[1]
+
+
+# (command, config text, exit code): each command checks exactly the
+# settings it reads, and a bad value it reads exits 2, never a traceback
+VALIDATION_MATRIX = [
+    # settings the command never reads
+    ("c3", "problem.d = 14", 0),
+    ("oracle-check", "problem.d = 14", 0),
+    ("oracle-check", "attacker.name = sneaky", 0),
+    ("np-forge", "attacker.name = sneaky; forge.count = 2; forge.d = 9", 0),
+    ("separation", "attacker.name = bounded_c3; c3.d = 100", 0),
+    ("adv-risk", "ots.hlen = 8", 0),
+    # parameter errors deep in a module
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 0", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hash_rounds = 0", 2),
+    ("c3", "c3.slen = 0", 2),
+    ("separation", "ecc.bits_per_symbol = -1", 2),
+    ("c3", "c3.bits_per_symbol = -3", 2),
+    # settings the command reads
+    ("adv-risk", "attacker.name = sneaky", 2),
+    ("separation", "ecc.n_sym = 140", 2),
+    ("adv-risk", "attacker.name = bounded_c3; c3.d = 100", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 2),
+    ("risk", "problem.d = 14", 2),
+]
+
+
+@pytest.mark.parametrize("command,text,code", VALIDATION_MATRIX)
+def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text.replace("; ", "\n") + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command in ("adv-risk", "separation", "c3"):
+        argv += ["--trials", "2"]
+    assert run_cli(argv) == code

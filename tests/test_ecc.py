@@ -191,10 +191,10 @@ def _gf_mul(a, b, poly, width):
 
 @pytest.mark.parametrize("width", [3, 4, 8, 12, 16])
 def test_mul_scalar_matches_shift_and_xor(width):
-    from compgap.ecc import _PRIM_POLY_CANDIDATES
+    from compgap.ecc import _PRIM_POLY
     rs = reed_solomon(EccParams(k_sym=1, n_sym=3, bits_per_symbol=width))
     poly = (1 << width) | int(rs.exp[width])  # alpha^width = poly - x^width
-    assert poly in _PRIM_POLY_CANDIDATES[width]
+    assert poly == _PRIM_POLY[width]
     rng = random.Random(width)
     top = (1 << width) - 1
     for s in [0, 1, top] + [rng.randrange(1 << width) for _ in range(20)]:
@@ -202,3 +202,14 @@ def test_mul_scalar_matches_shift_and_xor(width):
                for _ in range(64)]
         got = rs._mul_scalar(np.array(vec, dtype=np.int64), s)
         assert got.tolist() == [_gf_mul(v, s, poly, width) for v in vec]
+
+
+@pytest.mark.parametrize("width,poly", [(4, 0x1F), (4, 0x15), (16, 0x16F63)])
+def test_non_primitive_polynomial_rejected(monkeypatch, width, poly):
+    # 0x1F is irreducible of order 5, 0x15 = (x^2+x+1)^2; neither lets x
+    # generate all 15 nonzero elements of GF(16)
+    import compgap.ecc as ecc_mod
+    monkeypatch.setattr(ecc_mod, "_TABLE_CACHE", {})
+    monkeypatch.setitem(ecc_mod._PRIM_POLY, width, poly)
+    with pytest.raises(ConfigError, match="not primitive"):
+        ecc_mod.ReedSolomon(EccParams(k_sym=1, n_sym=3, bits_per_symbol=width))
