@@ -13,15 +13,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitstring import BitString
-from .constructions import WrappedInstance, c3_slot_count
+from .constructions import C3Instance, WrappedInstance, open_key
 from .ecc import EccParams, reed_solomon
 from .errors import DecodeFailure, PreimageNotFound
-from .game import Counters, Label
-from .ots import (OtsParams, PreimageIndex, Signature, digest, toy_hash,
-                  verify, vk_from_bits)
+from .game import Label
+from .ots import OtsParams, PreimageIndex, Signature, digest, toy_hash, verify
 
 
 PerturbFn = Callable[..., BitString]
+# forge(vk, message, instance, rng, counters) -> signature bits; raises
+# PreimageNotFound when it gives up
+Forger = Callable[..., BitString]
 
 
 @dataclass(frozen=True)
@@ -77,33 +79,71 @@ def greedy_majority_attacker(b: int) -> Attacker:
 
 
 # ---------------------------------------------------------------------------
-# Attackers on the tamper-detecting wrapped problem
+# Forging attackers: one skeleton per construction plus a forger
 # ---------------------------------------------------------------------------
 
-def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
-                          ecc: EccParams) -> Attacker:
-    """Flip the base instance greedily, then forge a signature for it.
-
-    Uses a full preimage table, so each forgery costs one digest query.
-    Total perturbation: at most b bits in the instance part plus at most
-    sig_bits in the signature part; the key codeword is left untouched.
-    """
+def _table_forger(ots: OtsParams) -> Forger:
+    """Forge from a full preimage table: one digest query per forgery."""
     index = PreimageIndex(ots)
-    rs = reed_solomon(ecc)
+    return lambda vk, msg, inst, rng, counters: \
+        index.forge(vk, msg, counters).to_bits()
 
+
+def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
+                 forge: Forger,
+                 query_budget: Optional[int] = None) -> Attacker:
+    """Flip the base instance greedily, then sign the flip with `forge`.
+
+    Falls back to the untampered instance when no flip within b bits helps,
+    the key does not open, or the forger gives up.  The key codeword is left
+    untouched.
+    """
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
         inst = WrappedInstance.from_bits(x, d, ots, ecc)
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
         try:
-            vk = vk_from_bits(rs.decode(inst.vk_code), ots)
-            sigma = index.forge(vk, flipped, counters).to_bits()
+            sigma = forge(open_key(inst.vk_code, ots, ecc), flipped, inst,
+                          rng, counters)
         except (DecodeFailure, PreimageNotFound):
             return x
         return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
 
-    return Attacker("unbounded_c1", perturb)
+    return Attacker(name, perturb, query_budget)
+
+
+def _c3_attacker(name: str, ots: OtsParams, ecc: EccParams, forge: Forger,
+                 query_budget: Optional[int] = None) -> Attacker:
+    """Forge a valid signature into slot 0 whenever the true label is 0.
+
+    The classifier then sees one verifying slot and outputs 1.  When the true
+    label is 1 there is nothing to gain: every slot already verifies and the
+    classifier cannot be pushed to 0 within any sub-instance budget, so the
+    attacker leaves the instance alone, as it does when a codeword does not
+    decode or the forger gives up.
+    """
+    rs = reed_solomon(ecc)
+
+    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
+        if y != 0:
+            return x
+        inst = C3Instance.from_bits(x, ots, ecc)
+        try:
+            sigma = forge(open_key(inst.vk_code, ots, ecc),
+                          rs.decode(inst.x_code), inst, rng, counters)
+        except (DecodeFailure, PreimageNotFound):
+            return x
+        return inst.with_slot0(sigma).to_bits()
+
+    return Attacker(name, perturb, query_budget)
+
+
+def unbounded_c1_attacker(d: int, b: int, ots: OtsParams,
+                          ecc: EccParams) -> Attacker:
+    """Greedy flip plus a table forgery: it changes at most b instance bits
+    and sig_bits signature bits."""
+    return _c1_attacker("unbounded_c1", d, b, ots, ecc, _table_forger(ots))
 
 
 def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
@@ -115,17 +155,7 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
     that do.  Falls back to the untampered instance when the budget runs out,
     so its win rate degrades to the plain risk as slen grows.
     """
-    rs = reed_solomon(ecc)
-
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
-        inst = WrappedInstance.from_bits(x, d, ots, ecc)
-        flipped = _majority_flip(inst.x, y, b)
-        if flipped is None:
-            return x
-        try:
-            vk = vk_from_bits(rs.decode(inst.vk_code), ots)
-        except DecodeFailure:
-            return x
+    def forge(vk, flipped, inst, rng, counters):
         old_sig = Signature.from_bits(inst.sigma, ots)
         d_old = digest(inst.x, ots, counters)
         d_new = digest(flipped, ots, counters)
@@ -146,53 +176,15 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
                 preimages[i] = cand
                 missing.pop(0)
         if missing:
-            return x
-        return WrappedInstance(flipped, Signature(tuple(preimages)).to_bits(),
-                               inst.vk_code).to_bits()
+            raise PreimageNotFound("query budget spent")
+        return Signature(tuple(preimages)).to_bits()
 
-    return Attacker("bounded_c1", perturb, query_budget=query_budget)
-
-
-# ---------------------------------------------------------------------------
-# Attackers on the no-detection construction
-# ---------------------------------------------------------------------------
-
-def _c3_replace_slot0(x: BitString, sigma: BitString, ots: OtsParams,
-                      ecc: EccParams) -> BitString:
-    ell = ots.sig_bits
-    # slot 0 sits just below the instance codeword, at the high end of the
-    # slot block
-    shift = x.length - ecc.n_bits - ell
-    mask = ((1 << ell) - 1) << shift
-    return BitString((x.value & ~mask) | (sigma.value << shift), x.length)
+    return _c1_attacker("bounded_c1", d, b, ots, ecc, forge, query_budget)
 
 
 def unbounded_c3_attacker(ots: OtsParams, ecc: EccParams) -> Attacker:
-    """Forge a valid signature into slot 0 whenever the true label is 0.
-
-    The classifier then sees one verifying slot and outputs 1.  When the true
-    label is 1 there is nothing to gain: every slot already verifies and the
-    classifier cannot be pushed to 0 within any sub-instance budget, so the
-    attacker leaves the instance alone.
-    """
-    index = PreimageIndex(ots)
-    rs = reed_solomon(ecc)
-    n = c3_slot_count(ecc)
-    ell = ots.sig_bits
-
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
-        if y != 0:
-            return x
-        try:
-            xb = rs.decode(x.extract(0, ecc.n_bits))
-            vk = vk_from_bits(
-                rs.decode(x.extract(ecc.n_bits + n * ell, ecc.n_bits)), ots)
-            sigma = index.forge(vk, xb, counters).to_bits()
-        except (DecodeFailure, PreimageNotFound):
-            return x
-        return _c3_replace_slot0(x, sigma, ots, ecc)
-
-    return Attacker("unbounded_c3", perturb)
+    """Table forgery into slot 0 of every 0-labelled instance."""
+    return _c3_attacker("unbounded_c3", ots, ecc, _table_forger(ots))
 
 
 def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
@@ -204,24 +196,13 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
     hlen independent preimages, so at realistic budgets it reverts to the
     untampered instance and wins with probability ~0.
     """
-    rs = reed_solomon(ecc)
-    n = c3_slot_count(ecc)
-    ell = ots.sig_bits
-
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
-        if y != 0:
-            return x
-        try:
-            xb = rs.decode(x.extract(0, ecc.n_bits))
-            vk = vk_from_bits(
-                rs.decode(x.extract(ecc.n_bits + n * ell, ecc.n_bits)), ots)
-        except DecodeFailure:
-            return x
+    def forge(vk, xb, inst, rng, counters):
         xd = digest(xb, ots, counters)
         while counters.queries < query_budget:
-            cand = Signature.from_bits(BitString.random(rng, ell), ots)
+            cand = Signature.from_bits(BitString.random(rng, ots.sig_bits),
+                                       ots)
             if verify(vk, xb, cand, ots, counters, message_digest=xd):
-                return _c3_replace_slot0(x, cand.to_bits(), ots, ecc)
-        return x
+                return cand.to_bits()
+        raise PreimageNotFound("query budget spent")
 
-    return Attacker("bounded_c3", perturb, query_budget=query_budget)
+    return _c3_attacker("bounded_c3", ots, ecc, forge, query_budget)

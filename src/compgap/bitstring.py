@@ -27,10 +27,6 @@ class BitString:
             raise LengthError(f"value does not fit in {self.length} bits")
 
     @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(0, n)
-
-    @classmethod
     def from01(cls, s: str) -> "BitString":
         if s and any(c not in "01" for c in s):
             raise LengthError(f"not a 01-string: {s!r}")

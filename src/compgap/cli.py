@@ -6,8 +6,8 @@ c3), CNF bundle emission (np-forge), the frozen-oracle self-check
 Outputs are deterministic given (config, seed): same inputs, byte-identical
 results.csv.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime invariant
-violation (including a failed oracle check).
+Exit codes: 0 success, 2 configuration error or a bad path, 3 runtime
+invariant violation (including a failed oracle check).
 """
 
 from __future__ import annotations
@@ -175,13 +175,12 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
             return sample_s2(prob, circuit, fc.b, fc.k, tau, seed)
         return sample_s_final(prob, circuit, fc.b, fc.k, tau, fc.reps, seed)
 
-    bundles = [build(i) for i in range(fc.count)]
-    results = [solve_small(bdl.formula, fc.var_cap) for bdl in bundles]
-
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, transcript = [], []
     sat = witness_ok = 0
-    for i, (bundle, res) in enumerate(zip(bundles, results)):
+    for i in range(fc.count):
+        bundle = build(i)
+        res = solve_small(bundle.formula, fc.var_cap)
         if res.status is Status.CAP_EXCEEDED:
             raise InvariantViolation(
                 f"bundle {i} exceeds forge.var_cap={fc.var_cap}")
@@ -314,6 +313,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](cfg, Path(cfg.out))
     except (ParseError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a --config or --out path that cannot be used
+        print(f"path error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -157,6 +157,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"attacker.name must be one of {ATTACKER_NAMES}, got "
                 f"{name!r}")
+        if name == "bounded_c3" and self.c3.query_budget < 0:
+            raise ConfigError("c3.query_budget must be >= 0")
+        if name == "bounded_c1" and self.attacker.query_budget < 0:
+            raise ConfigError("attacker.query_budget must be >= 0")
         if name.endswith("_c3"):  # C3 reads c3.* only
             ots = self.c3_ots_params()
             ecc = self.c3_ecc_params()

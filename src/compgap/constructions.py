@@ -4,8 +4,9 @@ The wrapper (C1) attaches a per-sample one-time signature and an
 error-coded verification key to each base instance; its classifier rejects
 with STAR when the chain (decode vk, verify signature) fails.  The second
 family (C3) must always output a label: instances carry an error-coded
-instance, n identical signature slots, and an error-coded key; the
-classifier outputs 1 iff any slot verifies.
+instance, one block of n identical signature slots, and an error-coded
+key; the classifier outputs 1 iff any slot verifies.  This module owns both
+layouts and, in `open_key`, the way from a key codeword to a key.
 
 A fresh key pair is generated for every sample; no global key exists
 anywhere, which is what makes the distributions publicly samplable.
@@ -56,6 +57,12 @@ class WrappedInstance:
                    bits.extract(d + ots.sig_bits, ecc.n_bits))
 
 
+def open_key(vk_code: BitString, ots: OtsParams, ecc: EccParams):
+    """The verification key a key codeword carries; DecodeFailure beyond
+    the code's radius."""
+    return vk_from_bits(reed_solomon(ecc).decode(vk_code), ots)
+
+
 def _check_c1_params(ots: OtsParams, ecc: EccParams) -> None:
     if ecc.data_bits != ots.vk_bits:
         raise ConfigError(
@@ -93,13 +100,12 @@ def classifier_c1(base_h: Hypothesis, ots: OtsParams,
                   ecc: EccParams) -> Hypothesis:
     """h(x, sigma, c) = base_h(x) if decode+verify succeed, else STAR."""
     _check_c1_params(ots, ecc)
-    rs = reed_solomon(ecc)
     d = base_h.instance_len
 
     def classify(bits: BitString) -> Label:
         inst = WrappedInstance.from_bits(bits, d, ots, ecc)
         try:
-            vk = vk_from_bits(rs.decode(inst.vk_code), ots)
+            vk = open_key(inst.vk_code, ots, ecc)
         except DecodeFailure:
             return STAR
         if not verify(vk, inst.x, Signature.from_bits(inst.sigma, ots), ots):
@@ -116,14 +122,29 @@ def classifier_c1(base_h: Hypothesis, ots: OtsParams,
 
 @dataclass(frozen=True, slots=True)
 class C3Instance:
-    """Concatenated as (x_code, slot_0 .. slot_{n-1}, vk_code)."""
+    """Concatenated as (x_code, slots, vk_code); the slot block holds
+    slot_0 .. slot_{n-1}, slot 0 at the low indices."""
 
     x_code: BitString
-    slots: tuple
+    slots: BitString
     vk_code: BitString
 
     def to_bits(self) -> BitString:
-        return concat_all([self.x_code, *self.slots, self.vk_code])
+        return concat_all([self.x_code, self.slots, self.vk_code])
+
+    @classmethod
+    def from_bits(cls, bits: BitString, ots: OtsParams,
+                  ecc: EccParams) -> "C3Instance":
+        total, n = c3_instance_len(ots, ecc), ecc.n_bits
+        if bits.length != total:
+            raise ConfigError(f"instance must be {total} bits")
+        return cls(bits.extract(0, n), bits.extract(n, total - 2 * n),
+                   bits.extract(total - n, n))
+
+    def with_slot0(self, sigma: BitString) -> "C3Instance":
+        rest = self.slots.extract(sigma.length,
+                                  self.slots.length - sigma.length)
+        return C3Instance(self.x_code, sigma.concat(rest), self.vk_code)
 
 
 def _check_c3_params(base: Problem, ots: OtsParams, ecc: EccParams) -> None:
@@ -138,12 +159,8 @@ def _check_c3_params(base: Problem, ots: OtsParams, ecc: EccParams) -> None:
             f"{ots.vk_bits}")
 
 
-def c3_slot_count(ecc: EccParams) -> int:
-    return ecc.n_bits
-
-
 def c3_instance_len(ots: OtsParams, ecc: EccParams) -> int:
-    return 2 * ecc.n_bits + c3_slot_count(ecc) * ots.sig_bits
+    return (2 + ots.sig_bits) * ecc.n_bits  # two codewords, n_bits slots
 
 
 def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
@@ -167,8 +184,7 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
             raise SamplerError(
                 "could not sample an invalid signature; OTS parameters are "
                 "degenerate")
-    n = c3_slot_count(ecc)
-    return C3Instance(rs.encode(x), (sigma,) * n,
+    return C3Instance(rs.encode(x), sigma.repeat(ecc.n_bits),
                       rs.encode(vk_to_bits(keys.vk))), y
 
 
@@ -191,25 +207,19 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
     deterministic, so this does not change the decision.
     """
     rs = reed_solomon(ecc)
-    n = c3_slot_count(ecc)
-    ell = ots.sig_bits
-    total = c3_instance_len(ots, ecc)
+    n, ell = ecc.n_bits, ots.sig_bits
 
     def classify(bits: BitString) -> Label:
-        if bits.length != total:
-            raise ConfigError(f"instance must be {total} bits")
-        x_code = bits.extract(0, ecc.n_bits)
-        vk_code = bits.extract(ecc.n_bits + n * ell, ecc.n_bits)
+        inst = C3Instance.from_bits(bits, ots, ecc)
         try:
-            x = rs.decode(x_code)
-            vk = vk_from_bits(rs.decode(vk_code), ots)
+            x = rs.decode(inst.x_code)
+            vk = open_key(inst.vk_code, ots, ecc)
         except DecodeFailure:
             return 0
         x_digest = digest(x, ots)
-        raw = bits.extract(ecc.n_bits, n * ell)
-        seen = set()
+        raw, seen = inst.slots.value, set()
         for i in range(n):
-            v = (raw.value >> ((n - 1 - i) * ell)) & ((1 << ell) - 1)
+            v = (raw >> ((n - 1 - i) * ell)) & ((1 << ell) - 1)
             if v in seen:
                 continue
             seen.add(v)
@@ -218,4 +228,5 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
                 return 1
         return 0
 
-    return Hypothesis(instance_len=total, classify=classify)
+    return Hypothesis(instance_len=c3_instance_len(ots, ecc),
+                      classify=classify)

@@ -328,12 +328,3 @@ def reed_solomon(params: EccParams) -> ReedSolomon:
     if rs is None:
         rs = _RS_CACHE[params] = ReedSolomon(params)
     return rs
-
-
-def ecc_encode(message: BitString, params: EccParams) -> BitString:
-    return reed_solomon(params).encode(message)
-
-
-def ecc_decode(codeword: BitString, params: EccParams) -> BitString:
-    """Decoded message, or DecodeFailure beyond the correction radius."""
-    return reed_solomon(params).decode(codeword)

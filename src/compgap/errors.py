@@ -18,7 +18,7 @@ class AttackerProtocolError(CompgapError):
 
 
 class PreimageNotFound(CompgapError):
-    """Exhaustive preimage search exhausted the space without a hit."""
+    """A preimage search exhausted its space or query budget."""
 
 
 class DecodeFailure(CompgapError):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from compgap.attackers import (bounded_c1_attacker, bounded_c3_attacker,
@@ -7,10 +9,14 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_hypothesis,
                                    majority_noise_problem,
                                    uniform_balanced_problem)
-from compgap.constructions import (c3_problem, classifier_c1, classifier_c3,
+from compgap.bitstring import BitString
+from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
+                                   classifier_c1, classifier_c3, open_key,
+                                   sample_c3, wrap_sample_c1,
                                    wrapped_problem_c1)
 from compgap.ecc import EccParams
-from compgap.game import (binomial_half_width, estimate_adv_risk,
+from compgap.errors import DecodeFailure
+from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
                           estimate_risk, game_transcript)
 from compgap.ots import OtsParams
 
@@ -127,3 +133,99 @@ def test_bounded_c3_query_accounting():
     # each verification inside the loop can add up to hlen charges after
     # the last budget check
     assert all(o.queries_used <= 128 + C3_OTS.hlen for o in outs)
+
+
+def _pinned_c1(ots, b, atk, seed):
+    prob = wrapped_problem_c1(BASE7, ots, ECC)
+    h = classifier_c1(BASE7_H, ots, ECC)
+    return game_transcript(prob, h, atk, b + ots.sig_bits, 150, seed)
+
+
+def _pinned_c3(ots, ecc, atk, seed):
+    prob = c3_problem(uniform_balanced_problem(ecc.data_bits), ots, ecc)
+    return game_transcript(prob, classifier_c3(ots, ecc), atk, ots.sig_bits,
+                           150, seed)
+
+
+OTS46 = OtsParams(hlen=4, slen=6)
+C3_SMALL = (OtsParams(hlen=2, slen=4), EccParams(k_sym=1, n_sym=5,
+                                                 bits_per_symbol=8))
+C3_TINY = (OtsParams(hlen=2, slen=3), EccParams(k_sym=2, n_sym=8,
+                                                bits_per_symbol=4))
+
+# (wins, total queries, total distance, count per Reason) over 150 games.
+# They move if any rng draw or hash charge changes order.  At budget 20 and
+# on the slen=3 C3 set the bounded forgers give up on some games, so both
+# the forging and the fallback path run.
+PINNED_FORGERS = [
+    pytest.param(
+        lambda: _pinned_c1(OTS, 2, bounded_c1_attacker(7, 2, OTS, ECC, 256),
+                           21),
+        (133, 4425, 1077, {"correct_label": 17, "misclassified_untampered": 19,
+                           "tamper_win": 114}), id="bounded_c1-256"),
+    pytest.param(
+        lambda: _pinned_c1(OTS, 2, bounded_c1_attacker(7, 2, OTS, ECC, 20),
+                           22),
+        (60, 1863, 251, {"correct_label": 90, "misclassified_untampered": 12,
+                         "tamper_win": 48}), id="bounded_c1-20"),
+    pytest.param(
+        lambda: _pinned_c1(OTS, 2, unbounded_c1_attacker(7, 2, OTS, ECC), 23),
+        (134, 118, 1951, {"correct_label": 16, "misclassified_untampered": 16,
+                          "tamper_win": 118}), id="unbounded_c1"),
+    pytest.param(
+        lambda: _pinned_c1(OTS46, 1,
+                           bounded_c1_attacker(7, 1, OTS46, ECC, 64), 24),
+        (83, 2178, 378, {"correct_label": 67, "misclassified_untampered": 19,
+                         "tamper_win": 64}), id="bounded_c1-slen6-64"),
+    pytest.param(
+        lambda: _pinned_c1(OTS46, 1, unbounded_c1_attacker(7, 1, OTS46, ECC),
+                           25),
+        (81, 65, 781, {"correct_label": 69, "misclassified_untampered": 16,
+                       "tamper_win": 65}), id="unbounded_c1-slen6"),
+    pytest.param(
+        lambda: _pinned_c3(*C3_SMALL, bounded_c3_attacker(*C3_SMALL, 512), 26),
+        (77, 1577, 313, {"correct_label": 73, "tamper_win": 77}),
+        id="bounded_c3-512"),
+    pytest.param(
+        lambda: _pinned_c3(*C3_SMALL, unbounded_c3_attacker(*C3_SMALL), 27),
+        (74, 74, 294, {"correct_label": 76, "tamper_win": 74}),
+        id="unbounded_c3"),
+    pytest.param(
+        lambda: _pinned_c3(*C3_TINY, bounded_c3_attacker(*C3_TINY, 64), 28),
+        (65, 1281, 203, {"correct_label": 85, "tamper_win": 65}),
+        id="bounded_c3-slen3-64"),
+    pytest.param(
+        lambda: _pinned_c3(*C3_TINY, unbounded_c3_attacker(*C3_TINY), 29),
+        (72, 72, 216, {"correct_label": 78, "tamper_win": 72}),
+        id="unbounded_c3-slen3"),
+]
+
+
+@pytest.mark.parametrize("run,expected", PINNED_FORGERS)
+def test_forging_attackers_pinned_outcomes(run, expected):
+    outs = run()
+    reasons = {}
+    for o in outs:
+        reasons[o.reason.value] = reasons.get(o.reason.value, 0) + 1
+    assert (sum(o.won for o in outs), sum(o.queries_used for o in outs),
+            sum(o.perturbation_used for o in outs), reasons) == expected
+
+
+def test_forging_attackers_fall_back_when_the_key_does_not_open():
+    rng = random.Random(0)
+    c1, _ = wrap_sample_c1(BASE7, OTS, ECC, seed=3)
+    c1 = WrappedInstance(c1.x, c1.sigma, BitString.random(rng, ECC.n_bits))
+    c3, _ = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed=3)
+    c3 = C3Instance(c3.x_code, c3.slots, BitString.random(rng, C3_ECC.n_bits))
+    for atk, inst, ots, ecc in [
+            (bounded_c1_attacker(7, 2, OTS, ECC, 256), c1, OTS, ECC),
+            (unbounded_c1_attacker(7, 2, OTS, ECC), c1, OTS, ECC),
+            (bounded_c3_attacker(C3_OTS, C3_ECC, 128), c3, C3_OTS, C3_ECC),
+            (unbounded_c3_attacker(C3_OTS, C3_ECC), c3, C3_OTS, C3_ECC)]:
+        with pytest.raises(DecodeFailure):
+            open_key(inst.vk_code, ots, ecc)
+        x = inst.to_bits()
+        for y in (0, 1):
+            counters = Counters()
+            assert atk.perturb(x, y, None, None, rng, counters) == x
+            assert counters.queries == 0

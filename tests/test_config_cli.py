@@ -245,6 +245,8 @@ VALIDATION_MATRIX = [
     ("np-forge", "attacker.name = sneaky; forge.count = 2; forge.d = 9", 0),
     ("separation", "attacker.name = bounded_c3; c3.d = 100", 0),
     ("adv-risk", "ots.hlen = 8", 0),
+    ("c3", "attacker.query_budget = -3", 0),
+    ("separation", "c3.query_budget = -5", 0),
     # parameter errors deep in a module
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 0", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hash_rounds = 0", 2),
@@ -257,14 +259,24 @@ VALIDATION_MATRIX = [
     ("adv-risk", "attacker.name = bounded_c3; c3.d = 100", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 2),
     ("risk", "problem.d = 14", 2),
+    ("c3", "c3.query_budget = -5", 2),
+    ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
+    # bad paths; a "--flag value" part overrides the default flag
+    ("risk", "--config {tmp}/missing.cfg", 2),
+    ("risk", "--config {tmp}", 2),
+    ("risk", "--out {tmp}/c.cfg", 2),
 ]
 
 
 @pytest.mark.parametrize("command,text,code", VALIDATION_MATRIX)
 def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
+    parts = text.split("; ")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(text.replace("; ", "\n") + "\n")
+    cfg.write_text("".join(p + "\n" for p in parts if not p.startswith("--")))
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
     if command in ("adv-risk", "separation", "c3"):
         argv += ["--trials", "2"]
+    # argparse keeps the last value of a repeated flag
+    argv += [word.format(tmp=tmp_path) for p in parts if p.startswith("--")
+             for word in p.split()]
     assert run_cli(argv) == code

@@ -5,8 +5,8 @@ from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    uniform_balanced_problem)
 from compgap.bitstring import BitString
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
-                                   c3_slot_count, classifier_c1,
-                                   classifier_c3, sample_c3, wrap_sample_c1,
+                                   classifier_c1, classifier_c3, open_key,
+                                   sample_c3, wrap_sample_c1,
                                    wrapped_problem_c1)
 from compgap.ecc import EccParams
 from compgap.errors import ConfigError
@@ -92,9 +92,13 @@ def test_c3_param_checks():
 
 
 def test_c3_sample_shapes():
-    inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed=4)
-    assert len(inst.slots) == c3_slot_count(C3_ECC) == C3_ECC.n_bits
-    assert all(s == inst.slots[0] for s in inst.slots)
+    ell, n = C3_OTS.sig_bits, C3_ECC.n_bits
+    for seed in (4, 5):
+        inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed)
+        assert inst.slots.length == n * ell
+        slots = [inst.slots.extract(i * ell, ell) for i in range(n)]
+        assert all(s == slots[0] for s in slots)
+        assert C3Instance.from_bits(inst.to_bits(), C3_OTS, C3_ECC) == inst
 
 
 def test_c3_classifier_recovers_label():
@@ -120,7 +124,7 @@ def test_c3_classifier_never_stars():
 def test_c3_forged_slot_flips_zero_to_one():
     from compgap.ots import PreimageIndex
     from compgap.ecc import reed_solomon
-    from compgap.ots import vk_from_bits
+    ell = C3_OTS.sig_bits
     h = classifier_c3(C3_OTS, C3_ECC)
     rs = reed_solomon(C3_ECC)
     index = PreimageIndex(C3_OTS)
@@ -131,8 +135,12 @@ def test_c3_forged_slot_flips_zero_to_one():
             continue
         found = True
         x = rs.decode(inst.x_code)
-        vk = vk_from_bits(rs.decode(inst.vk_code), C3_OTS)
-        sigma = index.forge(vk, x).to_bits()
-        slots = (sigma,) + inst.slots[1:]
-        assert h(C3Instance(inst.x_code, slots, inst.vk_code).to_bits()) == 1
+        sigma = index.forge(open_key(inst.vk_code, C3_OTS, C3_ECC),
+                            x).to_bits()
+        assert h(inst.to_bits()) == 0
+        forged = inst.with_slot0(sigma)
+        assert forged.slots.extract(0, ell) == sigma
+        assert forged.slots.extract(ell, forged.slots.length - ell) == \
+            inst.slots.extract(ell, inst.slots.length - ell)
+        assert h(forged.to_bits()) == 1
     assert found

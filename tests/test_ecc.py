@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString
-from compgap.ecc import EccParams, ecc_decode, ecc_encode, reed_solomon
+from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import ConfigError, DecodeFailure
 
 TINY = EccParams(k_sym=2, n_sym=6, bits_per_symbol=8)
@@ -136,11 +136,6 @@ def test_default_parameters_full_radius():
     flips = [s * 16 + rng.randrange(16) for s in syms]
     with pytest.raises(DecodeFailure):
         rs.decode(cw.flip(*flips))
-
-
-def test_module_level_helpers():
-    msg = BitString(0x77, 16)
-    assert ecc_decode(ecc_encode(msg, TINY), TINY) == msg
 
 
 @pytest.mark.parametrize("params", [
