@@ -17,13 +17,17 @@ from .constructions import C3Instance, WrappedInstance, open_key
 from .ecc import EccParams, reed_solomon
 from .errors import DecodeFailure, PreimageNotFound
 from .game import Label
-from .ots import OtsParams, PreimageIndex, Signature, digest, toy_hash, verify
+from .ots import (OtsParams, PreimageIndex, Signature, digest, hash_words,
+                  toy_hash, verify)
 
 
 PerturbFn = Callable[..., BitString]
 # forge(vk, message, instance, rng, counters) -> signature bits; raises
 # PreimageNotFound when it gives up
 Forger = Callable[..., BitString]
+
+# preimage guesses drawn and hashed per kernel call by bounded_c1
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -168,13 +172,29 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
             if toy_hash(old_sig.preimages[i], ots.hlen, ots.hash_rounds,
                         counters) == vk[i][d_new[i]]:
                 missing.remove(i)
+        # each guess targets missing[0]; guesses are drawn and hashed a
+        # chunk at a time, with the rng draws and charges of one at a time
         while missing and counters.queries < query_budget:
-            i = missing[0]
-            cand = BitString.random(rng, ots.slen)
-            if toy_hash(cand, ots.hlen, ots.hash_rounds,
-                        counters) == vk[i][d_new[i]]:
-                preimages[i] = cand
+            n = min(_CHUNK, query_budget - counters.queries)
+            state = rng.getstate()
+            guesses = [rng.getrandbits(ots.slen) for _ in range(n)]
+            hashes = hash_words(guesses, ots.slen, ots.hlen,
+                                ots.hash_rounds).tolist()
+            used = 0
+            while missing:
+                i = missing[0]
+                try:
+                    used = hashes.index(vk[i][d_new[i]].value, used) + 1
+                except ValueError:  # the rest of the chunk missed i
+                    used = n
+                    break
+                preimages[i] = BitString(guesses[used - 1], ots.slen)
                 missing.pop(0)
+            counters.charge(used)
+            if used < n:  # rewind the draws after the last hit
+                rng.setstate(state)
+                for _ in range(used):
+                    rng.getrandbits(ots.slen)
         if missing:
             raise PreimageNotFound("query budget spent")
         return Signature(tuple(preimages)).to_bits()

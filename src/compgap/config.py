@@ -20,7 +20,7 @@ from typing import Tuple
 from .base_problems import MajorityNoiseParams
 from .ecc import EccParams
 from .errors import ConfigError, ParseError
-from .ots import OtsParams
+from .ots import FORGE_SLEN_CAP, OtsParams
 
 EXPERIMENT_KINDS = ("risk", "adv-risk", "separation", "c3", "np-forge",
                     "oracle-check", "report")
@@ -161,6 +161,11 @@ class ExperimentConfig:
             raise ConfigError("c3.query_budget must be >= 0")
         if name == "bounded_c1" and self.attacker.query_budget < 0:
             raise ConfigError("attacker.query_budget must be >= 0")
+        if name.startswith("unbounded_"):  # it builds a PreimageIndex
+            slen = self.c3.slen if name.endswith("_c3") else self.ots.slen
+            if slen > FORGE_SLEN_CAP:
+                raise ConfigError(f"{name} enumerates 2^slen preimages; "
+                                  f"slen {slen} > {FORGE_SLEN_CAP}")
         if name.endswith("_c3"):  # C3 reads c3.* only
             ots = self.c3_ots_params()
             ecc = self.c3_ecc_params()

@@ -208,6 +208,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
     """
     rs = reed_solomon(ecc)
     n, ell = ecc.n_bits, ots.sig_bits
+    repeat = BitString(1, ell).repeat(n).value  # sum of 2^(i*ell), i < n
 
     def classify(bits: BitString) -> Label:
         inst = C3Instance.from_bits(bits, ots, ecc)
@@ -218,7 +219,9 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
             return 0
         x_digest = digest(x, ots)
         raw, seen = inst.slots.value, set()
-        for i in range(n):
+        # n copies of slot 0 (fields cannot carry): verify slot 0 alone
+        count = 1 if raw == (raw >> ((n - 1) * ell)) * repeat else n
+        for i in range(count):
             v = (raw >> ((n - 1 - i) * ell)) & ((1 << ell) - 1)
             if v in seen:
                 continue

@@ -13,9 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .bitstring import BitString, concat_all
 from .errors import ConfigError, FormatError, PreimageNotFound
-from .game import GOLDEN, MASK64, Counters, splitmix64
+from .game import GOLDEN, MASK64, MUL1, MUL2, Counters, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
@@ -52,6 +54,26 @@ def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
     return BitString(out >> (produced - out_bits), out_bits)
 
 
+def hash_words(values, length: int, out_bits: int,
+               rounds: int = 2) -> np.ndarray:
+    """toy_hash of many `length`-bit inputs at once, as a uint64 array.
+
+    Single-word domain: length <= 64 and out_bits <= 64, so one word is
+    absorbed and one squeezed.  Each round is game.splitmix64(z + GOLDEN)
+    on the whole array, whose uint64 arithmetic wraps mod 2^64.
+    """
+    if not (1 <= length <= 64 and 1 <= out_bits <= 64):
+        raise FormatError("hash_words needs 1 <= length, out_bits <= 64")
+    z = np.asarray(values, dtype=np.uint64) \
+        ^ np.uint64((INIT ^ (length * GOLDEN)) & MASK64)
+    for _ in range(rounds + 1):  # absorbing rounds, then squeezing word 0
+        z = z + np.uint64(GOLDEN)
+        z = (z ^ (z >> 30)) * np.uint64(MUL1)
+        z = (z ^ (z >> 27)) * np.uint64(MUL2)
+        z ^= z >> 31
+    return z >> np.uint64(64 - out_bits)
+
+
 @dataclass(frozen=True, slots=True)
 class OtsParams:
     hlen: int
@@ -59,8 +81,10 @@ class OtsParams:
     hash_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if self.hlen < 1 or self.slen < 1 or self.hash_rounds < 1:
-            raise ConfigError("hlen, slen, hash_rounds must be >= 1")
+        if not (1 <= self.hlen <= 64 and 1 <= self.slen <= 64) \
+                or self.hash_rounds < 1:
+            raise ConfigError("hlen and slen must be in 1..64 (one hash "
+                              "word), hash_rounds >= 1")
 
     @property
     def sig_bits(self) -> int:
@@ -112,13 +136,16 @@ def vk_from_bits(bits: BitString, params: OtsParams):
 def kgen(params: OtsParams, seed: int,
          counter: Optional[Counters] = None) -> KeyPair:
     rng = random.Random(seed)
-    sk = tuple(
-        (BitString.random(rng, params.slen), BitString.random(rng, params.slen))
-        for _ in range(params.hlen))
-    vk = tuple(
-        (toy_hash(s0, params.hlen, params.hash_rounds, counter),
-         toy_hash(s1, params.hlen, params.hash_rounds, counter))
-        for s0, s1 in sk)
+    hlen, slen = params.hlen, params.slen
+    # sk[i][0], sk[i][1] for i = 0, 1, ..., drawn as BitString.random does
+    words = [rng.getrandbits(slen) for _ in range(2 * hlen)]
+    digests = hash_words(words, slen, hlen, params.hash_rounds).tolist()
+    if counter is not None:
+        counter.charge(2 * hlen)
+    sk = tuple((BitString(words[2 * i], slen),
+                BitString(words[2 * i + 1], slen)) for i in range(hlen))
+    vk = tuple((BitString(digests[2 * i], hlen),
+                BitString(digests[2 * i + 1], hlen)) for i in range(hlen))
     return KeyPair(sk, vk)
 
 
@@ -151,37 +178,12 @@ def verify(vk, message: BitString, sig: Signature, params: OtsParams,
     return True
 
 
+# the largest preimage space PreimageIndex enumerates (2^20 hashes)
 FORGE_SLEN_CAP = 20
 
 
-def forge_exhaustive(vk, message: BitString, params: OtsParams,
-                     counter: Optional[Counters] = None) -> Signature:
-    """Forge by literal preimage search over the full 2**slen space.
-
-    Raises PreimageNotFound if some targeted vk entry has no preimage; on
-    honestly generated keys that cannot happen.
-    """
-    if params.slen > FORGE_SLEN_CAP:
-        raise FormatError(
-            f"slen {params.slen} exceeds exhaustive-search cap {FORGE_SLEN_CAP}; "
-            "use PreimageIndex for large parameters")
-    d = digest(message, params, counter)
-    preimages = []
-    for i in range(params.hlen):
-        target = vk[i][d[i]]
-        for p in range(1 << params.slen):
-            cand = BitString(p, params.slen)
-            if toy_hash(cand, params.hlen, params.hash_rounds, counter) == target:
-                preimages.append(cand)
-                break
-        else:
-            raise PreimageNotFound(
-                f"no {params.slen}-bit preimage for vk[{i}][{d[i]}]")
-    return Signature(tuple(preimages))
-
-
 class PreimageIndex:
-    """Precomputed digest -> preimage table over the full preimage space.
+    """Precomputed digest -> smallest-preimage table over the full space.
 
     This is the unbounded attacker's precomputation: it makes each forgery a
     table lookup instead of a fresh 2**(slen-1) expected-work search.  The
@@ -192,26 +194,34 @@ class PreimageIndex:
     _cache: dict = {}
 
     def __init__(self, params: OtsParams) -> None:
+        if params.slen > FORGE_SLEN_CAP:
+            raise ConfigError(
+                f"slen {params.slen} exceeds the preimage-table cap "
+                f"{FORGE_SLEN_CAP}")
         self.params = params
         key = (params.slen, params.hlen, params.hash_rounds)
         table = self._cache.get(key)
         if table is None:
-            table = {}
-            for p in range(1 << params.slen):
-                cand = BitString(p, params.slen)
-                dig = toy_hash(cand, params.hlen, params.hash_rounds).value
-                table.setdefault(dig, cand)
+            # the sorted distinct digests, and each one's first preimage
+            table = np.unique(
+                hash_words(np.arange(1 << params.slen, dtype=np.uint64),
+                           params.slen, params.hlen, params.hash_rounds),
+                return_index=True)
             self._cache[key] = table
-        self.table = table
+        self.digests, self.preimages = table
 
     def forge(self, vk, message: BitString,
               counter: Optional[Counters] = None) -> Signature:
         d = digest(message, self.params, counter)
-        preimages = []
-        for i in range(self.params.hlen):
-            cand = self.table.get(vk[i][d[i]].value)
-            if cand is None:
-                raise PreimageNotFound(
-                    f"no {self.params.slen}-bit preimage for vk[{i}][{d[i]}]")
-            preimages.append(cand)
-        return Signature(tuple(preimages))
+        hlen, slen = self.params.hlen, self.params.slen
+        targets = np.array([vk[i][d[i]].value for i in range(hlen)],
+                           dtype=np.uint64)
+        pos = np.minimum(np.searchsorted(self.digests, targets),
+                         len(self.digests) - 1)
+        found = self.digests[pos] == targets
+        if not found.all():
+            i = int(np.argmin(found))
+            raise PreimageNotFound(
+                f"no {slen}-bit preimage for vk[{i}][{d[i]}]")
+        return Signature(tuple(BitString(p, slen)
+                               for p in self.preimages[pos].tolist()))

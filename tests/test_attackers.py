@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from compgap.attackers import (bounded_c1_attacker, bounded_c3_attacker,
+from compgap.attackers import (_CHUNK, _c1_attacker, bounded_c1_attacker,
+                               bounded_c3_attacker,
                                greedy_majority_attacker, identity_attacker,
                                unbounded_c1_attacker, unbounded_c3_attacker)
 from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
@@ -15,10 +16,10 @@ from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
                                    sample_c3, wrap_sample_c1,
                                    wrapped_problem_c1)
 from compgap.ecc import EccParams
-from compgap.errors import DecodeFailure
+from compgap.errors import DecodeFailure, PreimageNotFound
 from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
                           estimate_risk, game_transcript)
-from compgap.ots import OtsParams
+from compgap.ots import OtsParams, Signature, digest, toy_hash
 
 P = MajorityNoiseParams(11, 0.05)
 BASE = majority_noise_problem(P)
@@ -229,3 +230,65 @@ def test_forging_attackers_fall_back_when_the_key_does_not_open():
             counters = Counters()
             assert atk.perturb(x, y, None, None, rng, counters) == x
             assert counters.queries == 0
+
+
+def _scalar_bounded_c1(ots, ecc, budget, log):
+    """bounded_c1 guessing one preimage per toy_hash call; appends
+    (positions to forge, hits) to `log` for each forgery."""
+    def forge(vk, flipped, inst, rng, counters):
+        old_sig = Signature.from_bits(inst.sigma, ots)
+        d_old = digest(inst.x, ots, counters)
+        d_new = digest(flipped, ots, counters)
+        preimages = list(old_sig.preimages)
+        missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
+        for i in list(missing):
+            if toy_hash(old_sig.preimages[i], ots.hlen, ots.hash_rounds,
+                        counters) == vk[i][d_new[i]]:
+                missing.remove(i)
+        log.append([len(missing), 0])
+        while missing and counters.queries < budget:
+            i = missing[0]
+            cand = BitString.random(rng, ots.slen)
+            if toy_hash(cand, ots.hlen, ots.hash_rounds,
+                        counters) == vk[i][d_new[i]]:
+                preimages[i] = cand
+                missing.pop(0)
+                log[-1][1] += 1
+        if missing:
+            raise PreimageNotFound("query budget spent")
+        return Signature(tuple(preimages)).to_bits()
+
+    return _c1_attacker("scalar_c1", 7, 2, ots, ecc, forge, budget)
+
+
+OTS4_16 = OtsParams(hlen=4, slen=16)
+OTS16_16 = OtsParams(hlen=16, slen=16)
+ECC512 = EccParams(k_sym=64, n_sym=80, bits_per_symbol=8)
+
+
+@pytest.mark.parametrize("ots,ecc,budget,case", [
+    # one position to forge, hit before the chunk ends
+    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits == 1),
+    # several positions, all hit within one chunk
+    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits >= 2),
+    # no hit in a budget that spans two chunks
+    (OTS16_16, ECC512, 5000,
+     lambda todo, hits, q: todo and not hits and q == 5000 > _CHUNK),
+], ids=["hit-mid-chunk", "two-hits-one-chunk", "two-chunks-no-hit"])
+def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
+    log = []
+    chunked = bounded_c1_attacker(7, 2, ots, ecc, budget)
+    scalar = _scalar_bounded_c1(ots, ecc, budget, log)
+    for seed in range(40):
+        inst, y = wrap_sample_c1(BASE7, ots, ecc, seed)
+        x = inst.to_bits()
+        runs = []
+        for atk in (chunked, scalar):
+            rng, counters = random.Random(seed), Counters()
+            runs.append((atk.perturb(x, y, None, None, rng, counters),
+                         counters.queries, rng.getstate()))
+        assert runs[0] == runs[1]
+        if log and case(*log[-1], runs[1][1]):
+            return
+        log.clear()
+    pytest.fail("no sample reached the case")

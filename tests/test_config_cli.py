@@ -261,6 +261,15 @@ VALIDATION_MATRIX = [
     ("risk", "problem.d = 14", 2),
     ("c3", "c3.query_budget = -5", 2),
     ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
+    # one-word hash bounds, and the preimage-table cap on unbounded forgers
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65; "
+     "ecc.k_sym = 2; ecc.n_sym = 530", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 65; ots.slen = 1; "
+     "ecc.k_sym = 845; ecc.n_sym = 979; ecc.bits_per_symbol = 10", 2),
+    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.k_sym = 8; "
+     "ecc.n_sym = 348", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8; ots.slen = 21; "
+     "ecc.k_sym = 8; ecc.n_sym = 348", 0),
     # bad paths; a "--flag value" part overrides the default flag
     ("risk", "--config {tmp}/missing.cfg", 2),
     ("risk", "--config {tmp}", 2),

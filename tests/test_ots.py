@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString
-from compgap.errors import FormatError
+from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import Counters
 from compgap.ots import (OtsParams, PreimageIndex, Signature, digest,
-                         forge_exhaustive, kgen, sign, toy_hash, verify,
+                         hash_words, kgen, sign, toy_hash, verify,
                          vk_from_bits, vk_to_bits)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,6 +22,29 @@ def test_frozen_hash_vectors():
         length, value, out_bits, rounds, expected = map(int, line.split())
         got = toy_hash(BitString(value, length), out_bits, rounds)
         assert got.value == expected, line
+
+
+def test_hash_words_matches_frozen_vectors():
+    checked = 0
+    for line in (FIXTURES / "toy_hash_vectors.txt").read_text().splitlines():
+        length, value, out_bits, rounds, expected = map(int, line.split())
+        if length <= 64 and out_bits <= 64:
+            assert int(hash_words([value], length, out_bits, rounds)[0]) \
+                == expected, line
+            checked += 1
+    assert checked >= 20
+
+
+@given(st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_hash_words_matches_toy_hash(length, out_bits, rounds, data):
+    values = data.draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << length) - 1),
+        min_size=1, max_size=8))
+    got = hash_words(values, length, out_bits, rounds).tolist()
+    assert got == [toy_hash(BitString(v, length), out_bits, rounds).value
+                   for v in values]
 
 
 def test_hash_length_sensitivity():
@@ -90,13 +113,6 @@ def test_vk_bits_roundtrip():
     assert vk_from_bits(vk_to_bits(keys.vk), SMALL) == keys.vk
 
 
-def test_forge_exhaustive_produces_valid_signature():
-    keys = kgen(SMALL, seed=5)
-    msg = BitString(42, 7)
-    forged = forge_exhaustive(keys.vk, msg, SMALL)
-    assert verify(keys.vk, msg, forged, SMALL)
-
-
 def test_preimage_index_matches_exhaustive_validity():
     params = OtsParams(hlen=4, slen=8)
     keys = kgen(params, seed=6)
@@ -106,11 +122,37 @@ def test_preimage_index_matches_exhaustive_validity():
         assert verify(keys.vk, msg, index.forge(keys.vk, msg), params)
 
 
+@pytest.mark.parametrize("slen,hlen", [(8, 4), (10, 8), (12, 6)])
+def test_preimage_index_matches_scalar_table(slen, hlen):
+    params = OtsParams(hlen=hlen, slen=slen)
+    table = {}
+    for p in range(1 << slen):
+        table.setdefault(toy_hash(BitString(p, slen), hlen).value, p)
+    index = PreimageIndex(params)
+    assert index.digests.tolist() == sorted(table)
+    assert index.preimages.tolist() == [table[h] for h in sorted(table)]
+
+
+def test_preimage_index_reports_first_target_without_preimage():
+    params = OtsParams(hlen=8, slen=4)  # 16 preimages, 256 digests
+    index = PreimageIndex(params)
+    have = index.digests.tolist()
+    absent = [v for v in range(256) if v not in have]
+    # positions 0 and 1 can be forged; 2 and up cannot, and the last
+    # target sorts after every digest in the table
+    values = have[:2] + absent[:5] + [absent[-1]]
+    assert absent[-1] > have[-1]
+    vk = tuple((BitString(v, 8), BitString(v, 8)) for v in values)
+    msg = BitString(5, 7)
+    d = digest(msg, params)
+    with pytest.raises(PreimageNotFound,
+                       match=rf"^no 4-bit preimage for vk\[2\]\[{d[2]}\]$"):
+        index.forge(vk, msg)
+
+
 def test_forge_cap_enforced():
-    big = OtsParams(hlen=4, slen=24)
-    keys_vk = tuple((BitString(0, 4), BitString(0, 4)) for _ in range(4))
-    with pytest.raises(FormatError):
-        forge_exhaustive(keys_vk, BitString(0, 4), big)
+    with pytest.raises(ConfigError):
+        PreimageIndex(OtsParams(hlen=4, slen=24))
 
 
 def test_wrong_length_signature_rejected_loudly():
