@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bitstring import BitString
-from .constructions import C3Instance, WrappedInstance, open_key
+from .bitstring import BitString, pack
+from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
 from .errors import DecodeFailure, PreimageNotFound
 from .game import Label
-from .ots import (OtsParams, PreimageIndex, Signature, digest, hash_words,
+from .ots import (OtsParams, PreimageIndex, digest, hash_words, targets,
                   toy_hash, verify)
 
 
@@ -90,7 +90,7 @@ def _table_forger(ots: OtsParams) -> Forger:
     """Forge from a full preimage table: one digest query per forgery."""
     index = PreimageIndex(ots)
     return lambda vk, msg, inst, rng, counters: \
-        index.forge(vk, msg, counters).to_bits()
+        index.forge(vk, msg, counters)
 
 
 def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
@@ -102,14 +102,16 @@ def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
     the key does not open, or the forger gives up.  The key codeword is left
     untouched.
     """
+    rs = reed_solomon(ecc)
+
     def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
         inst = WrappedInstance.from_bits(x, d, ots, ecc)
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
         try:
-            sigma = forge(open_key(inst.vk_code, ots, ecc), flipped, inst,
-                          rng, counters)
+            sigma = forge(rs.decode(inst.vk_code), flipped, inst, rng,
+                          counters)
         except (DecodeFailure, PreimageNotFound):
             return x
         return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
@@ -134,8 +136,8 @@ def _c3_attacker(name: str, ots: OtsParams, ecc: EccParams, forge: Forger,
             return x
         inst = C3Instance.from_bits(x, ots, ecc)
         try:
-            sigma = forge(open_key(inst.vk_code, ots, ecc),
-                          rs.decode(inst.x_code), inst, rng, counters)
+            sigma = forge(rs.decode(inst.vk_code), rs.decode(inst.x_code),
+                          inst, rng, counters)
         except (DecodeFailure, PreimageNotFound):
             return x
         return inst.with_slot0(sigma).to_bits()
@@ -160,17 +162,17 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
     so its win rate degrades to the plain risk as slen grows.
     """
     def forge(vk, flipped, inst, rng, counters):
-        old_sig = Signature.from_bits(inst.sigma, ots)
         d_old = digest(inst.x, ots, counters)
         d_new = digest(flipped, ots, counters)
+        want = targets(vk, d_new, ots)
         # start from the revealed preimages; they only stay valid where the
         # digest bit is unchanged
-        preimages = list(old_sig.preimages)
+        preimages = inst.sigma.fields(ots.slen)
         missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
         # a revealed preimage may also hit the opposite digest slot by luck
         for i in list(missing):
-            if toy_hash(old_sig.preimages[i], ots.hlen, ots.hash_rounds,
-                        counters) == vk[i][d_new[i]]:
+            if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
+                        ots.hash_rounds, counters).value == want[i]:
                 missing.remove(i)
         # each guess targets missing[0]; guesses are drawn and hashed a
         # chunk at a time, with the rng draws and charges of one at a time
@@ -184,11 +186,11 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
             while missing:
                 i = missing[0]
                 try:
-                    used = hashes.index(vk[i][d_new[i]].value, used) + 1
+                    used = hashes.index(want[i], used) + 1
                 except ValueError:  # the rest of the chunk missed i
                     used = n
                     break
-                preimages[i] = BitString(guesses[used - 1], ots.slen)
+                preimages[i] = guesses[used - 1]
                 missing.pop(0)
             counters.charge(used)
             if used < n:  # rewind the draws after the last hit
@@ -197,7 +199,7 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
                     rng.getrandbits(ots.slen)
         if missing:
             raise PreimageNotFound("query budget spent")
-        return Signature(tuple(preimages)).to_bits()
+        return pack(preimages, ots.slen)
 
     return _c1_attacker("bounded_c1", d, b, ots, ecc, forge, query_budget)
 
@@ -219,10 +221,9 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
     def forge(vk, xb, inst, rng, counters):
         xd = digest(xb, ots, counters)
         while counters.queries < query_budget:
-            cand = Signature.from_bits(BitString.random(rng, ots.sig_bits),
-                                       ots)
+            cand = BitString.random(rng, ots.sig_bits)
             if verify(vk, xb, cand, ots, counters, message_digest=xd):
-                return cand.to_bits()
+                return cand
         raise PreimageNotFound("query budget spent")
 
     return _c3_attacker("bounded_c3", ots, ecc, forge, query_budget)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, List
 
 from .errors import LengthError
 
@@ -78,6 +78,16 @@ class BitString:
         shift = self.length - start - n
         return BitString((self.value >> shift) & ((1 << n) - 1), n)
 
+    def fields(self, width: int) -> List[int]:
+        """The consecutive `width`-bit fields as ints, field 0 at the high
+        bits; the inverse of `pack`."""
+        if width < 1 or self.length % width:
+            raise LengthError(f"{self.length} bits do not split into "
+                              f"{width}-bit fields")
+        v, mask = self.value, (1 << width) - 1
+        return [(v >> s) & mask
+                for s in range(self.length - width, -1, -width)]
+
     def repeat(self, times: int) -> "BitString":
         """Concatenate `times` copies of self (doubling, cheap for large counts)."""
         if times < 0:
@@ -114,6 +124,17 @@ def concat_all(parts: Iterable[BitString]) -> BitString:
     for p in parts:
         v = (v << p.length) | p.value
         n += p.length
+    return BitString(v, n)
+
+
+def pack(values: Iterable[int], width: int) -> BitString:
+    """`width`-bit fields concatenated, the first at the high bits."""
+    v, n = 0, 0
+    for x in values:
+        if x < 0 or x >> width:
+            raise LengthError(f"{x} does not fit in {width} bits")
+        v = (v << width) | x
+        n += width
     return BitString(v, n)
 
 

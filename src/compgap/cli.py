@@ -42,6 +42,16 @@ def _csv_row(experiment: str, params: str, point: float, half_width: float,
             f"{trials},{seed}")
 
 
+def _read_text(path: Path) -> str:
+    """The text of a file named on the command line; ConfigError when it is
+    not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text (byte {exc.start}: "
+                          f"{exc.reason})") from None
+
+
 def _write_out(out_dir: Path, rows: List[str],
                transcript: List[str]) -> int:
     """Write results.csv and transcript.log, echo the rows; exit code 0."""
@@ -256,7 +266,7 @@ def cmd_report(cfg: ExperimentConfig, out_dir: Path) -> int:
     csv_path = out_dir / "results.csv"
     if not csv_path.exists():
         raise ConfigError(f"no results.csv under {out_dir}")
-    rows = [line.split(",") for line in csv_path.read_text().splitlines()
+    rows = [line.split(",") for line in _read_text(csv_path).splitlines()
             if line]
     if not rows:
         raise ConfigError(f"{csv_path} is empty")
@@ -300,7 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
+            cfg = parse_config(_read_text(Path(args.config)))
         else:
             cfg = ExperimentConfig()
         if args.seed is not None:

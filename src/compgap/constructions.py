@@ -6,7 +6,7 @@ with STAR when the chain (decode vk, verify signature) fails.  The second
 family (C3) must always output a label: instances carry an error-coded
 instance, one block of n identical signature slots, and an error-coded
 key; the classifier outputs 1 iff any slot verifies.  This module owns both
-layouts and, in `open_key`, the way from a key codeword to a key.
+layouts; the key codeword decodes to the verification key itself.
 
 A fresh key pair is generated for every sample; no global key exists
 anywhere, which is what makes the distributions publicly samplable.
@@ -22,8 +22,7 @@ from .bitstring import BitString, concat_all
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, DecodeFailure, SamplerError
 from .game import STAR, Hypothesis, Label, Problem, mix_seed
-from .ots import (OtsParams, Signature, digest, kgen, sign, verify,
-                  vk_from_bits, vk_to_bits)
+from .ots import OtsParams, digest, kgen, sign, verify
 
 _KGEN_STREAM = 0x4B47454E
 _SIGMA_STREAM = 0x5349474D
@@ -57,12 +56,6 @@ class WrappedInstance:
                    bits.extract(d + ots.sig_bits, ecc.n_bits))
 
 
-def open_key(vk_code: BitString, ots: OtsParams, ecc: EccParams):
-    """The verification key a key codeword carries; DecodeFailure beyond
-    the code's radius."""
-    return vk_from_bits(reed_solomon(ecc).decode(vk_code), ots)
-
-
 def _check_c1_params(ots: OtsParams, ecc: EccParams) -> None:
     if ecc.data_bits != ots.vk_bits:
         raise ConfigError(
@@ -80,8 +73,8 @@ def wrap_sample_c1(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
     _check_c1_params(ots, ecc)
     x, y = base.sample(seed)
     keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
-    sigma = sign(keys.sk, x, ots).to_bits()
-    vk_code = reed_solomon(ecc).encode(vk_to_bits(keys.vk))
+    sigma = sign(keys.sk, x, ots)
+    vk_code = reed_solomon(ecc).encode(keys.vk)
     return WrappedInstance(x, sigma, vk_code), y
 
 
@@ -101,14 +94,15 @@ def classifier_c1(base_h: Hypothesis, ots: OtsParams,
     """h(x, sigma, c) = base_h(x) if decode+verify succeed, else STAR."""
     _check_c1_params(ots, ecc)
     d = base_h.instance_len
+    rs = reed_solomon(ecc)
 
     def classify(bits: BitString) -> Label:
         inst = WrappedInstance.from_bits(bits, d, ots, ecc)
         try:
-            vk = open_key(inst.vk_code, ots, ecc)
+            vk = rs.decode(inst.vk_code)
         except DecodeFailure:
             return STAR
-        if not verify(vk, inst.x, Signature.from_bits(inst.sigma, ots), ots):
+        if not verify(vk, inst.x, inst.sigma, ots):
             return STAR
         return base_h(inst.x)
 
@@ -171,21 +165,20 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
     x, y = base.sample(seed)
     keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
     if y == 1:
-        sigma = sign(keys.sk, x, ots).to_bits()
+        sigma = sign(keys.sk, x, ots)
     else:
         rng = random.Random(mix_seed(seed, _SIGMA_STREAM))
         x_digest = digest(x, ots)
         for _ in range(C3_REJECTION_CAP):
             sigma = BitString.random(rng, ots.sig_bits)
-            if not verify(keys.vk, x, Signature.from_bits(sigma, ots), ots,
-                          message_digest=x_digest):
+            if not verify(keys.vk, x, sigma, ots, message_digest=x_digest):
                 break
         else:
             raise SamplerError(
                 "could not sample an invalid signature; OTS parameters are "
                 "degenerate")
     return C3Instance(rs.encode(x), sigma.repeat(ecc.n_bits),
-                      rs.encode(vk_to_bits(keys.vk))), y
+                      rs.encode(keys.vk)), y
 
 
 def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
@@ -214,7 +207,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
         inst = C3Instance.from_bits(bits, ots, ecc)
         try:
             x = rs.decode(inst.x_code)
-            vk = open_key(inst.vk_code, ots, ecc)
+            vk = rs.decode(inst.vk_code)
         except DecodeFailure:
             return 0
         x_digest = digest(x, ots)
@@ -226,8 +219,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
             if v in seen:
                 continue
             seen.add(v)
-            if verify(vk, x, Signature.from_bits(BitString(v, ell), ots), ots,
-                      message_digest=x_digest):
+            if verify(vk, x, BitString(v, ell), ots, message_digest=x_digest):
                 return 1
         return 0
 

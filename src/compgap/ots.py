@@ -5,17 +5,24 @@ far below 2**slen while the exhaustive forger searches the full preimage
 space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.
+
+Keys and signatures are the bit strings the instances carry, read as
+fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
+hlen-bit fields: field 2i+b is the digest of the secret preimage sk[2i+b],
+the one revealed when digest bit i is b.  A signature has hlen slen-bit
+fields: field i is the preimage revealed for digest bit i.  `targets` reads
+this layout for `verify` and every forger.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bitstring import BitString, concat_all
+from .bitstring import BitString, pack
 from .errors import ConfigError, FormatError, PreimageNotFound
 from .game import GOLDEN, MASK64, MUL1, MUL2, Counters, splitmix64
 
@@ -95,58 +102,22 @@ class OtsParams:
         return 2 * self.hlen * self.hlen
 
 
-# vk[i][b] is the digest of the secret preimage sk[i][b]; a signature reveals
-# one preimage per digest bit position.
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    sk: Tuple[Tuple[BitString, BitString], ...]
-    vk: Tuple[Tuple[BitString, BitString], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Signature:
-    preimages: Tuple[BitString, ...]
-
-    def to_bits(self) -> BitString:
-        return concat_all(self.preimages)
-
-    @classmethod
-    def from_bits(cls, bits: BitString, params: OtsParams) -> "Signature":
-        if bits.length != params.sig_bits:
-            raise FormatError(
-                f"signature must be {params.sig_bits} bits, got {bits.length}")
-        return cls(tuple(bits.extract(i * params.slen, params.slen)
-                         for i in range(params.hlen)))
-
-
-def vk_to_bits(vk: Tuple[Tuple[BitString, BitString], ...]) -> BitString:
-    return concat_all(h for pair in vk for h in pair)
-
-
-def vk_from_bits(bits: BitString, params: OtsParams):
-    if bits.length != params.vk_bits:
-        raise FormatError(
-            f"verification key must be {params.vk_bits} bits, got {bits.length}")
-    hlen = params.hlen
-    return tuple(
-        (bits.extract(2 * i * hlen, hlen), bits.extract((2 * i + 1) * hlen, hlen))
-        for i in range(hlen))
+    sk: Tuple[int, ...]  # 2*hlen slen-bit preimages
+    vk: BitString  # vk_bits bits; field 2i+b is the digest of sk[2i+b]
 
 
 def kgen(params: OtsParams, seed: int,
          counter: Optional[Counters] = None) -> KeyPair:
     rng = random.Random(seed)
     hlen, slen = params.hlen, params.slen
-    # sk[i][0], sk[i][1] for i = 0, 1, ..., drawn as BitString.random does
-    words = [rng.getrandbits(slen) for _ in range(2 * hlen)]
-    digests = hash_words(words, slen, hlen, params.hash_rounds).tolist()
+    # sk[0], sk[1], ..., drawn as BitString.random does
+    sk = tuple(rng.getrandbits(slen) for _ in range(2 * hlen))
+    digests = hash_words(sk, slen, hlen, params.hash_rounds).tolist()
     if counter is not None:
         counter.charge(2 * hlen)
-    sk = tuple((BitString(words[2 * i], slen),
-                BitString(words[2 * i + 1], slen)) for i in range(hlen))
-    vk = tuple((BitString(digests[2 * i], hlen),
-                BitString(digests[2 * i + 1], hlen)) for i in range(hlen))
-    return KeyPair(sk, vk)
+    return KeyPair(sk, pack(digests, hlen))
 
 
 def digest(message: BitString, params: OtsParams,
@@ -154,26 +125,35 @@ def digest(message: BitString, params: OtsParams,
     return toy_hash(message, params.hlen, params.hash_rounds, counter)
 
 
-def sign(sk: Tuple[Tuple[BitString, BitString], ...], message: BitString,
-         params: OtsParams, counter: Optional[Counters] = None) -> Signature:
-    if len(sk) != params.hlen:
+def targets(vk: BitString, d: BitString, params: OtsParams) -> List[int]:
+    """The digests a signature for message digest d must hit: entry i is
+    field 2i + d[i] of vk."""
+    if vk.length != params.vk_bits:
+        raise FormatError(
+            f"verification key must be {params.vk_bits} bits, got {vk.length}")
+    fields = vk.fields(params.hlen)
+    return [fields[2 * i + b] for i, b in enumerate(d)]
+
+
+def sign(sk: Tuple[int, ...], message: BitString, params: OtsParams,
+         counter: Optional[Counters] = None) -> BitString:
+    if len(sk) != 2 * params.hlen:
         raise FormatError("secret key does not match params")
     d = digest(message, params, counter)
-    return Signature(tuple(sk[i][d[i]] for i in range(params.hlen)))
+    return pack((sk[2 * i + b] for i, b in enumerate(d)), params.slen)
 
 
-def verify(vk, message: BitString, sig: Signature, params: OtsParams,
-           counter: Optional[Counters] = None,
+def verify(vk: BitString, message: BitString, sig: BitString,
+           params: OtsParams, counter: Optional[Counters] = None,
            message_digest: Optional[BitString] = None) -> bool:
-    if len(vk) != params.hlen or len(sig.preimages) != params.hlen:
-        raise FormatError("key or signature does not match params")
-    if any(p.length != params.slen for p in sig.preimages):
-        raise FormatError("preimage of wrong length")
+    if sig.length != params.sig_bits:
+        raise FormatError(
+            f"signature must be {params.sig_bits} bits, got {sig.length}")
     d = message_digest if message_digest is not None \
         else digest(message, params, counter)
-    for i in range(params.hlen):
-        if toy_hash(sig.preimages[i], params.hlen, params.hash_rounds,
-                    counter) != vk[i][d[i]]:
+    for p, t in zip(sig.fields(params.slen), targets(vk, d, params)):
+        if toy_hash(BitString(p, params.slen), params.hlen,
+                    params.hash_rounds, counter).value != t:
             return False
     return True
 
@@ -210,18 +190,16 @@ class PreimageIndex:
             self._cache[key] = table
         self.digests, self.preimages = table
 
-    def forge(self, vk, message: BitString,
-              counter: Optional[Counters] = None) -> Signature:
+    def forge(self, vk: BitString, message: BitString,
+              counter: Optional[Counters] = None) -> BitString:
         d = digest(message, self.params, counter)
-        hlen, slen = self.params.hlen, self.params.slen
-        targets = np.array([vk[i][d[i]].value for i in range(hlen)],
-                           dtype=np.uint64)
-        pos = np.minimum(np.searchsorted(self.digests, targets),
+        want = np.array(targets(vk, d, self.params), dtype=np.uint64)
+        pos = np.minimum(np.searchsorted(self.digests, want),
                          len(self.digests) - 1)
-        found = self.digests[pos] == targets
+        found = self.digests[pos] == want
         if not found.all():
             i = int(np.argmin(found))
             raise PreimageNotFound(
-                f"no {slen}-bit preimage for vk[{i}][{d[i]}]")
-        return Signature(tuple(BitString(p, slen)
-                               for p in self.preimages[pos].tolist()))
+                f"no {self.params.slen}-bit preimage for vk field "
+                f"{2 * i + d[i]}")
+        return pack(self.preimages[pos].tolist(), self.params.slen)

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
 from .cnf import CnfFormula, at_least, encode_hamming_ball, tseitin
 from .errors import ConfigError, SamplerError
 from .game import Problem, mix_seed
-from .solver import Status, solve_small
 
 
 class Stage(enum.Enum):
@@ -104,20 +102,20 @@ def _merge_guarded(f: CnfFormula, sub: CnfFormula,
     return off
 
 
-def _drawn_block(problem: Problem, circuit: BoolCircuit, b: int,
-                 seed: int) -> Tuple[CnfFormula, BitString, int]:
-    x, y = problem.sample(seed)
-    return _compile_block(x, y, circuit, b), x, y
-
-
-def _assemble_s2(parts: Iterable[Tuple[CnfFormula, BitString, int]],
-                 tau: float) -> Tuple[CnfFormula, List[BlockInfo]]:
-    """Stage-2 formula over compiled (formula, x, y) blocks: each on fresh
-    variables behind its own selector, at least ceil(tau*k) selectors set."""
+def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
+              tau: float, seed: int) -> SamplerBundle:
+    """k independent stage-1 formulas on disjoint variables, of which at
+    least ceil(tau*k) must hold, chosen by selector variables."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if not 0 < tau <= 1:
+        raise ConfigError("tau must be in (0, 1]")
     f = CnfFormula()
     selectors: List[int] = []
     blocks: List[BlockInfo] = []
-    for sub, x, y in parts:
+    for j in range(k):
+        x, y = problem.sample(mix_seed(seed, j))
+        sub = _compile_block(x, y, circuit, b)
         s = f.new_var()
         selectors.append(s)
         # decide each selector right before its block's variables; a set
@@ -127,22 +125,8 @@ def _assemble_s2(parts: Iterable[Tuple[CnfFormula, BitString, int]],
         off = _merge_guarded(f, sub, s)
         blocks.append(BlockInfo(
             s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
-    at_least(f, selectors, math.ceil(tau * len(selectors)))
+    at_least(f, selectors, math.ceil(tau * k))
     f.annotate("selectors", selectors)
-    return f, blocks
-
-
-def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
-              tau: float, seed: int) -> SamplerBundle:
-    """k independent stage-1 formulas on disjoint variables, of which at
-    least ceil(tau*k) must hold, chosen by selector variables."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    if not 0 < tau <= 1:
-        raise ConfigError("tau must be in (0, 1]")
-    f, blocks = _assemble_s2(
-        (_drawn_block(problem, circuit, b, mix_seed(seed, j))
-         for j in range(k)), tau)
     return SamplerBundle(f, Stage.S2, seed, b, tuple(blocks))
 
 
@@ -178,44 +162,3 @@ def check_witness(bundle: SamplerBundle, circuit: BoolCircuit,
             return False
     return True
 
-
-@dataclass(frozen=True)
-class PlantedDemoResult:
-    planted_slot: int
-    solved: bool
-    planted_selected: bool
-    selected_slots: Tuple[int, ...]
-
-
-def planted_slot_demo(problem: Problem, circuit: BoolCircuit, b: int, k: int,
-                      tau: float, seed: int, var_cap: int,
-                      max_resample: int = 200) -> PlantedDemoResult:
-    """Plant a known-satisfiable stage-1 slot inside a stage-2 formula.
-
-    Re-draws the planted slot's example until its standalone formula is
-    satisfiable, splices it over a random slot, solves the composite, and
-    reports whether the planted slot ended up among the selected-and-
-    satisfied blocks.  This measures per-slot solve rates only; it makes no
-    claim about hardness.
-    """
-    rng = random.Random(mix_seed(seed, 0x504C54))
-    planted = None
-    for t in range(max_resample):
-        cand = sample_s1(problem, circuit, b, mix_seed(seed, 0x5031 + t))
-        if solve_small(cand.formula, var_cap).status is Status.SAT:
-            planted = cand
-            break
-    if planted is None:
-        raise SamplerError("no satisfiable stage-1 draw found to plant")
-    slot = rng.randrange(k)
-    f, blocks = _assemble_s2(
-        ((planted.formula, planted.blocks[0].x, planted.blocks[0].y)
-         if j == slot else _drawn_block(problem, circuit, b, mix_seed(seed, j))
-         for j in range(k)), tau)
-
-    res = solve_small(f, var_cap)
-    if res.status is not Status.SAT:
-        return PlantedDemoResult(slot, False, False, ())
-    chosen = tuple(j for j, blk in enumerate(blocks)
-                   if res.assignment[blk.selector])
-    return PlantedDemoResult(slot, True, slot in chosen, chosen)

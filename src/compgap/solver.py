@@ -183,10 +183,6 @@ def solve_enumerate(f: CnfFormula) -> SolveResult:
     return SolveResult(Status.SAT, model)
 
 
-def count_models(f: CnfFormula) -> int:
-    return int(_sat_mask(f).sum())
-
-
 PROJECTION_CAP = 1 << 20
 
 

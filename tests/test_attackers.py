@@ -10,16 +10,15 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_hypothesis,
                                    majority_noise_problem,
                                    uniform_balanced_problem)
-from compgap.bitstring import BitString
+from compgap.bitstring import BitString, pack
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
-                                   classifier_c1, classifier_c3, open_key,
-                                   sample_c3, wrap_sample_c1,
-                                   wrapped_problem_c1)
-from compgap.ecc import EccParams
+                                   classifier_c1, classifier_c3, sample_c3,
+                                   wrap_sample_c1, wrapped_problem_c1)
+from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import DecodeFailure, PreimageNotFound
 from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
                           estimate_risk, game_transcript)
-from compgap.ots import OtsParams, Signature, digest, toy_hash
+from compgap.ots import OtsParams, digest, targets, toy_hash
 
 P = MajorityNoiseParams(11, 0.05)
 BASE = majority_noise_problem(P)
@@ -224,7 +223,7 @@ def test_forging_attackers_fall_back_when_the_key_does_not_open():
             (bounded_c3_attacker(C3_OTS, C3_ECC, 128), c3, C3_OTS, C3_ECC),
             (unbounded_c3_attacker(C3_OTS, C3_ECC), c3, C3_OTS, C3_ECC)]:
         with pytest.raises(DecodeFailure):
-            open_key(inst.vk_code, ots, ecc)
+            reed_solomon(ecc).decode(inst.vk_code)
         x = inst.to_bits()
         for y in (0, 1):
             counters = Counters()
@@ -236,27 +235,27 @@ def _scalar_bounded_c1(ots, ecc, budget, log):
     """bounded_c1 guessing one preimage per toy_hash call; appends
     (positions to forge, hits) to `log` for each forgery."""
     def forge(vk, flipped, inst, rng, counters):
-        old_sig = Signature.from_bits(inst.sigma, ots)
         d_old = digest(inst.x, ots, counters)
         d_new = digest(flipped, ots, counters)
-        preimages = list(old_sig.preimages)
+        want = targets(vk, d_new, ots)
+        preimages = inst.sigma.fields(ots.slen)
         missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
         for i in list(missing):
-            if toy_hash(old_sig.preimages[i], ots.hlen, ots.hash_rounds,
-                        counters) == vk[i][d_new[i]]:
+            if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
+                        ots.hash_rounds, counters).value == want[i]:
                 missing.remove(i)
         log.append([len(missing), 0])
         while missing and counters.queries < budget:
             i = missing[0]
             cand = BitString.random(rng, ots.slen)
             if toy_hash(cand, ots.hlen, ots.hash_rounds,
-                        counters) == vk[i][d_new[i]]:
-                preimages[i] = cand
+                        counters).value == want[i]:
+                preimages[i] = cand.value
                 missing.pop(0)
                 log[-1][1] += 1
         if missing:
             raise PreimageNotFound("query budget spent")
-        return Signature(tuple(preimages)).to_bits()
+        return pack(preimages, ots.slen)
 
     return _c1_attacker("scalar_c1", 7, 2, ots, ecc, forge, budget)
 

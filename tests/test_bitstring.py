@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from compgap.bitstring import BitString, concat_all, hamming_distance
+from compgap.bitstring import BitString, concat_all, hamming_distance, pack
 from compgap.errors import FormatError, LengthError
 
 bitstrings = st.integers(min_value=1, max_value=96).flatmap(
@@ -65,6 +65,25 @@ def test_concat_extract_inverse(a, b):
     c = a.concat(b)
     assert c.extract(0, a.length) == a
     assert c.extract(a.length, b.length) == b
+
+
+@given(st.integers(min_value=1, max_value=20),
+       st.integers(min_value=0, max_value=8), st.data())
+def test_fields_pack_inverse(width, count, data):
+    b = BitString(data.draw(st.integers(min_value=0,
+                                        max_value=(1 << width * count) - 1)),
+                  width * count)
+    fields = b.fields(width)
+    assert pack(fields, width) == b
+    assert fields == [b.extract(i * width, width).value
+                      for i in range(count)]
+
+
+def test_fields_and_pack_reject_misfits():
+    with pytest.raises(LengthError):
+        BitString(0, 10).fields(3)
+    with pytest.raises(LengthError):
+        pack([1, 8], 3)
 
 
 @given(st.lists(bitstrings, min_size=1, max_size=5))

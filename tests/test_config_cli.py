@@ -87,6 +87,20 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert run_cli(["risk", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command,name", [("risk", "c.cfg"),
+                                          ("report", "o/results.csv")])
+def test_cli_non_utf8_input_exit_2(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(b"\xff\xfe")
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "risk":
+        argv += ["--config", str(path)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_cli_invalid_params_exit_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("problem.d = 14\n")  # even d violates the precondition

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
@@ -5,13 +7,12 @@ from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    uniform_balanced_problem)
 from compgap.bitstring import BitString
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
-                                   classifier_c1, classifier_c3, open_key,
-                                   sample_c3, wrap_sample_c1,
-                                   wrapped_problem_c1)
-from compgap.ecc import EccParams
+                                   classifier_c1, classifier_c3, sample_c3,
+                                   wrap_sample_c1, wrapped_problem_c1)
+from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import ConfigError
 from compgap.game import STAR, estimate_risk
-from compgap.ots import OtsParams, Signature, verify
+from compgap.ots import OtsParams, PreimageIndex, verify
 
 # small but fully functional parameters to keep unit tests quick
 OTS = OtsParams(hlen=4, slen=8)          # vk 32 bits, sig 32 bits
@@ -62,11 +63,8 @@ def test_instance_tamper_without_new_signature_yields_star():
     for seed in range(20):
         inst, _ = wrap_sample_c1(BASE, OTS, ECC, seed)
         out = h(inst.to_bits().flip(0))
-        sig = Signature.from_bits(inst.sigma, OTS)
-        from compgap.ots import vk_from_bits
-        from compgap.ecc import reed_solomon
-        vk = vk_from_bits(reed_solomon(ECC).decode(inst.vk_code), OTS)
-        if not verify(vk, inst.x.flip(0), sig, OTS):
+        vk = reed_solomon(ECC).decode(inst.vk_code)
+        if not verify(vk, inst.x.flip(0), inst.sigma, OTS):
             assert out is STAR
 
 
@@ -122,8 +120,6 @@ def test_c3_classifier_never_stars():
 
 
 def test_c3_forged_slot_flips_zero_to_one():
-    from compgap.ots import PreimageIndex
-    from compgap.ecc import reed_solomon
     ell = C3_OTS.sig_bits
     h = classifier_c3(C3_OTS, C3_ECC)
     rs = reed_solomon(C3_ECC)
@@ -135,8 +131,7 @@ def test_c3_forged_slot_flips_zero_to_one():
             continue
         found = True
         x = rs.decode(inst.x_code)
-        sigma = index.forge(open_key(inst.vk_code, C3_OTS, C3_ECC),
-                            x).to_bits()
+        sigma = index.forge(rs.decode(inst.vk_code), x)
         assert h(inst.to_bits()) == 0
         forged = inst.with_slot0(sigma)
         assert forged.slots.extract(0, ell) == sigma
@@ -144,3 +139,26 @@ def test_c3_forged_slot_flips_zero_to_one():
             inst.slots.extract(ell, inst.slots.length - ell)
         assert h(forged.to_bits()) == 1
     assert found
+
+
+# sha256 of to01() of whole instances.  results.csv cannot see a reordering
+# of key or signature fields that every reader applies consistently; these
+# digests can.  Seeds cover both labels of each construction.
+FROZEN_INSTANCES = [
+    (lambda: wrap_sample_c1(BASE, OTS, ECC, 0), 1,
+     "afc6212e8453d8c417b76bd338b6c3ca6df8235b0659f8cb97f15ba9aadca51a"),
+    (lambda: wrap_sample_c1(BASE, OTS, ECC, 1), 0,
+     "b0114527723dc80c2c3b9e9dfd66b803ed6359bf8ee5632fb314941fb5a0c5a2"),
+    (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 0), 0,
+     "dbc7a103812b42815dc979fb580bf6522c5114fe63e102d7f5f450c01857e242"),
+    (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 1), 1,
+     "8a30f9bcc6fca7e55ff61cea4aa2eab5d8e7732a9751d5051922485e24be93f1"),
+]
+
+
+@pytest.mark.parametrize("sample,label,sha", FROZEN_INSTANCES,
+                         ids=["c1-seed0", "c1-seed1", "c3-seed0", "c3-seed1"])
+def test_instance_layout_frozen(sample, label, sha):
+    inst, y = sample()
+    assert y == label
+    assert hashlib.sha256(inst.to_bits().to01().encode()).hexdigest() == sha

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compgap.bitstring import BitString
+from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import Counters
-from compgap.ots import (OtsParams, PreimageIndex, Signature, digest,
-                         hash_words, kgen, sign, toy_hash, verify,
-                         vk_from_bits, vk_to_bits)
+from compgap.ots import (OtsParams, PreimageIndex, digest, hash_words, kgen,
+                         sign, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -92,25 +91,32 @@ def test_verify_matches_preimage_ground_truth(seed, data):
     # so the test recomputes the ground truth instead of assuming rejection
     keys = kgen(SMALL, seed=seed)
     msg = BitString(seed % 128, 7)
-    bits = sign(keys.sk, msg, SMALL).to_bits()
+    bits = sign(keys.sk, msg, SMALL)
     pos = data.draw(st.integers(min_value=0, max_value=bits.length - 1))
-    tampered = Signature.from_bits(bits.flip(pos), SMALL)
+    tampered = bits.flip(pos)
     d = digest(msg, SMALL)
+    hlen, slen = SMALL.hlen, SMALL.slen
     truth = all(
-        toy_hash(tampered.preimages[i], SMALL.hlen) == keys.vk[i][d[i]]
-        for i in range(SMALL.hlen))
+        toy_hash(tampered.extract(i * slen, slen), hlen)
+        == keys.vk.extract((2 * i + d[i]) * hlen, hlen)
+        for i in range(hlen))
     assert verify(keys.vk, msg, tampered, SMALL) == truth
 
 
-def test_signature_bits_roundtrip():
+def test_key_and_signature_layout():
+    # vk field 2i+b is the digest of sk[2i+b]; signature field i is the
+    # preimage sk[2i+d[i]] for message digest d
     keys = kgen(SMALL, seed=3)
-    sig = sign(keys.sk, BitString(5, 7), SMALL)
-    assert Signature.from_bits(sig.to_bits(), SMALL) == sig
-
-
-def test_vk_bits_roundtrip():
-    keys = kgen(SMALL, seed=4)
-    assert vk_from_bits(vk_to_bits(keys.vk), SMALL) == keys.vk
+    hlen, slen = SMALL.hlen, SMALL.slen
+    assert keys.vk.length == SMALL.vk_bits and len(keys.sk) == 2 * hlen
+    for j, p in enumerate(keys.sk):
+        assert keys.vk.extract(j * hlen, hlen) == \
+            toy_hash(BitString(p, slen), hlen)
+    msg = BitString(5, 7)
+    sig, d = sign(keys.sk, msg, SMALL), digest(msg, SMALL)
+    assert sig.length == SMALL.sig_bits
+    for i in range(hlen):
+        assert sig.extract(i * slen, slen).value == keys.sk[2 * i + d[i]]
 
 
 def test_preimage_index_matches_exhaustive_validity():
@@ -142,11 +148,11 @@ def test_preimage_index_reports_first_target_without_preimage():
     # target sorts after every digest in the table
     values = have[:2] + absent[:5] + [absent[-1]]
     assert absent[-1] > have[-1]
-    vk = tuple((BitString(v, 8), BitString(v, 8)) for v in values)
+    vk = pack((v for v in values for _ in (0, 1)), 8)
     msg = BitString(5, 7)
     d = digest(msg, params)
     with pytest.raises(PreimageNotFound,
-                       match=rf"^no 4-bit preimage for vk\[2\]\[{d[2]}\]$"):
+                       match=rf"^no 4-bit preimage for vk field {4 + d[2]}$"):
         index.forge(vk, msg)
 
 
@@ -157,11 +163,13 @@ def test_forge_cap_enforced():
 
 def test_wrong_length_signature_rejected_loudly():
     keys = kgen(SMALL, seed=7)
-    with pytest.raises(FormatError):
-        Signature.from_bits(BitString(0, 5), SMALL)
-    bad = Signature(tuple(BitString(0, 3) for _ in range(SMALL.hlen)))
-    with pytest.raises(FormatError):
-        verify(keys.vk, BitString(0, 7), bad, SMALL)
+    msg = BitString(0, 7)
+    sig = sign(keys.sk, msg, SMALL)
+    for vk, bad in [(keys.vk, BitString(0, 5)),
+                    (keys.vk, BitString(0, 3 * SMALL.hlen)),
+                    (keys.vk.extract(0, SMALL.vk_bits - 1), sig)]:
+        with pytest.raises(FormatError):
+            verify(vk, msg, bad, SMALL)
 
 
 def test_distinct_seeds_distinct_keys():

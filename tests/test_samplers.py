@@ -8,8 +8,8 @@ from compgap.bitstring import hamming_distance
 from compgap.circuits import circuit_of_majority, eval_circuit
 from compgap.errors import ConfigError
 from compgap.game import binomial_half_width, mix_seed
-from compgap.samplers import (Stage, check_witness, planted_slot_demo,
-                              sample_s1, sample_s2, sample_s_final)
+from compgap.samplers import (Stage, check_witness, sample_s1, sample_s2,
+                              sample_s_final)
 from compgap.solver import Status, solve_enumerate, solve_small
 
 P = MajorityNoiseParams(9, 0.05)
@@ -128,10 +128,3 @@ def test_param_validation():
         sample_s2(PROB, CIRCUIT, 2, 3, 1.5, 1)
     with pytest.raises(ConfigError):
         sample_s_final(PROB, CIRCUIT, 2, 3, TAU, 0, 1)
-
-
-def test_planted_slot_demo_runs():
-    res = planted_slot_demo(PROB, CIRCUIT, 2, 6, TAU, 13, var_cap=5000)
-    assert 0 <= res.planted_slot < 6
-    if res.solved:
-        assert res.selected_slots
