@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from .bitstring import BitString, pack
 from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
-from .errors import DecodeFailure, PreimageNotFound
+from .errors import ConfigError, DecodeFailure, PreimageNotFound
 from .game import Label
 from .ots import (OtsParams, PreimageIndex, digest, hash_words, targets,
                   toy_hash, verify)
@@ -161,6 +161,9 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
     that do.  Falls back to the untampered instance when the budget runs out,
     so its win rate degrades to the plain risk as slen grows.
     """
+    if query_budget < 0:
+        raise ConfigError(f"bounded_c1 query budget {query_budget} < 0")
+
     def forge(vk, flipped, inst, rng, counters):
         d_old = digest(inst.x, ots, counters)
         d_new = digest(flipped, ots, counters)
@@ -218,6 +221,9 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
     hlen independent preimages, so at realistic budgets it reverts to the
     untampered instance and wins with probability ~0.
     """
+    if query_budget < 0:
+        raise ConfigError(f"bounded_c3 query budget {query_budget} < 0")
+
     def forge(vk, xb, inst, rng, counters):
         xd = digest(xb, ots, counters)
         while counters.queries < query_budget:

@@ -16,7 +16,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from . import attackers as atk
 from .base_problems import (MajorityNoiseParams, analytic_adv_risk,
@@ -29,7 +29,8 @@ from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .errors import ConfigError, InvariantViolation, ParseError
-from .game import binomial_half_width, estimate_risk, game_transcript, mix_seed
+from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
+                   game_transcript, mix_seed)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
 from .solver import Status, solve_small
 
@@ -65,61 +66,93 @@ def _write_out(out_dir: Path, rows: List[str],
     return 0
 
 
-def _build_attacker(cfg: ExperimentConfig, name: str) -> Tuple:
-    """Returns (problem, hypothesis, attacker, budget, params string)."""
-    if name.endswith("_c3"):
+#: Attackers each game command plays, in playing order; adv-risk plays
+#: attacker.name
+GAMES = {"separation": ("bounded_c1", "unbounded_c1"),
+         "c3": ("unbounded_c3", "bounded_c3")}
+
+
+class Game(NamedTuple):
+    name: str
+    problem: Problem
+    hypothesis: Hypothesis
+    attacker: atk.Attacker
+    budget: int
+    tag: str  # the params column of the game's results.csv row
+
+
+def _build_game(cfg: ExperimentConfig, name: str) -> Game:
+    """The game attacker `name` plays, built from exactly the settings it
+    reads.  Building is checking: the parameter objects, constructions and
+    attackers raise ConfigError on a bad value, and this function checks
+    problem.b and C1's b + sig_bits <= t_max."""
+    b = cfg.problem.b
+    if name in ("identity", "greedy", "bounded_c1", "unbounded_c1"):
+        if b < 0:
+            raise ConfigError("problem.b must be >= 0")
+        p = cfg.problem_params()
+        prob, h = majority_noise_problem(p), majority_hypothesis(p.d)
+        budget, tag = b, f"d={p.d} alpha={p.alpha} b={b} attacker={name}"
+    elif name in ("bounded_c3", "unbounded_c3"):
         ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
         prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
         h = classifier_c3(ots, ecc)
         budget = ots.sig_bits
         tag = (f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} "
                f"budget={budget} attacker={name}")
-        if name == "bounded_c3":
-            a = atk.bounded_c3_attacker(ots, ecc, cfg.c3.query_budget)
-            tag += f" queries={cfg.c3.query_budget}"
-        else:
-            a = atk.unbounded_c3_attacker(ots, ecc)
-        return prob, h, a, budget, tag
-    p = cfg.problem_params()
-    base = majority_noise_problem(p)
-    base_h = majority_hypothesis(p.d)
-    tag = f"d={p.d} alpha={p.alpha} b={cfg.problem.b} attacker={name}"
-    if name == "identity":
-        return base, base_h, atk.identity_attacker(), cfg.problem.b, tag
-    if name == "greedy":
-        return (base, base_h, atk.greedy_majority_attacker(cfg.problem.b),
-                cfg.problem.b, tag)
-    # *_c1
-    ots, ecc = cfg.ots_params(), cfg.ecc_params()
-    prob = wrapped_problem_c1(base, ots, ecc)
-    h = classifier_c1(base_h, ots, ecc)
-    budget = cfg.problem.b + ots.sig_bits
-    tag += f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
-    if name == "bounded_c1":
-        a = atk.bounded_c1_attacker(p.d, cfg.problem.b, ots, ecc,
-                                    cfg.attacker.query_budget)
-        tag += f" queries={cfg.attacker.query_budget}"
     else:
-        a = atk.unbounded_c1_attacker(p.d, cfg.problem.b, ots, ecc)
-    return prob, h, a, budget, tag
+        raise ConfigError(
+            "attacker.name must be one of identity, greedy, bounded_c1, "
+            f"unbounded_c1, bounded_c3, unbounded_c3; got {name!r}")
+    if name == "identity":
+        a = atk.identity_attacker()
+    elif name == "greedy":
+        a = atk.greedy_majority_attacker(b)
+    elif name in ("bounded_c1", "unbounded_c1"):
+        ots, ecc = cfg.ots_params(), cfg.ecc_params()
+        prob = wrapped_problem_c1(prob, ots, ecc)
+        h = classifier_c1(h, ots, ecc)
+        budget = b + ots.sig_bits
+        # a tamper within budget must stay inside the key code's radius
+        if budget > ecc.t_max:
+            raise ConfigError(f"{name} needs b + sig_bits <= t_max; "
+                              f"{budget} > {ecc.t_max}")
+        tag += f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
+        if name == "bounded_c1":
+            a = atk.bounded_c1_attacker(p.d, b, ots, ecc,
+                                        cfg.attacker.query_budget)
+            tag += f" queries={cfg.attacker.query_budget}"
+        else:
+            a = atk.unbounded_c1_attacker(p.d, b, ots, ecc)
+    elif name == "bounded_c3":
+        a = atk.bounded_c3_attacker(ots, ecc, cfg.c3.query_budget)
+        tag += f" queries={cfg.c3.query_budget}"
+    else:
+        a = atk.unbounded_c3_attacker(ots, ecc)
+    return Game(name, prob, h, a, budget, tag)
 
 
-def _play_games(cfg: ExperimentConfig, kind: str, rows: List[str],
-                transcript: List[str]) -> dict:
-    """Play each attacker of cfg.games(kind) for cfg.trials games, append
-    its row and transcript lines, and return its win rate by name."""
-    names = cfg.games(kind)
+def _build_games(cfg: ExperimentConfig, kind: str) -> List[Game]:
+    """Every game command `kind` plays, built before the first trial so that
+    a bad setting of any of them exits 2 with nothing run or written."""
+    names = (cfg.attacker.name,) if kind == "adv-risk" else GAMES[kind]
+    return [_build_game(cfg, name) for name in names]
+
+
+def _play_games(cfg: ExperimentConfig, kind: str, games: List[Game],
+                rows: List[str], transcript: List[str]) -> dict:
+    """Play each game for cfg.trials trials, append its row and transcript
+    lines, and return its win rate by attacker name."""
     points = {}
-    for name in names:
-        prob, h, attacker, budget, tag = _build_attacker(cfg, name)
-        outcomes = game_transcript(prob, h, attacker, budget, cfg.trials,
-                                   cfg.seed)
-        point = points[name] = sum(o.won for o in outcomes) / cfg.trials
-        rows.append(_csv_row(kind, tag, point,
+    for g in games:
+        outcomes = game_transcript(g.problem, g.hypothesis, g.attacker,
+                                   g.budget, cfg.trials, cfg.seed)
+        point = points[g.name] = sum(o.won for o in outcomes) / cfg.trials
+        rows.append(_csv_row(kind, g.tag, point,
                              binomial_half_width(point, cfg.trials),
                              cfg.trials, cfg.seed))
-        if len(names) > 1:  # label each attacker's part of the transcript
-            transcript.append(f"# {name}")
+        if len(games) > 1:  # label each attacker's part of the transcript
+            transcript.append(f"# {g.name}")
         transcript.extend(
             f"trial={i} seed={mix_seed(cfg.seed, i)} won={int(o.won)} "
             f"reason={o.reason.value} dist={o.perturbation_used} "
@@ -138,19 +171,21 @@ def cmd_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_adv_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
+    games = _build_games(cfg, "adv-risk")
     rows, transcript = [], []
-    _play_games(cfg, "adv-risk", rows, transcript)
+    _play_games(cfg, "adv-risk", games, rows, transcript)
     return _write_out(out_dir, rows, transcript)
 
 
 def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
+    games = _build_games(cfg, "separation")
     p = cfg.problem_params()
     params = f"d={p.d} alpha={p.alpha} b={cfg.problem.b}"
     rows = [_csv_row("separation-oracle", params,
                      float(analytic_adv_risk(p, cfg.problem.b)), 0.0, 0,
                      cfg.seed)]
     transcript: List[str] = []
-    points = _play_games(cfg, "separation", rows, transcript)
+    points = _play_games(cfg, "separation", games, rows, transcript)
     rows.append(_csv_row("separation-gap", params,
                          points["unbounded_c1"] - points["bounded_c1"], 0.0,
                          cfg.trials, cfg.seed))
@@ -158,14 +193,15 @@ def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_c3(cfg: ExperimentConfig, out_dir: Path) -> int:
-    ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
-    prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
-    h = classifier_c3(ots, ecc)
-    est = estimate_risk(prob, h, cfg.trials, cfg.seed)
-    rows = [_csv_row("c3-risk", f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen}",
+    games = _build_games(cfg, "c3")
+    # the honest risk of the problem and classifier both games play
+    est = estimate_risk(games[0].problem, games[0].hypothesis, cfg.trials,
+                        cfg.seed)
+    c3 = cfg.c3
+    rows = [_csv_row("c3-risk", f"d={c3.d} hlen={c3.hlen} slen={c3.slen}",
                      est.point, est.half_width, cfg.trials, cfg.seed)]
     transcript = [f"c3 honest risk point={est.point:.6f}"]
-    _play_games(cfg, "c3", rows, transcript)
+    _play_games(cfg, "c3", games, rows, transcript)
     return _write_out(out_dir, rows, transcript)
 
 

@@ -46,7 +46,8 @@ MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(z: int) -> int:
-    """The splitmix64 finalizer of z mod 2^64."""
+    """The splitmix64 finalizer of z mod 2^64; z may also be a numpy uint64
+    array (ots.hash_words), whose arithmetic wraps mod 2^64."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * MUL1) & MASK64
     z = ((z ^ (z >> 27)) * MUL2) & MASK64

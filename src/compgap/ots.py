@@ -24,7 +24,7 @@ import numpy as np
 
 from .bitstring import BitString, pack
 from .errors import ConfigError, FormatError, PreimageNotFound
-from .game import GOLDEN, MASK64, MUL1, MUL2, Counters, splitmix64
+from .game import GOLDEN, MASK64, Counters, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
@@ -74,10 +74,7 @@ def hash_words(values, length: int, out_bits: int,
     z = np.asarray(values, dtype=np.uint64) \
         ^ np.uint64((INIT ^ (length * GOLDEN)) & MASK64)
     for _ in range(rounds + 1):  # absorbing rounds, then squeezing word 0
-        z = z + np.uint64(GOLDEN)
-        z = (z ^ (z >> 30)) * np.uint64(MUL1)
-        z = (z ^ (z >> 27)) * np.uint64(MUL2)
-        z ^= z >> 31
+        z = splitmix64(z + np.uint64(GOLDEN))
     return z >> np.uint64(64 - out_bits)
 
 

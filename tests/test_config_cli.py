@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from compgap.cli import main
+from compgap import cli
+from compgap.cli import _build_game, _build_games, main
 from compgap.config import ExperimentConfig, parse_config
 from compgap.errors import ConfigError, ParseError
 
@@ -43,15 +44,36 @@ def test_top_level_keys():
 def test_validation_catches_separation_radius():
     cfg = ExperimentConfig()
     cfg.ecc.n_sym = 140  # t_max 54 < b + 256
-    with pytest.raises(ConfigError):
-        cfg.validate("separation")
+    # building a game checks it, and the error names the game's attacker
+    with pytest.raises(ConfigError, match="bounded_c1 needs"):
+        _build_games(cfg, "separation")
+    cfg.attacker.name = "unbounded_c1"
+    with pytest.raises(ConfigError, match="unbounded_c1 needs"):
+        _build_games(cfg, "adv-risk")
 
 
 def test_validation_catches_bad_attacker():
     cfg = ExperimentConfig()
     cfg.attacker.name = "sneaky"
     with pytest.raises(ConfigError):
-        cfg.validate("adv-risk")
+        _build_games(cfg, "adv-risk")
+
+
+KNOWN_ATTACKERS = ("identity", "greedy", "bounded_c1", "unbounded_c1",
+                   "bounded_c3", "unbounded_c3")
+
+
+@pytest.mark.parametrize("name", ["sneaky", "bounded_c3x"])
+def test_build_game_rejects_unknown_attacker(name):
+    # no name falls through to another attacker's game
+    with pytest.raises(ConfigError) as e:
+        _build_game(ExperimentConfig(), name)
+    assert all(known in str(e.value) for known in KNOWN_ATTACKERS)
+
+
+@pytest.mark.parametrize("name", KNOWN_ATTACKERS)
+def test_build_game_builds_each_known_attacker(name):
+    assert _build_game(ExperimentConfig(), name).name == name
 
 
 def run_cli(args):
@@ -275,6 +297,11 @@ VALIDATION_MATRIX = [
     ("risk", "problem.d = 14", 2),
     ("c3", "c3.query_budget = -5", 2),
     ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
+    ("adv-risk", "attacker.name = identity; problem.b = -1", 2),
+    ("adv-risk", "attacker.name = greedy; problem.b = -1", 2),
+    ("separation", "problem.b = -1", 2),
+    ("adv-risk", "attacker.name = bounded_c3x", 2),
+    ("adv-risk", "attacker.name = unbounded_c1; ecc.n_sym = 140", 2),
     # one-word hash bounds, and the preimage-table cap on unbounded forgers
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65; "
      "ecc.k_sym = 2; ecc.n_sym = 530", 2),
@@ -303,3 +330,26 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     argv += [word.format(tmp=tmp_path) for p in parts if p.startswith("--")
              for word in p.split()]
     assert run_cli(argv) == code
+
+
+# a bad setting of a command's later game, and a config that builds every
+# earlier game
+@pytest.mark.parametrize("command,text", [
+    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.k_sym = 8; "
+     "ecc.n_sym = 348"),
+    ("c3", "c3.query_budget = -5"),
+])
+def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
+                                                command, text):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every game was built")
+
+    monkeypatch.setattr(cli, "game_transcript", no_trials)
+    monkeypatch.setattr(cli, "estimate_risk", no_trials)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(p + "\n" for p in text.split("; ")))
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--trials", "2",
+                    "--out", str(out)]) == 2
+    assert not (out / "results.csv").exists()
+    assert not (out / "transcript.log").exists()
