@@ -90,7 +90,7 @@ def _table_forger(ots: OtsParams) -> Forger:
     """Forge from a full preimage table: one digest query per forgery."""
     index = PreimageIndex(ots)
     return lambda vk, msg, inst, rng, counters: \
-        index.forge(vk, msg, counters)
+        index.forge(targets(vk, digest(msg, ots, counters), ots))
 
 
 def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
@@ -225,10 +225,10 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
         raise ConfigError(f"bounded_c3 query budget {query_budget} < 0")
 
     def forge(vk, xb, inst, rng, counters):
-        xd = digest(xb, ots, counters)
+        want = targets(vk, digest(xb, ots, counters), ots)
         while counters.queries < query_budget:
             cand = BitString.random(rng, ots.sig_bits)
-            if verify(vk, xb, cand, ots, counters, message_digest=xd):
+            if verify(cand, want, ots, counters):
                 return cand
         raise PreimageNotFound("query budget spent")
 

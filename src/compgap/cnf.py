@@ -51,7 +51,8 @@ class CnfFormula:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise FormatError(f"literal {lit} out of range")
-        for role, vs in self.annotations.items():
+        hints = {"c branch": self.branch_order, "c prefer": self.prefer_true}
+        for role, vs in [*self.annotations.items(), *hints.items()]:
             for v in vs:
                 if not 1 <= v <= self.num_vars:
                     raise FormatError(f"annotation {role} names bad var {v}")
@@ -201,20 +202,21 @@ def read_dimacs(text: str) -> CnfFormula:
     f = CnfFormula()
     header_seen = False
     expected_clauses = 0
+    hints = {"branch": f.branch_order, "prefer": f.prefer_true}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("c"):
             parts = line.split()
-            if len(parts) >= 2 and parts[1] == "anno":
-                if len(parts) < 3:
-                    raise ParseError("malformed annotation comment", line_no)
-                f.annotations[parts[2]] = tuple(map(int, parts[3:]))
-            elif len(parts) >= 2 and parts[1] == "branch":
-                f.branch_order.extend(map(int, parts[2:]))
-            elif len(parts) >= 2 and parts[1] == "prefer":
-                f.prefer_true.extend(map(int, parts[2:]))
+            kind = parts[1] if len(parts) >= 2 else ""
+            try:
+                if kind == "anno":
+                    f.annotations[parts[2]] = tuple(map(int, parts[3:]))
+                elif kind in hints:
+                    hints[kind].extend(map(int, parts[2:]))
+            except (IndexError, ValueError):  # no role, or a non-integer
+                raise ParseError(f"malformed c {kind} comment", line_no)
             continue
         if line.startswith("p"):
             parts = line.split()

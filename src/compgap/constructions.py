@@ -22,7 +22,7 @@ from .bitstring import BitString, concat_all
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, DecodeFailure, SamplerError
 from .game import STAR, Hypothesis, Label, Problem, mix_seed
-from .ots import OtsParams, digest, kgen, sign, verify
+from .ots import OtsParams, digest, kgen, sign, targets, verify
 
 _KGEN_STREAM = 0x4B47454E
 _SIGMA_STREAM = 0x5349474D
@@ -102,7 +102,7 @@ def classifier_c1(base_h: Hypothesis, ots: OtsParams,
             vk = rs.decode(inst.vk_code)
         except DecodeFailure:
             return STAR
-        if not verify(vk, inst.x, inst.sigma, ots):
+        if not verify(inst.sigma, targets(vk, digest(inst.x, ots), ots), ots):
             return STAR
         return base_h(inst.x)
 
@@ -168,10 +168,10 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
         sigma = sign(keys.sk, x, ots)
     else:
         rng = random.Random(mix_seed(seed, _SIGMA_STREAM))
-        x_digest = digest(x, ots)
+        want = targets(keys.vk, digest(x, ots), ots)
         for _ in range(C3_REJECTION_CAP):
             sigma = BitString.random(rng, ots.sig_bits)
-            if not verify(keys.vk, x, sigma, ots, message_digest=x_digest):
+            if not verify(sigma, want, ots):
                 break
         else:
             raise SamplerError(
@@ -210,7 +210,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
             vk = rs.decode(inst.vk_code)
         except DecodeFailure:
             return 0
-        x_digest = digest(x, ots)
+        want = targets(vk, digest(x, ots), ots)
         raw, seen = inst.slots.value, set()
         # n copies of slot 0 (fields cannot carry): verify slot 0 alone
         count = 1 if raw == (raw >> ((n - 1) * ell)) * repeat else n
@@ -219,7 +219,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
             if v in seen:
                 continue
             seen.add(v)
-            if verify(vk, x, BitString(v, ell), ots, message_digest=x_digest):
+            if verify(BitString(v, ell), want, ots):
                 return 1
         return 0
 

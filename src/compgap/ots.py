@@ -11,14 +11,15 @@ fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
 hlen-bit fields: field 2i+b is the digest of the secret preimage sk[2i+b],
 the one revealed when digest bit i is b.  A signature has hlen slen-bit
 fields: field i is the preimage revealed for digest bit i.  `targets` reads
-this layout for `verify` and every forger.
+this layout into the hlen digests a signature must hit; `verify` and
+`PreimageIndex.forge` take that list.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,15 +106,12 @@ class KeyPair:
     vk: BitString  # vk_bits bits; field 2i+b is the digest of sk[2i+b]
 
 
-def kgen(params: OtsParams, seed: int,
-         counter: Optional[Counters] = None) -> KeyPair:
+def kgen(params: OtsParams, seed: int) -> KeyPair:
     rng = random.Random(seed)
     hlen, slen = params.hlen, params.slen
     # sk[0], sk[1], ..., drawn as BitString.random does
     sk = tuple(rng.getrandbits(slen) for _ in range(2 * hlen))
     digests = hash_words(sk, slen, hlen, params.hash_rounds).tolist()
-    if counter is not None:
-        counter.charge(2 * hlen)
     return KeyPair(sk, pack(digests, hlen))
 
 
@@ -132,27 +130,26 @@ def targets(vk: BitString, d: BitString, params: OtsParams) -> List[int]:
     return [fields[2 * i + b] for i, b in enumerate(d)]
 
 
-def sign(sk: Tuple[int, ...], message: BitString, params: OtsParams,
-         counter: Optional[Counters] = None) -> BitString:
+def sign(sk: Tuple[int, ...], message: BitString,
+         params: OtsParams) -> BitString:
     if len(sk) != 2 * params.hlen:
         raise FormatError("secret key does not match params")
-    d = digest(message, params, counter)
+    d = digest(message, params)
     return pack((sk[2 * i + b] for i, b in enumerate(d)), params.slen)
 
 
-def verify(vk: BitString, message: BitString, sig: BitString,
-           params: OtsParams, counter: Optional[Counters] = None,
-           message_digest: Optional[BitString] = None) -> bool:
+def verify(sig: BitString, want: Sequence[int], params: OtsParams,
+           counter: Optional[Counters] = None) -> bool:
+    """Whether field i of sig hashes to want[i] for every i.  Stops at the
+    first miss: k+1 hashes are charged when field k is the first miss."""
     if sig.length != params.sig_bits:
         raise FormatError(
             f"signature must be {params.sig_bits} bits, got {sig.length}")
-    d = message_digest if message_digest is not None \
-        else digest(message, params, counter)
-    for p, t in zip(sig.fields(params.slen), targets(vk, d, params)):
-        if toy_hash(BitString(p, params.slen), params.hlen,
-                    params.hash_rounds, counter).value != t:
-            return False
-    return True
+    if len(want) != params.hlen:
+        raise FormatError(f"need {params.hlen} targets, got {len(want)}")
+    return all(toy_hash(BitString(p, params.slen), params.hlen,
+                        params.hash_rounds, counter).value == t
+               for p, t in zip(sig.fields(params.slen), want))
 
 
 # the largest preimage space PreimageIndex enumerates (2^20 hashes)
@@ -187,16 +184,16 @@ class PreimageIndex:
             self._cache[key] = table
         self.digests, self.preimages = table
 
-    def forge(self, vk: BitString, message: BitString,
-              counter: Optional[Counters] = None) -> BitString:
-        d = digest(message, self.params, counter)
-        want = np.array(targets(vk, d, self.params), dtype=np.uint64)
+    def forge(self, want: Sequence[int]) -> BitString:
+        if len(want) != self.params.hlen:
+            raise FormatError(
+                f"need {self.params.hlen} targets, got {len(want)}")
+        want = np.array(want, dtype=np.uint64)
         pos = np.minimum(np.searchsorted(self.digests, want),
                          len(self.digests) - 1)
         found = self.digests[pos] == want
         if not found.all():
-            i = int(np.argmin(found))
             raise PreimageNotFound(
-                f"no {self.params.slen}-bit preimage for vk field "
-                f"{2 * i + d[i]}")
+                f"no {self.params.slen}-bit preimage for target "
+                f"{int(np.argmin(found))}")
         return pack(self.preimages[pos].tolist(), self.params.slen)

@@ -157,3 +157,19 @@ def test_dimacs_parse_errors_carry_line_numbers():
         read_dimacs("1 0\n")  # clause before header
     with pytest.raises(ParseError):
         read_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
+
+
+@pytest.mark.parametrize("text,error,line_no", [
+    ("c anno\np cnf 2 1\n1 2 0\n", ParseError, 1),
+    ("c anno inputs 1 x\np cnf 2 1\n1 2 0\n", ParseError, 1),
+    ("p cnf 2 1\nc branch 1 two\n1 2 0\n", ParseError, 2),
+    ("p cnf 2 1\n1 2 0\nc prefer 1.5\n", ParseError, 3),
+    ("c branch 5\np cnf 2 1\n1 2 0\n", FormatError, None),
+    ("c prefer 0\np cnf 2 1\n1 2 0\n", FormatError, None),
+], ids=["anno-no-role", "anno-text", "branch-text", "prefer-text",
+        "branch-range", "prefer-zero"])
+def test_dimacs_rejects_malformed_hint_comments(text, error, line_no):
+    with pytest.raises(error) as e:
+        read_dimacs(text)
+    if line_no is not None:
+        assert e.value.line_no == line_no

@@ -12,7 +12,7 @@ from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
 from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import ConfigError
 from compgap.game import STAR, estimate_risk
-from compgap.ots import OtsParams, PreimageIndex, verify
+from compgap.ots import OtsParams, PreimageIndex, digest, targets, verify
 
 # small but fully functional parameters to keep unit tests quick
 OTS = OtsParams(hlen=4, slen=8)          # vk 32 bits, sig 32 bits
@@ -64,7 +64,8 @@ def test_instance_tamper_without_new_signature_yields_star():
         inst, _ = wrap_sample_c1(BASE, OTS, ECC, seed)
         out = h(inst.to_bits().flip(0))
         vk = reed_solomon(ECC).decode(inst.vk_code)
-        if not verify(vk, inst.x.flip(0), inst.sigma, OTS):
+        want = targets(vk, digest(inst.x.flip(0), OTS), OTS)
+        if not verify(inst.sigma, want, OTS):
             assert out is STAR
 
 
@@ -131,7 +132,8 @@ def test_c3_forged_slot_flips_zero_to_one():
             continue
         found = True
         x = rs.decode(inst.x_code)
-        sigma = index.forge(rs.decode(inst.vk_code), x)
+        sigma = index.forge(
+            targets(rs.decode(inst.vk_code), digest(x, C3_OTS), C3_OTS))
         assert h(inst.to_bits()) == 0
         forged = inst.with_slot0(sigma)
         assert forged.slots.extract(0, ell) == sigma

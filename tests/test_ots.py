@@ -9,11 +9,15 @@ from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import Counters
 from compgap.ots import (OtsParams, PreimageIndex, digest, hash_words, kgen,
-                         sign, toy_hash, verify)
+                         sign, targets, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 SMALL = OtsParams(hlen=4, slen=8)
+
+
+def want_for(vk, msg, params=SMALL):
+    return targets(vk, digest(msg, params), params)
 
 
 def test_frozen_hash_vectors():
@@ -72,7 +76,7 @@ def test_sign_verify_roundtrip():
     keys = kgen(SMALL, seed=1)
     msg = BitString(0b1100101, 7)
     sig = sign(keys.sk, msg, SMALL)
-    assert verify(keys.vk, msg, sig, SMALL)
+    assert verify(sig, want_for(keys.vk, msg), SMALL)
 
 
 def test_verify_rejects_other_message():
@@ -81,7 +85,7 @@ def test_verify_rejects_other_message():
     sig = sign(keys.sk, msg, SMALL)
     other = BitString(0b1100100, 7)
     if digest(other, SMALL) != digest(msg, SMALL):
-        assert not verify(keys.vk, other, sig, SMALL)
+        assert not verify(sig, want_for(keys.vk, other), SMALL)
 
 
 @given(st.integers(min_value=0, max_value=1000), st.data())
@@ -100,7 +104,27 @@ def test_verify_matches_preimage_ground_truth(seed, data):
         toy_hash(tampered.extract(i * slen, slen), hlen)
         == keys.vk.extract((2 * i + d[i]) * hlen, hlen)
         for i in range(hlen))
-    assert verify(keys.vk, msg, tampered, SMALL) == truth
+    assert verify(tampered, want_for(keys.vk, msg), SMALL) == truth
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_verify_charges_one_hash_per_field_checked(seed):
+    # fields 0..k-1 hit and field k misses: exactly k+1 hashes; all hit: hlen
+    keys = kgen(SMALL, seed=seed)
+    msg = BitString(seed, 7)
+    sig, want = sign(keys.sk, msg, SMALL), want_for(keys.vk, msg)
+    fields = sig.fields(SMALL.slen)
+    miss = next(p for p in range(1 << SMALL.slen)
+                if toy_hash(BitString(p, SMALL.slen), SMALL.hlen).value
+                not in want)
+    for k in range(SMALL.hlen):
+        c = Counters()
+        bad = pack(fields[:k] + [miss] + fields[k + 1:], SMALL.slen)
+        assert not verify(bad, want, SMALL, c)
+        assert c.queries == k + 1
+    c = Counters()
+    assert verify(sig, want, SMALL, c)
+    assert c.queries == SMALL.hlen
 
 
 def test_key_and_signature_layout():
@@ -125,7 +149,8 @@ def test_preimage_index_matches_exhaustive_validity():
     index = PreimageIndex(params)
     for m in (0, 1, 99):
         msg = BitString(m, 7)
-        assert verify(keys.vk, msg, index.forge(keys.vk, msg), params)
+        want = want_for(keys.vk, msg, params)
+        assert verify(index.forge(want), want, params)
 
 
 @pytest.mark.parametrize("slen,hlen", [(8, 4), (10, 8), (12, 6)])
@@ -146,14 +171,11 @@ def test_preimage_index_reports_first_target_without_preimage():
     absent = [v for v in range(256) if v not in have]
     # positions 0 and 1 can be forged; 2 and up cannot, and the last
     # target sorts after every digest in the table
-    values = have[:2] + absent[:5] + [absent[-1]]
+    want = have[:2] + absent[:5] + [absent[-1]]
     assert absent[-1] > have[-1]
-    vk = pack((v for v in values for _ in (0, 1)), 8)
-    msg = BitString(5, 7)
-    d = digest(msg, params)
     with pytest.raises(PreimageNotFound,
-                       match=rf"^no 4-bit preimage for vk field {4 + d[2]}$"):
-        index.forge(vk, msg)
+                       match=r"^no 4-bit preimage for target 2$"):
+        index.forge(want)
 
 
 def test_forge_cap_enforced():
@@ -164,12 +186,18 @@ def test_forge_cap_enforced():
 def test_wrong_length_signature_rejected_loudly():
     keys = kgen(SMALL, seed=7)
     msg = BitString(0, 7)
-    sig = sign(keys.sk, msg, SMALL)
-    for vk, bad in [(keys.vk, BitString(0, 5)),
-                    (keys.vk, BitString(0, 3 * SMALL.hlen)),
-                    (keys.vk.extract(0, SMALL.vk_bits - 1), sig)]:
+    sig, want = sign(keys.sk, msg, SMALL), want_for(keys.vk, msg)
+    for bad in (BitString(0, 5), BitString(0, 3 * SMALL.hlen)):
         with pytest.raises(FormatError):
-            verify(vk, msg, bad, SMALL)
+            verify(bad, want, SMALL)
+    with pytest.raises(FormatError):
+        targets(keys.vk.extract(0, SMALL.vk_bits - 1), digest(msg, SMALL),
+                SMALL)
+    # a short target list must not check only a prefix of the signature
+    with pytest.raises(FormatError):
+        verify(sig, want[:-1], SMALL)
+    with pytest.raises(FormatError):
+        PreimageIndex(SMALL).forge(want[:-1])
 
 
 def test_distinct_seeds_distinct_keys():
