@@ -4,7 +4,7 @@ Everything downstream of the CNF compiler needs the hypothesis as a gate
 list rather than a Python callable.  The builder does constant folding and
 structural deduplication, so the arithmetic-heavy circuits (ripple adders,
 shift-add constant multipliers inside the hash) stay as small as the
-construction allows.
+construction allows.  The hash is ots.mix_words run on a `_Word` of wires.
 
 Wire references during construction are either a bool (a folded constant)
 or an int wire index; emitted circuits contain no constant wires.
@@ -18,8 +18,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .bitstring import BitString
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, FormatError
-from .game import GOLDEN, MASK64, MUL1, MUL2
-from .ots import INIT, OtsParams
+from .ots import OtsParams, mix_words
 
 Ref = Union[bool, int]
 
@@ -217,12 +216,6 @@ class CircuitBuilder:
 # Word-level helpers (LSB-first wire lists)
 # ---------------------------------------------------------------------------
 
-def _const_word(value: int, width: int = 64) -> List[Ref]:
-    return [bool((value >> j) & 1) for j in range(width)]
-
-def _xor_words(b: CircuitBuilder, u: List[Ref], v: List[Ref]) -> List[Ref]:
-    return [b.xor(x, y) for x, y in zip(u, v)]
-
 def _add_words(b: CircuitBuilder, u: List[Ref], v: List[Ref]) -> List[Ref]:
     """Ripple-carry addition truncated to the common width."""
     out: List[Ref] = []
@@ -233,50 +226,51 @@ def _add_words(b: CircuitBuilder, u: List[Ref], v: List[Ref]) -> List[Ref]:
         carry = b.or_(b.and_(x, y), b.and_(carry, s))
     return out
 
-def _shift_left(u: List[Ref], k: int) -> List[Ref]:
-    return ([False] * k + u)[: len(u)]
 
-def _xorshift_right(b: CircuitBuilder, u: List[Ref], k: int) -> List[Ref]:
-    n = len(u)
-    return [b.xor(u[j], u[j + k]) if j + k < n else u[j] for j in range(n)]
+class _Word:
+    """64 refs, LSB first, with the operators ots.mix_words applies: ^ & +
+    with a word or an int constant, whose bits fold in the builder; >> by
+    a constant; and * by a constant, as shift-and-add."""
 
-def _mul_const(b: CircuitBuilder, u: List[Ref], c: int) -> List[Ref]:
-    acc: Optional[List[Ref]] = None
-    for k in range(len(u)):
-        if (c >> k) & 1:
-            term = _shift_left(u, k)
-            acc = term if acc is None else _add_words(b, acc, term)
-    return acc if acc is not None else [False] * len(u)
+    def __init__(self, b: CircuitBuilder, bits: List[Ref]) -> None:
+        self.b, self.bits = b, bits
 
+    def _other(self, v: Union["_Word", int]) -> List[Ref]:
+        return v.bits if isinstance(v, _Word) else \
+            [bool((v >> j) & 1) for j in range(64)]
 
-def _hash_round(b: CircuitBuilder, z: List[Ref]) -> List[Ref]:
-    z = _xorshift_right(b, z, 30)
-    z = _mul_const(b, z, MUL1)
-    z = _xorshift_right(b, z, 27)
-    z = _mul_const(b, z, MUL2)
-    return _xorshift_right(b, z, 31)
+    def __xor__(self, v: Union["_Word", int]) -> "_Word":
+        return _Word(self.b, list(map(self.b.xor, self.bits, self._other(v))))
+
+    __rxor__ = __xor__
+
+    def __and__(self, v: int) -> "_Word":
+        return _Word(self.b, list(map(self.b.and_, self.bits, self._other(v))))
+
+    def __add__(self, v: Union["_Word", int]) -> "_Word":
+        return _Word(self.b, _add_words(self.b, self.bits, self._other(v)))
+
+    def __rshift__(self, k: int) -> "_Word":
+        return _Word(self.b, self.bits[k:] + [False] * k)
+
+    def __mul__(self, c: int) -> "_Word":
+        acc = _Word(self.b, [False] * 64)
+        for k in range(64):
+            if (c >> k) & 1:
+                acc += _Word(self.b, ([False] * k + self.bits)[:64])
+        return acc
 
 
 def hash_circuit(b: CircuitBuilder, bits_msb: Sequence[Ref], length: int,
                  out_bits: int, rounds: int) -> List[Ref]:
-    """Gate-level toy_hash for messages that fit one 64-bit word.
-
-    Mirrors ots.toy_hash operation for operation; returns out_bits refs
-    MSB-first.
-    """
+    """Gate-level toy_hash of a message that fits one 64-bit word, as
+    out_bits refs MSB-first: ots.mix_words of a circuit word."""
     if length > 64 or out_bits > 64:
         raise ConfigError("hash circuit limited to one 64-bit word")
-    state = _const_word(INIT ^ ((length * GOLDEN) & MASK64))
-    word: List[Ref] = [False] * 64
-    for j in range(length):
-        word[j] = bits_msb[length - 1 - j]
-    state = _xor_words(b, state, word)
-    for _ in range(rounds):
-        state = _add_words(b, state, _const_word(GOLDEN))
-        state = _hash_round(b, state)
-    state = _add_words(b, state, _const_word(GOLDEN))
-    state = _hash_round(b, state)
-    return [state[63 - j] for j in range(out_bits)]
+    word = [bits_msb[length - 1 - j] for j in range(length)]
+    digest = mix_words(_Word(b, word + [False] * (64 - length)), length,
+                       out_bits, rounds)
+    return digest.bits[:out_bits][::-1]
 
 
 # ---------------------------------------------------------------------------

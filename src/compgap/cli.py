@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import List, NamedTuple, Optional
 
@@ -28,11 +29,12 @@ from .cnf import CnfFormula, encode_hamming_ball, write_dimacs
 from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
+from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, InvariantViolation, ParseError
 from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
                    game_transcript, mix_seed)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
-from .solver import Status, solve_small
+from .solver import Status, count_projected_models, solve_small
 
 CSV_HEADER = "experiment,params,point,half_width,trials,seed"
 
@@ -271,13 +273,11 @@ def cmd_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     check("budget 0 collapses to the noise rate",
           analytic_adv_risk(p15, 0) == Fraction(0.05))
 
-    from .ecc import EccParams, reed_solomon
     ecc = EccParams(k_sym=2, n_sym=6, bits_per_symbol=8)
     rs = reed_solomon(ecc)
     ok = True
     msg = BitString(0xA53C, 16)
     cw = rs.encode(msg)
-    from itertools import combinations
     for t in range(ecc.t_max + 1):
         for pos in combinations(range(cw.length), t):
             if rs.decode(cw.flip(*pos) if pos else cw) != msg:
@@ -287,7 +287,6 @@ def cmd_oracle_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     f = CnfFormula()
     iv = f.new_vars(6)
     encode_hamming_ball(f, BitString(0b101010, 6), iv, 2)
-    from .solver import count_projected_models
     check("radius-2 ball over 6 bits has 22 points",
           count_projected_models(f, iv) == 22)
 

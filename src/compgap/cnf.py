@@ -219,6 +219,8 @@ def read_dimacs(text: str) -> CnfFormula:
                 raise ParseError(f"malformed c {kind} comment", line_no)
             continue
         if line.startswith("p"):
+            if header_seen:
+                raise ParseError("second problem line", line_no)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("malformed problem line", line_no)
@@ -227,6 +229,8 @@ def read_dimacs(text: str) -> CnfFormula:
                 expected_clauses = int(parts[3])
             except ValueError:
                 raise ParseError("non-numeric problem line", line_no)
+            if f.num_vars < 0 or expected_clauses < 0:
+                raise ParseError("negative count in problem line", line_no)
             header_seen = True
             continue
         if not header_seen:

@@ -37,8 +37,8 @@ STAR = _Star()
 
 Label = Union[int, _Star]
 
-# splitmix64's constants; ots.toy_hash and its gate-level twin in circuits
-# use the same mixer
+# splitmix64's constants; splitmix64 is also the round function of the toy
+# hash, ots.mix_words
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MUL1 = 0xBF58476D1CE4E5B9
@@ -46,8 +46,8 @@ MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(z: int) -> int:
-    """The splitmix64 finalizer of z mod 2^64; z may also be a numpy uint64
-    array (ots.hash_words), whose arithmetic wraps mod 2^64."""
+    """The splitmix64 finalizer of z mod 2^64, for any value ots.mix_words
+    hashes: an int, a numpy uint64 array or a circuit word."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * MUL1) & MASK64
     z = ((z ^ (z >> 27)) * MUL2) & MASK64

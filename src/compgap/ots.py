@@ -4,7 +4,9 @@ The (hlen, slen) dial is the whole point: bounded forgers get a query budget
 far below 2**slen while the exhaustive forger searches the full preimage
 space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
-cryptographic strength and none is claimed.
+cryptographic strength and none is claimed.  `mix_words` is its one
+implementation: `toy_hash` applies it to a bit string, `hash_words` to a
+numpy uint64 array and `circuits.hash_circuit` to a word of circuit wires.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -31,52 +33,36 @@ from .game import GOLDEN, MASK64, Counters, splitmix64
 INIT = 0x6A09E667F3BCC909
 
 
-def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
-             counter: Optional[Counters] = None) -> BitString:
-    """Deterministic bit-mixing hash, specified bit-exactly in docs/toy_hash.md.
-
-    Absorbs the input as big-endian 64-bit words (the last word left-padded
-    with zeros), applying `rounds` xorshift-multiply rounds per word, then
-    squeezes ceil(out_bits/64) words and truncates to the high out_bits.
+def mix_words(value, length: int, out_bits: int, rounds: int):
+    """The toy hash (docs/toy_hash.md) of the `length`-bit `value`, out_bits
+    in 1..64.  Only ^ & >> + and * touch the value, so it may be an int, a
+    numpy uint64 array (elementwise, wrapping mod 2^64) or a circuit word.
     """
-    if out_bits < 1:
-        raise FormatError("out_bits must be >= 1")
-    if counter is not None:
-        counter.charge()
-    state = (INIT ^ (x.length * GOLDEN)) & MASK64
-    n_words = (x.length + 63) // 64
-    for w in range(n_words):
-        shift = max(0, x.length - 64 * (w + 1))
-        word = (x.value >> shift) & MASK64
-        state ^= word
+    state = INIT ^ (length * GOLDEN & MASK64)
+    for w in range((length + 63) // 64):
+        state ^= (value >> max(0, length - 64 * (w + 1))) & MASK64
         for _ in range(rounds):
             state = splitmix64(state + GOLDEN)
-    out = 0
-    produced = 0
-    j = 0
-    while produced < out_bits:
-        state = splitmix64(state + (j + 1) * GOLDEN)
-        out = (out << 64) | state
-        produced += 64
-        j += 1
-    return BitString(out >> (produced - out_bits), out_bits)
+    return splitmix64(state + GOLDEN) >> (64 - out_bits)
+
+
+def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
+             counter: Optional[Counters] = None) -> BitString:
+    """mix_words of one bit string, out_bits in 1..64."""
+    if not 1 <= out_bits <= 64:
+        raise FormatError("toy_hash needs 1 <= out_bits <= 64")
+    if counter is not None:
+        counter.charge()
+    return BitString(mix_words(x.value, x.length, out_bits, rounds), out_bits)
 
 
 def hash_words(values, length: int, out_bits: int,
                rounds: int = 2) -> np.ndarray:
-    """toy_hash of many `length`-bit inputs at once, as a uint64 array.
-
-    Single-word domain: length <= 64 and out_bits <= 64, so one word is
-    absorbed and one squeezed.  Each round is game.splitmix64(z + GOLDEN)
-    on the whole array, whose uint64 arithmetic wraps mod 2^64.
-    """
+    """toy_hash of many `length`-bit inputs at once, as a uint64 array."""
     if not (1 <= length <= 64 and 1 <= out_bits <= 64):
         raise FormatError("hash_words needs 1 <= length, out_bits <= 64")
-    z = np.asarray(values, dtype=np.uint64) \
-        ^ np.uint64((INIT ^ (length * GOLDEN)) & MASK64)
-    for _ in range(rounds + 1):  # absorbing rounds, then squeezing word 0
-        z = splitmix64(z + np.uint64(GOLDEN))
-    return z >> np.uint64(64 - out_bits)
+    return mix_words(np.asarray(values, dtype=np.uint64), length, out_bits,
+                     rounds)
 
 
 @dataclass(frozen=True, slots=True)

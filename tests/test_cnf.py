@@ -157,6 +157,11 @@ def test_dimacs_parse_errors_carry_line_numbers():
         read_dimacs("1 0\n")  # clause before header
     with pytest.raises(ParseError):
         read_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
+    for text, line_no in [("p cnf -3 0\n", 1), ("p cnf 2 -1\n", 1),
+                          ("p cnf 2 1\np cnf 3 1\n1 3 0\n", 2)]:
+        with pytest.raises(ParseError) as e:
+            read_dimacs(text)
+        assert e.value.line_no == line_no
 
 
 @pytest.mark.parametrize("text,error,line_no", [

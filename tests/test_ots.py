@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
-from compgap.game import Counters
-from compgap.ots import (OtsParams, PreimageIndex, digest, hash_words, kgen,
-                         sign, targets, toy_hash, verify)
+from compgap.game import GOLDEN, MUL1, MUL2, Counters
+from compgap.ots import (INIT, OtsParams, PreimageIndex, digest, hash_words,
+                         kgen, sign, targets, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -61,6 +61,23 @@ def test_hash_charges_counter():
     c = Counters()
     toy_hash(BitString(0, 8), 8, counter=c)
     assert c.queries == 1
+
+
+@pytest.mark.parametrize("out_bits", [0, 65])
+def test_hash_output_is_one_word(out_bits):
+    with pytest.raises(FormatError):
+        toy_hash(BitString(1, 8), out_bits)
+    with pytest.raises(FormatError):
+        hash_words([1], 8, out_bits)
+
+
+def test_spec_constants_match_code():
+    spec = (Path(__file__).parents[1] / "docs" / "toy_hash.md").read_text()
+    block = spec.split("## Constants", 1)[1].split("```")[1]
+    consts = {name.strip(): int(value, 16) for name, value in
+              (line.split("=") for line in block.strip().splitlines())}
+    assert consts == {"GOLDEN": GOLDEN, "INIT": INIT, "MUL1": MUL1,
+                      "MUL2": MUL2}
 
 
 @given(st.integers(min_value=1, max_value=128), st.data())
