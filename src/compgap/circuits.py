@@ -1,10 +1,9 @@
-"""Explicit Boolean circuits for the shipped hypotheses.
+"""An explicit Boolean circuit for the majority classifier.
 
-Everything downstream of the CNF compiler needs the hypothesis as a gate
-list rather than a Python callable.  The builder does constant folding and
-structural deduplication, so the arithmetic-heavy circuits (ripple adders,
-shift-add constant multipliers inside the hash) stay as small as the
-construction allows.  The hash is ots.mix_words run on a `_Word` of wires.
+The CNF compiler needs the hypothesis as a gate list rather than a Python
+callable.  A circuit has one output wire, the label bit.  The builder does
+constant folding and structural deduplication, so the adder tree of the
+majority circuit stays as small as the construction allows.
 
 Wire references during construction are either a bool (a folded constant)
 or an int wire index; emitted circuits contain no constant wires.
@@ -12,13 +11,11 @@ or an int wire index; emitted circuits contain no constant wires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .bitstring import BitString
-from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, FormatError
-from .ots import OtsParams, mix_words
 
 Ref = Union[bool, int]
 
@@ -35,14 +32,12 @@ class BoolCircuit:
     """Topologically ordered gate list over {AND, OR, NOT, XOR}.
 
     Wires 0..n_inputs-1 are the inputs; gate i drives wire n_inputs+i.
-    `outputs` lists one wire per label bit; `star` is an optional extra
-    output wire meaning "input rejected".
+    `output` is the wire carrying the label bit.
     """
 
     n_inputs: int
     gates: Tuple[Tuple[str, int, Optional[int]], ...]
-    outputs: Tuple[int, ...]
-    star: Optional[int] = None
+    output: int
 
     def __post_init__(self) -> None:
         for gi, (op, a, b) in enumerate(self.gates):
@@ -53,30 +48,26 @@ class BoolCircuit:
                 raise FormatError(f"gate {gi} reads a later wire")
             if (b is None) != (op == _NOT):
                 raise FormatError(f"gate {gi} has wrong arity for {op}")
-        n_wires = self.n_inputs + len(self.gates)
-        for w in self.outputs:
-            if not 0 <= w < n_wires:
-                raise FormatError(f"output wire {w} out of range")
-        if self.star is not None and not 0 <= self.star < n_wires:
-            raise FormatError(f"star wire {self.star} out of range")
+        if not 0 <= self.output < self.n_inputs + len(self.gates):
+            raise FormatError(f"output wire {self.output} out of range")
 
     @property
     def n_gates(self) -> int:
         return len(self.gates)
 
 
-def eval_batch(circuit: BoolCircuit,
-               xs: Sequence[BitString]) -> List[Tuple[Tuple[int, ...], bool]]:
-    """Evaluate many inputs at once, one integer bit-lane per input."""
-    m = len(xs)
-    mask = (1 << m) - 1
+def eval_batch(circuit: BoolCircuit, xs: Sequence[BitString]) -> List[int]:
+    """The output bit for each input, evaluated all at once with one
+    integer bit-lane per input."""
+    for x in xs:
+        if x.length != circuit.n_inputs:
+            raise FormatError(
+                f"input is {x.length} bits, circuit wants {circuit.n_inputs}")
+    mask = (1 << len(xs)) - 1
     wires = []
     for i in range(circuit.n_inputs):
         v = 0
         for t, x in enumerate(xs):
-            if x.length != circuit.n_inputs:
-                raise FormatError(
-                    f"input is {x.length} bits, circuit wants {circuit.n_inputs}")
             v |= x[i] << t
         wires.append(v)
     for op, a, b in circuit.gates:
@@ -88,17 +79,11 @@ def eval_batch(circuit: BoolCircuit,
             wires.append(wires[a] | wires[b])
         else:
             wires.append(wires[a] ^ wires[b])
-    out = []
-    for t in range(m):
-        labels = tuple((wires[w] >> t) & 1 for w in circuit.outputs)
-        star = bool((wires[circuit.star] >> t) & 1) \
-            if circuit.star is not None else False
-        out.append((labels, star))
-    return out
+    out = wires[circuit.output]
+    return [(out >> t) & 1 for t in range(len(xs))]
 
 
-def eval_circuit(circuit: BoolCircuit,
-                 x: BitString) -> Tuple[Tuple[int, ...], bool]:
+def eval_circuit(circuit: BoolCircuit, x: BitString) -> int:
     return eval_batch(circuit, [x])[0]
 
 
@@ -180,44 +165,25 @@ class CircuitBuilder:
         return acc
 
     def materialize(self, ref: Ref) -> int:
-        """Turn a folded constant into a real wire (outputs must be wires)."""
+        """Turn a folded constant into a real wire (the output must be a
+        wire)."""
         if not isinstance(ref, bool):
             return ref
         t = self._emit(_OR, 0, self._emit(_NOT, 0, None))
         return t if ref else self._emit(_NOT, t, None)
 
-    def inline(self, sub: BoolCircuit, inputs: Sequence[Ref]) -> List[Ref]:
-        """Splice another circuit's gates onto the given input refs.
-
-        Returns the refs for the sub-circuit's output wires (star excluded).
-        """
-        if len(inputs) != sub.n_inputs:
-            raise ConfigError("inline input count mismatch")
-        refs: List[Ref] = list(inputs)
-        for op, a, b in sub.gates:
-            if op == _NOT:
-                refs.append(self.not_(refs[a]))
-            elif op == _AND:
-                refs.append(self.and_(refs[a], refs[b]))
-            elif op == _OR:
-                refs.append(self.or_(refs[a], refs[b]))
-            else:
-                refs.append(self.xor(refs[a], refs[b]))
-        return [refs[w] for w in sub.outputs]
-
-    def build(self, outputs: Sequence[Ref],
-              star: Optional[Ref] = None) -> BoolCircuit:
-        outs = tuple(self.materialize(o) for o in outputs)
-        star_w = None if star is None else self.materialize(star)
-        return BoolCircuit(self.n_inputs, tuple(self.gates), outs, star_w)
+    def build(self, output: Ref) -> BoolCircuit:
+        wire = self.materialize(output)  # may emit gates
+        return BoolCircuit(self.n_inputs, tuple(self.gates), wire)
 
 
 # ---------------------------------------------------------------------------
-# Word-level helpers (LSB-first wire lists)
+# The majority circuit
 # ---------------------------------------------------------------------------
 
 def _add_words(b: CircuitBuilder, u: List[Ref], v: List[Ref]) -> List[Ref]:
-    """Ripple-carry addition truncated to the common width."""
+    """Ripple-carry addition of two LSB-first wire lists, truncated to the
+    common width."""
     out: List[Ref] = []
     carry: Ref = False
     for x, y in zip(u, v):
@@ -226,56 +192,6 @@ def _add_words(b: CircuitBuilder, u: List[Ref], v: List[Ref]) -> List[Ref]:
         carry = b.or_(b.and_(x, y), b.and_(carry, s))
     return out
 
-
-class _Word:
-    """64 refs, LSB first, with the operators ots.mix_words applies: ^ & +
-    with a word or an int constant, whose bits fold in the builder; >> by
-    a constant; and * by a constant, as shift-and-add."""
-
-    def __init__(self, b: CircuitBuilder, bits: List[Ref]) -> None:
-        self.b, self.bits = b, bits
-
-    def _other(self, v: Union["_Word", int]) -> List[Ref]:
-        return v.bits if isinstance(v, _Word) else \
-            [bool((v >> j) & 1) for j in range(64)]
-
-    def __xor__(self, v: Union["_Word", int]) -> "_Word":
-        return _Word(self.b, list(map(self.b.xor, self.bits, self._other(v))))
-
-    __rxor__ = __xor__
-
-    def __and__(self, v: int) -> "_Word":
-        return _Word(self.b, list(map(self.b.and_, self.bits, self._other(v))))
-
-    def __add__(self, v: Union["_Word", int]) -> "_Word":
-        return _Word(self.b, _add_words(self.b, self.bits, self._other(v)))
-
-    def __rshift__(self, k: int) -> "_Word":
-        return _Word(self.b, self.bits[k:] + [False] * k)
-
-    def __mul__(self, c: int) -> "_Word":
-        acc = _Word(self.b, [False] * 64)
-        for k in range(64):
-            if (c >> k) & 1:
-                acc += _Word(self.b, ([False] * k + self.bits)[:64])
-        return acc
-
-
-def hash_circuit(b: CircuitBuilder, bits_msb: Sequence[Ref], length: int,
-                 out_bits: int, rounds: int) -> List[Ref]:
-    """Gate-level toy_hash of a message that fits one 64-bit word, as
-    out_bits refs MSB-first: ots.mix_words of a circuit word."""
-    if length > 64 or out_bits > 64:
-        raise ConfigError("hash circuit limited to one 64-bit word")
-    word = [bits_msb[length - 1 - j] for j in range(length)]
-    digest = mix_words(_Word(b, word + [False] * (64 - length)), length,
-                       out_bits, rounds)
-    return digest.bits[:out_bits][::-1]
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis circuits
-# ---------------------------------------------------------------------------
 
 MAJORITY_D_CAP = 63
 
@@ -309,61 +225,4 @@ def circuit_of_majority(d: int) -> BoolCircuit:
         if tb == 0:
             gt = b.or_(gt, b.and_(eq, total[j]))
         eq = b.and_(eq, b.xnor(total[j], bool(tb)))
-    return b.build([b.or_(gt, eq)])
-
-
-C1_CIRCUIT_HLEN_CAP = 4
-C1_CIRCUIT_SLEN_CAP = 8
-
-
-def circuit_of_classifier_c1(base: BoolCircuit, ots: OtsParams,
-                             ecc: EccParams) -> BoolCircuit:
-    """Gate-level form of the tamper-detecting classifier at tiny parameters.
-
-    Two outputs: the base label, and a star wire raised when the key
-    codeword has inconsistent parity or the signature fails to verify.
-    Restricted to codes with t_max = 0: their decoder accepts exactly the
-    codewords, which makes decoding a parity re-check, a pure XOR network.
-    """
-    if ots.hlen > C1_CIRCUIT_HLEN_CAP or ots.slen > C1_CIRCUIT_SLEN_CAP:
-        raise ConfigError(
-            f"circuit emission capped at hlen<={C1_CIRCUIT_HLEN_CAP}, "
-            f"slen<={C1_CIRCUIT_SLEN_CAP}")
-    if ecc.t_max != 0:
-        raise ConfigError(
-            "classifier circuit requires a t_max=0 code (decode == parity check)")
-    if ecc.data_bits != ots.vk_bits:
-        raise ConfigError(
-            f"code data width {ecc.data_bits} != verification-key width "
-            f"{ots.vk_bits}")
-    d = base.n_inputs
-    hlen, slen = ots.hlen, ots.slen
-    b = CircuitBuilder(d + ots.sig_bits + ecc.n_bits)
-    x = [b.input(i) for i in range(d)]
-    sig = [b.input(d + i) for i in range(ots.sig_bits)]
-    code = [b.input(d + ots.sig_bits + i) for i in range(ecc.n_bits)]
-    data, parity = code[: ecc.data_bits], code[ecc.data_bits:]
-
-    # parity bit j (MSB-first) is the XOR of the data bits whose parity
-    # column has it set
-    columns = reed_solomon(ecc).parity_columns
-    checks: List[Ref] = []
-    for j, pbit in enumerate(parity):
-        shift = len(parity) - 1 - j
-        pred = b.xor_all([data[i] for i, col in enumerate(columns)
-                          if (col >> shift) & 1])
-        checks.append(b.xnor(pred, pbit))
-
-    dig = hash_circuit(b, x, d, hlen, ots.hash_rounds)
-    for i in range(hlen):
-        pre = sig[i * slen: (i + 1) * slen]
-        h = hash_circuit(b, pre, slen, hlen, ots.hash_rounds)
-        vk0 = data[2 * i * hlen: (2 * i + 1) * hlen]
-        vk1 = data[(2 * i + 1) * hlen: (2 * i + 2) * hlen]
-        for j in range(hlen):
-            target = b.mux(dig[i], vk0[j], vk1[j])
-            checks.append(b.xnor(h[j], target))
-
-    verified = b.and_all(checks)
-    label = b.inline(base, x)[0]
-    return b.build([label], star=b.not_(verified))
+    return b.build(b.or_(gt, eq))

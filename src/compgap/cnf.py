@@ -67,8 +67,8 @@ def tseitin(circuit: BoolCircuit) -> CnfFormula:
 
     Variable i+1 encodes wire i, so inputs are variables 1..n_inputs.  The
     formula constrains every gate variable to equal its gate's function; it
-    places no constraint on the outputs.  Annotations expose the input,
-    output, and star variables.
+    places no constraint on the output.  Annotations expose the input
+    variables and, under "outputs", the output variable.
     """
     f = CnfFormula()
     f.new_vars(circuit.n_inputs + circuit.n_gates)
@@ -94,9 +94,7 @@ def tseitin(circuit: BoolCircuit) -> CnfFormula:
             f.add_clause([g, -va, vb])
             f.add_clause([g, va, -vb])
     f.annotate("inputs", [i + 1 for i in range(circuit.n_inputs)])
-    f.annotate("outputs", [w + 1 for w in circuit.outputs])
-    if circuit.star is not None:
-        f.annotate("star", [circuit.star + 1])
+    f.annotate("outputs", [circuit.output + 1])
     return f
 
 

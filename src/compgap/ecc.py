@@ -10,9 +10,8 @@ Systematic encoding is GF(2)-linear on bits, so the code is held as one
 linear map: a parity column per data bit (the parity bits of the unit
 message with that bit set), built once per code.  Encoding and the codeword
 test ("does the parity part equal the parity of the message part?") are
-XORs of Python ints over those columns; the circuit emitter reads the same
-columns.  Only error correction (syndromes, Berlekamp-Massey, Chien/Forney)
-works on numpy symbol arrays.
+XORs of Python ints over those columns.  Only error correction (syndromes,
+Berlekamp-Massey, Chien/Forney) works on numpy symbol arrays.
 
 Error correction works on logarithms.  log[0] is the sentinel Z = 2*order,
 and exp is zero from index Z on (it has 4*order + 1 entries), so
@@ -148,7 +147,7 @@ class ReedSolomon:
         js = np.arange(1, self.nparity + 1, dtype=np.int64)
         self._syn_exp = (degs[None, :] * js[:, None]) % self.order
         self.parity_bits = self.nparity * params.bits_per_symbol
-        self.parity_columns = self._parity_columns()
+        self._columns = self._parity_columns()
 
     # ---- GF helpers ----------------------------------------------------
 
@@ -204,7 +203,7 @@ class ReedSolomon:
         """Parity bits of the systematic encoding: the XOR of the columns
         of the set data bits."""
         bits = format(message, f"0{self.params.data_bits}b")
-        return reduce(xor, compress(self.parity_columns,
+        return reduce(xor, compress(self._columns,
                                     bits.encode().translate(_ZERO_ONE)), 0)
 
     def is_codeword(self, word: int) -> bool:

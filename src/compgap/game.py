@@ -38,7 +38,7 @@ STAR = _Star()
 Label = Union[int, _Star]
 
 # splitmix64's constants; splitmix64 is also the round function of the toy
-# hash, ots.mix_words
+# hash, ots.mix_words, so it must work on ints and uint64 arrays alike
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MUL1 = 0xBF58476D1CE4E5B9
@@ -46,8 +46,8 @@ MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64(z: int) -> int:
-    """The splitmix64 finalizer of z mod 2^64, for any value ots.mix_words
-    hashes: an int, a numpy uint64 array or a circuit word."""
+    """The splitmix64 finalizer of z mod 2^64, for either kind of value
+    ots.mix_words hashes: an int or a numpy uint64 array."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * MUL1) & MASK64
     z = ((z ^ (z >> 27)) * MUL2) & MASK64
@@ -66,9 +66,6 @@ class Reason(enum.Enum):
     BUDGET_EXCEEDED = "budget_exceeded"
     DETECTED_STAR = "detected_star"
     CORRECT_LABEL = "correct_label"
-
-
-_WINNING_REASONS = {Reason.MISCLASSIFIED_UNTAMPERED, Reason.TAMPER_WIN}
 
 
 @dataclass(frozen=True, slots=True)

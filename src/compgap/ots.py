@@ -5,8 +5,8 @@ far below 2**slen while the exhaustive forger searches the full preimage
 space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.  `mix_words` is its one
-implementation: `toy_hash` applies it to a bit string, `hash_words` to a
-numpy uint64 array and `circuits.hash_circuit` to a word of circuit wires.
+implementation: `toy_hash` applies it to a bit string and `hash_words` to
+a numpy uint64 array.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -35,8 +35,8 @@ INIT = 0x6A09E667F3BCC909
 
 def mix_words(value, length: int, out_bits: int, rounds: int):
     """The toy hash (docs/toy_hash.md) of the `length`-bit `value`, out_bits
-    in 1..64.  Only ^ & >> + and * touch the value, so it may be an int, a
-    numpy uint64 array (elementwise, wrapping mod 2^64) or a circuit word.
+    in 1..64.  Only ^ & >> + and * touch the value, so it may be an int or
+    a numpy uint64 array (elementwise, wrapping mod 2^64).
     """
     state = INIT ^ (length * GOLDEN & MASK64)
     for w in range((length + 63) // 64):

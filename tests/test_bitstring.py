@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString, concat_all, hamming_distance, pack
-from compgap.errors import FormatError, LengthError
+from compgap.errors import LengthError
 
 bitstrings = st.integers(min_value=1, max_value=96).flatmap(
     lambda n: st.builds(BitString,

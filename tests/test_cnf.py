@@ -10,8 +10,7 @@ from compgap.circuits import CircuitBuilder, eval_batch
 from compgap.cnf import (CnfFormula, at_least, at_most, encode_hamming_ball,
                          read_dimacs, tseitin, write_dimacs)
 from compgap.errors import FormatError, ParseError
-from compgap.solver import (Status, count_projected_models, solve_enumerate,
-                            solve_small)
+from compgap.solver import Status, count_projected_models, solve_small
 
 
 def random_circuit(rng, n_inputs=None):
@@ -27,12 +26,12 @@ def random_circuit(rng, n_inputs=None):
             refs.append(getattr(b, {"and": "and_", "or": "or_",
                                     "xor": "xor"}[op])(x, y))
     out = refs[-1] if not isinstance(refs[-1], bool) else b.input(0)
-    return b.build([out])
+    return b.build(out)
 
 
 def test_single_and_gate_clauses():
     b = CircuitBuilder(2)
-    c = b.build([b.and_(b.input(0), b.input(1))])
+    c = b.build(b.and_(b.input(0), b.input(1)))
     f = tseitin(c)
     assert f.num_vars == 3  # inputs + gates
     assert sorted(sorted(cl) for cl in f.clauses) == \
@@ -53,7 +52,7 @@ def test_tseitin_equisatisfiable_with_truth_table():
         f = tseitin(c)
         f.add_clause([f.annotations["outputs"][0]])
         xs = [BitString(v, c.n_inputs) for v in range(1 << c.n_inputs)]
-        truth = any(r[0][0] for r in eval_batch(c, xs))
+        truth = any(eval_batch(c, xs))
         assert (solve_small(f).status is Status.SAT) == truth
 
 

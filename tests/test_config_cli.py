@@ -1,6 +1,3 @@
-import os
-from pathlib import Path
-
 import pytest
 
 from compgap import cli

@@ -1,8 +1,7 @@
-import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString, pack

@@ -4,13 +4,13 @@ import pytest
 
 from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_noise_problem)
-from compgap.bitstring import hamming_distance
+from compgap.bitstring import BitString, hamming_distance
 from compgap.circuits import circuit_of_majority, eval_circuit
 from compgap.errors import ConfigError
 from compgap.game import binomial_half_width, mix_seed
 from compgap.samplers import (Stage, check_witness, sample_s1, sample_s2,
                               sample_s_final)
-from compgap.solver import Status, solve_enumerate, solve_small
+from compgap.solver import Status, solve_small
 
 P = MajorityNoiseParams(9, 0.05)
 PROB = majority_noise_problem(P)
@@ -26,11 +26,9 @@ def test_s1_verdict_matches_ball_enumeration():
         blk = bundle.blocks[0]
         exists = False
         for v in range(1 << 9):
-            from compgap.bitstring import BitString
             xp = BitString(v, 9)
             if hamming_distance(blk.x, xp) <= 2:
-                labels, star = eval_circuit(CIRCUIT, xp)
-                if not star and labels[0] != blk.y:
+                if eval_circuit(CIRCUIT, xp) != blk.y:
                     exists = True
                     break
         assert (solve_small(bundle.formula).status is Status.SAT) == exists
@@ -51,6 +49,46 @@ def test_s1_witnesses_decode_to_adversarial_examples():
             assert check_witness(bundle, CIRCUIT, res.assignment)
             ((_, xp),) = bundle.witness_decoder(res.assignment)
             assert hamming_distance(bundle.blocks[0].x, xp) <= 2
+
+
+def _sat_s1_with_clean_label():
+    """An S1 bundle whose x the circuit labels y, with a satisfying
+    assignment."""
+    for i in range(100):
+        bundle = sample_s1(PROB, CIRCUIT, 2, mix_seed(3, i))
+        blk = bundle.blocks[0]
+        res = solve_small(bundle.formula)
+        if res.status is Status.SAT and eval_circuit(CIRCUIT, blk.x) == blk.y:
+            return bundle, res.assignment
+    raise AssertionError("no SAT bundle with a clean label")
+
+
+def _with_inputs(bundle, assignment, x_prime):
+    edited = dict(assignment)
+    for v, bit in zip(bundle.blocks[0].input_vars, x_prime):
+        edited[v] = bool(bit)
+    return edited
+
+
+def test_check_witness_rejects_unchanged_label():
+    bundle, assignment = _sat_s1_with_clean_label()
+    assert check_witness(bundle, CIRCUIT, assignment)
+    # x itself: inside the ball, but the circuit still says y
+    x = bundle.blocks[0].x
+    assert not check_witness(bundle, CIRCUIT,
+                             _with_inputs(bundle, assignment, x))
+
+
+def test_check_witness_rejects_point_outside_ball():
+    bundle, assignment = _sat_s1_with_clean_label()
+    blk = bundle.blocks[0]
+    # the constant string of the other label: labelled off y, but every bit
+    # of x that equals y is flipped, a majority of them
+    far = BitString(0 if blk.y else (1 << 9) - 1, 9)
+    assert eval_circuit(CIRCUIT, far) != blk.y
+    assert hamming_distance(blk.x, far) > bundle.b
+    assert not check_witness(bundle, CIRCUIT,
+                             _with_inputs(bundle, assignment, far))
 
 
 def test_s1_sat_rate_near_analytic():
