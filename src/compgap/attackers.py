@@ -1,10 +1,11 @@
 """Attackers ranging from no-op to full preimage inversion.
 
-Every attacker implements one protocol: given the challenge (x, y), oracle
-access to the hypothesis and the sampler, an rng, and the shared query
-counter, return a perturbed instance of the same length.  Bounded attackers
-respect an explicit hash-query budget; unbounded ones may consult a
-precomputed preimage table whose construction is not charged.
+Every attacker implements one protocol: given the challenge (x, y), an rng
+and the game's query counter, return a perturbed instance of the same
+length.  Only this module charges queries: one per hash an attacker
+computes, at the line that computes it.  Bounded attackers start a guess
+only while under their budget; unbounded ones may consult a precomputed
+preimage table whose construction is not charged.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, DecodeFailure, PreimageNotFound
 from .game import Label
-from .ots import (OtsParams, PreimageIndex, digest, hash_words, targets,
-                  toy_hash, verify)
+from .ots import (OtsParams, PreimageIndex, digest, first_miss, hash_words,
+                  targets, toy_hash)
 
 
 PerturbFn = Callable[..., BitString]
-# forge(vk, message, instance, rng, counters) -> signature bits; raises
-# PreimageNotFound when it gives up
+# forge(vk, d, instance, rng, counters) -> a signature for message digest d;
+# charges each hash it makes, raises PreimageNotFound when it gives up
 Forger = Callable[..., BitString]
 
 # preimage guesses drawn and hashed per kernel call by bounded_c1
@@ -43,7 +44,7 @@ class Attacker:
 
 def identity_attacker() -> Attacker:
     """Never perturbs; its win rate equals the plain risk by definition."""
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
+    def perturb(x, y, rng, counters):
         return x
     return Attacker("identity", perturb, query_budget=0)
 
@@ -76,7 +77,7 @@ def _majority_flip(x: BitString, y: Label, b: int) -> Optional[BitString]:
 
 def greedy_majority_attacker(b: int) -> Attacker:
     """Optimal attacker against the majority classifier under b bit flips."""
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
+    def perturb(x, y, rng, counters):
         flipped = _majority_flip(x, y, b)
         return x if flipped is None else flipped
     return Attacker("greedy_majority", perturb, query_budget=0)
@@ -87,10 +88,9 @@ def greedy_majority_attacker(b: int) -> Attacker:
 # ---------------------------------------------------------------------------
 
 def _table_forger(ots: OtsParams) -> Forger:
-    """Forge from a full preimage table: one digest query per forgery."""
+    """Forge from a full preimage table; a lookup hashes nothing."""
     index = PreimageIndex(ots)
-    return lambda vk, msg, inst, rng, counters: \
-        index.forge(targets(vk, digest(msg, ots, counters), ots))
+    return lambda vk, d, inst, rng, counters: index.forge(targets(vk, d, ots))
 
 
 def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
@@ -104,14 +104,15 @@ def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
     """
     rs = reed_solomon(ecc)
 
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
+    def perturb(x, y, rng, counters):
         inst = WrappedInstance.from_bits(x, d, ots, ecc)
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
         try:
-            sigma = forge(rs.decode(inst.vk_code), flipped, inst, rng,
-                          counters)
+            vk = rs.decode(inst.vk_code)
+            counters.charge()  # once the key opens: digest of the flip
+            sigma = forge(vk, digest(flipped, ots), inst, rng, counters)
         except (DecodeFailure, PreimageNotFound):
             return x
         return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
@@ -131,13 +132,14 @@ def _c3_attacker(name: str, ots: OtsParams, ecc: EccParams, forge: Forger,
     """
     rs = reed_solomon(ecc)
 
-    def perturb(x, y, h_oracle, sampler_oracle, rng, counters):
+    def perturb(x, y, rng, counters):
         if y != 0:
             return x
         inst = C3Instance.from_bits(x, ots, ecc)
         try:
-            sigma = forge(rs.decode(inst.vk_code), rs.decode(inst.x_code),
-                          inst, rng, counters)
+            vk, xb = rs.decode(inst.vk_code), rs.decode(inst.x_code)
+            counters.charge()  # once both codewords decode: digest of xb
+            sigma = forge(vk, digest(xb, ots), inst, rng, counters)
         except (DecodeFailure, PreimageNotFound):
             return x
         return inst.with_slot0(sigma).to_bits()
@@ -164,19 +166,19 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
     if query_budget < 0:
         raise ConfigError(f"bounded_c1 query budget {query_budget} < 0")
 
-    def forge(vk, flipped, inst, rng, counters):
-        d_old = digest(inst.x, ots, counters)
-        d_new = digest(flipped, ots, counters)
+    def forge(vk, d_new, inst, rng, counters):
+        counters.charge()
+        d_old = digest(inst.x, ots)
         want = targets(vk, d_new, ots)
         # start from the revealed preimages; they only stay valid where the
         # digest bit is unchanged
         preimages = inst.sigma.fields(ots.slen)
         missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
         # a revealed preimage may also hit the opposite digest slot by luck
-        for i in list(missing):
-            if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
-                        ots.hash_rounds, counters).value == want[i]:
-                missing.remove(i)
+        counters.charge(len(missing))
+        missing = [i for i in missing
+                   if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
+                               ots.hash_rounds).value != want[i]]
         # each guess targets missing[0]; guesses are drawn and hashed a
         # chunk at a time, with the rng draws and charges of one at a time
         while missing and counters.queries < query_budget:
@@ -217,18 +219,21 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
     """Budget-limited forgery attempts against the no-detection classifier.
 
     For a 0-labeled instance it guesses random signatures for slot 0 and
-    checks them with charged hash calls; each guess succeeds only by hitting
+    checks each one field by field, charging the min(k + 1, hlen) hashes of a
+    guess whose first miss is field k; each guess succeeds only by hitting
     hlen independent preimages, so at realistic budgets it reverts to the
     untampered instance and wins with probability ~0.
     """
     if query_budget < 0:
         raise ConfigError(f"bounded_c3 query budget {query_budget} < 0")
 
-    def forge(vk, xb, inst, rng, counters):
-        want = targets(vk, digest(xb, ots, counters), ots)
+    def forge(vk, d, inst, rng, counters):
+        want = targets(vk, d, ots)
         while counters.queries < query_budget:
             cand = BitString.random(rng, ots.sig_bits)
-            if verify(cand, want, ots, counters):
+            k = first_miss(cand, want, ots)
+            counters.charge(min(k + 1, ots.hlen))
+            if k == ots.hlen:
                 return cand
         raise PreimageNotFound("query budget spent")
 

@@ -6,8 +6,9 @@ c3), CNF bundle emission (np-forge), the frozen-oracle self-check
 Outputs are deterministic given (config, seed): same inputs, byte-identical
 results.csv.
 
-Exit codes: 0 success, 2 configuration error or a bad path, 3 runtime
-invariant violation (including a failed oracle check).
+Exit codes: 0 success, 2 configuration error (degenerate parameters
+included) or a bad path, 3 runtime invariant violation (including a failed
+oracle check).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, InvariantViolation, ParseError
+from .errors import (ConfigError, InvariantViolation, ParseError,
+                     SamplerError)
 from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
                    game_transcript, mix_seed)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
@@ -356,7 +358,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.out = args.out
         cfg.validate(args.command)
         return _COMMANDS[args.command](cfg, Path(cfg.out))
-    except (ParseError, ConfigError) as exc:
+    except (ParseError, ConfigError, SamplerError) as exc:
+        # every SamplerError a command can reach comes from its parameters
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a --config or --out path that cannot be used

@@ -77,7 +77,7 @@ class GameOutcome:
 
 
 class Counters:
-    """Transcript-local query counter (hash calls plus oracle calls)."""
+    """Transcript-local query counter; the attacker charges its hashes."""
 
     __slots__ = ("queries",)
 
@@ -152,23 +152,14 @@ def play_game(problem: Problem, hypothesis: Hypothesis, attacker,
               budget: int, seed: int) -> GameOutcome:
     """One round of the game: sample, let the attacker perturb, judge.
 
-    The attacker gets black-box oracles for the hypothesis and for fresh
-    samples from the distribution; both oracle calls and the attacker's own
-    hash evaluations are charged to the same transcript-local counter.
+    The attacker gets the challenge (x, y), an rng of its own and a
+    transcript-local query counter.  Charging is the attacker's part: each
+    charges the hashes it computes, and the outcome reports the total.
     """
     x, y = problem.sample(seed)
     counters = Counters()
     rng = random.Random(mix_seed(seed, 0x41747461))
-
-    def h_oracle(q: BitString) -> Label:
-        counters.charge()
-        return hypothesis(q)
-
-    def sampler_oracle() -> Tuple[BitString, Label]:
-        counters.charge()
-        return problem.sample(rng.getrandbits(63))
-
-    x_prime = attacker.perturb(x, y, h_oracle, sampler_oracle, rng, counters)
+    x_prime = attacker.perturb(x, y, rng, counters)
     if x_prime.length != x.length:
         raise AttackerProtocolError(
             f"attacker returned length {x_prime.length}, expected {x.length}")

@@ -13,21 +13,22 @@ fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
 hlen-bit fields: field 2i+b is the digest of the secret preimage sk[2i+b],
 the one revealed when digest bit i is b.  A signature has hlen slen-bit
 fields: field i is the preimage revealed for digest bit i.  `targets` reads
-this layout into the hlen digests a signature must hit; `verify` and
-`PreimageIndex.forge` take that list.
+this layout into the hlen digests a signature must hit; `first_miss`,
+`verify` and `PreimageIndex.forge` take that list.  Nothing here counts
+queries: each attacker charges the hashes it makes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bitstring import BitString, pack
 from .errors import ConfigError, FormatError, PreimageNotFound
-from .game import GOLDEN, MASK64, Counters, splitmix64
+from .game import GOLDEN, MASK64, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
@@ -46,13 +47,10 @@ def mix_words(value, length: int, out_bits: int, rounds: int):
     return splitmix64(state + GOLDEN) >> (64 - out_bits)
 
 
-def toy_hash(x: BitString, out_bits: int, rounds: int = 2,
-             counter: Optional[Counters] = None) -> BitString:
+def toy_hash(x: BitString, out_bits: int, rounds: int = 2) -> BitString:
     """mix_words of one bit string, out_bits in 1..64."""
     if not 1 <= out_bits <= 64:
         raise FormatError("toy_hash needs 1 <= out_bits <= 64")
-    if counter is not None:
-        counter.charge()
     return BitString(mix_words(x.value, x.length, out_bits, rounds), out_bits)
 
 
@@ -101,9 +99,8 @@ def kgen(params: OtsParams, seed: int) -> KeyPair:
     return KeyPair(sk, pack(digests, hlen))
 
 
-def digest(message: BitString, params: OtsParams,
-           counter: Optional[Counters] = None) -> BitString:
-    return toy_hash(message, params.hlen, params.hash_rounds, counter)
+def digest(message: BitString, params: OtsParams) -> BitString:
+    return toy_hash(message, params.hlen, params.hash_rounds)
 
 
 def targets(vk: BitString, d: BitString, params: OtsParams) -> List[int]:
@@ -124,18 +121,25 @@ def sign(sk: Tuple[int, ...], message: BitString,
     return pack((sk[2 * i + b] for i, b in enumerate(d)), params.slen)
 
 
-def verify(sig: BitString, want: Sequence[int], params: OtsParams,
-           counter: Optional[Counters] = None) -> bool:
-    """Whether field i of sig hashes to want[i] for every i.  Stops at the
-    first miss: k+1 hashes are charged when field k is the first miss."""
+def first_miss(sig: BitString, want: Sequence[int],
+               params: OtsParams) -> int:
+    """The first i whose field of sig does not hash to want[i], or hlen when
+    every field does; it hashes fields up to the miss and no further."""
     if sig.length != params.sig_bits:
         raise FormatError(
             f"signature must be {params.sig_bits} bits, got {sig.length}")
     if len(want) != params.hlen:
         raise FormatError(f"need {params.hlen} targets, got {len(want)}")
-    return all(toy_hash(BitString(p, params.slen), params.hlen,
-                        params.hash_rounds, counter).value == t
-               for p, t in zip(sig.fields(params.slen), want))
+    for i, t in enumerate(want):
+        if toy_hash(sig.extract(i * params.slen, params.slen), params.hlen,
+                    params.hash_rounds).value != t:
+            return i
+    return params.hlen
+
+
+def verify(sig: BitString, want: Sequence[int], params: OtsParams) -> bool:
+    """Whether field i of sig hashes to want[i] for every i."""
+    return first_miss(sig, want, params) == params.hlen
 
 
 # the largest preimage space PreimageIndex enumerates (2^20 hashes)

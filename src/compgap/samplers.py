@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .bitstring import BitString, hamming_distance
@@ -102,7 +103,9 @@ def _merge_guarded(f: CnfFormula, sub: CnfFormula,
 def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
               tau: float, seed: int) -> SamplerBundle:
     """k independent stage-1 formulas on disjoint variables, of which at
-    least ceil(tau*k) must hold, chosen by selector variables."""
+    least ceil(tau*k) must hold, chosen by selector variables.  The ceiling
+    is taken on tau's decimal repr (0.28 of 25 is 7), not on its binary
+    value."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     if not 0 < tau <= 1:
@@ -122,7 +125,7 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
         off = _merge_guarded(f, sub, s)
         blocks.append(BlockInfo(
             s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
-    at_least(f, selectors, math.ceil(tau * k))
+    at_least(f, selectors, math.ceil(Fraction(str(tau)) * k))
     f.annotate("selectors", selectors)
     return SamplerBundle(f, Stage.S2, seed, b, tuple(blocks))
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from compgap.attackers import (_CHUNK, _c1_attacker, bounded_c1_attacker,
-                               bounded_c3_attacker,
+from compgap.attackers import (_CHUNK, _c1_attacker, _c3_attacker,
+                               bounded_c1_attacker, bounded_c3_attacker,
                                greedy_majority_attacker, identity_attacker,
                                unbounded_c1_attacker, unbounded_c3_attacker)
 from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
@@ -17,7 +17,7 @@ from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
 from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import DecodeFailure, PreimageNotFound
 from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
-                          estimate_risk, game_transcript)
+                          estimate_risk, game_transcript, mix_seed)
 from compgap.ots import OtsParams, digest, targets, toy_hash
 
 P = MajorityNoiseParams(11, 0.05)
@@ -227,29 +227,30 @@ def test_forging_attackers_fall_back_when_the_key_does_not_open():
         x = inst.to_bits()
         for y in (0, 1):
             counters = Counters()
-            assert atk.perturb(x, y, None, None, rng, counters) == x
+            assert atk.perturb(x, y, rng, counters) == x
             assert counters.queries == 0
 
 
 def _scalar_bounded_c1(ots, ecc, budget, log):
     """bounded_c1 guessing one preimage per toy_hash call; appends
     (positions to forge, hits) to `log` for each forgery."""
-    def forge(vk, flipped, inst, rng, counters):
-        d_old = digest(inst.x, ots, counters)
-        d_new = digest(flipped, ots, counters)
+    def forge(vk, d_new, inst, rng, counters):
+        counters.charge()
+        d_old = digest(inst.x, ots)
         want = targets(vk, d_new, ots)
         preimages = inst.sigma.fields(ots.slen)
         missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
         for i in list(missing):
+            counters.charge()
             if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
-                        ots.hash_rounds, counters).value == want[i]:
+                        ots.hash_rounds).value == want[i]:
                 missing.remove(i)
         log.append([len(missing), 0])
         while missing and counters.queries < budget:
             i = missing[0]
             cand = BitString.random(rng, ots.slen)
-            if toy_hash(cand, ots.hlen, ots.hash_rounds,
-                        counters).value == want[i]:
+            counters.charge()
+            if toy_hash(cand, ots.hlen, ots.hash_rounds).value == want[i]:
                 preimages[i] = cand.value
                 missing.pop(0)
                 log[-1][1] += 1
@@ -284,10 +285,58 @@ def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
         runs = []
         for atk in (chunked, scalar):
             rng, counters = random.Random(seed), Counters()
-            runs.append((atk.perturb(x, y, None, None, rng, counters),
+            runs.append((atk.perturb(x, y, rng, counters),
                          counters.queries, rng.getstate()))
         assert runs[0] == runs[1]
         if log and case(*log[-1], runs[1][1]):
+            return
+        log.clear()
+    pytest.fail("no sample reached the case")
+
+
+def _reference_bounded_c3(ots, ecc, budget, log):
+    """bounded_c3 hashing one signature field per toy_hash call and charging
+    each hash as it is made; appends whether it forged to `log`."""
+    def forge(vk, d, inst, rng, counters):
+        want = targets(vk, d, ots)
+        while counters.queries < budget:
+            cand = BitString.random(rng, ots.sig_bits)
+            for p, t in zip(cand.fields(ots.slen), want):
+                counters.charge()
+                if toy_hash(BitString(p, ots.slen), ots.hlen,
+                            ots.hash_rounds).value != t:
+                    break
+            else:
+                log.append(True)
+                return cand
+        log.append(False)
+        raise PreimageNotFound("query budget spent")
+
+    return _c3_attacker("reference_c3", ots, ecc, forge, budget)
+
+
+@pytest.mark.parametrize("ots,ecc,budget,case", [
+    # the last guess starts under the budget and its hashes end above it
+    (*C3_TINY, 64, lambda forged, q: q > 64),
+    (*C3_SMALL, 512, lambda forged, q: forged),
+], ids=["ends-above-budget", "forges"])
+def test_bounded_c3_matches_field_by_field_charging(ots, ecc, budget, case):
+    log = []
+    bounded = bounded_c3_attacker(ots, ecc, budget)
+    reference = _reference_bounded_c3(ots, ecc, budget, log)
+    base = uniform_balanced_problem(ecc.data_bits)
+    # the game seeds of the pinned bounded_c3-slen3-64 run; about one C3_TINY
+    # game in a hundred ends above its budget
+    for seed in (mix_seed(28, i) for i in range(400)):
+        inst, y = sample_c3(base, ots, ecc, seed)
+        x = inst.to_bits()
+        runs = []
+        for atk in (bounded, reference):
+            rng, counters = random.Random(seed), Counters()
+            runs.append((atk.perturb(x, y, rng, counters),
+                         counters.queries, rng.getstate()))
+        assert runs[0] == runs[1]
+        if log and case(log[-1], runs[1][1]):
             return
         log.clear()
     pytest.fail("no sample reached the case")

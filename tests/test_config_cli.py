@@ -286,6 +286,11 @@ VALIDATION_MATRIX = [
     ("c3", "c3.slen = 0", 2),
     ("separation", "ecc.bits_per_symbol = -1", 2),
     ("c3", "c3.bits_per_symbol = -3", 2),
+    # degenerate OTS: no invalid signature to sample for a 0-labelled slot
+    ("c3", "c3.d = 2; c3.hlen = 1; c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; "
+     "c3.bits_per_symbol = 2", 2),
+    ("adv-risk", "attacker.name = unbounded_c3; c3.d = 2; c3.hlen = 1; "
+     "c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; c3.bits_per_symbol = 2", 2),
     # settings the command reads
     ("adv-risk", "attacker.name = sneaky", 2),
     ("separation", "ecc.n_sym = 140", 2),
@@ -327,6 +332,8 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     argv += [word.format(tmp=tmp_path) for p in parts if p.startswith("--")
              for word in p.split()]
     assert run_cli(argv) == code
+    if code:
+        assert not (tmp_path / "o" / "results.csv").exists()
 
 
 # a bad setting of a command's later game, and a config that builds every

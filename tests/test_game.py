@@ -68,24 +68,11 @@ def test_attacker_length_protocol_enforced():
     prob = majority_noise_problem(MajorityNoiseParams(5, 0.0))
 
     class Bad:
-        def perturb(self, x, y, h_oracle, sampler_oracle, rng, counters):
+        def perturb(self, x, y, rng, counters):
             return BitString(0, 3)
 
     with pytest.raises(AttackerProtocolError):
         play_game(prob, majority_hypothesis(5), Bad(), 1, seed=0)
-
-
-def test_oracle_calls_are_charged():
-    prob = majority_noise_problem(MajorityNoiseParams(5, 0.0))
-
-    class Curious:
-        def perturb(self, x, y, h_oracle, sampler_oracle, rng, counters):
-            h_oracle(x)
-            sampler_oracle()
-            return x
-
-    out = play_game(prob, majority_hypothesis(5), Curious(), 1, seed=0)
-    assert out.queries_used == 2
 
 
 def test_identity_equivalence_is_exact_not_statistical():

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
-from compgap.game import GOLDEN, MUL1, MUL2, Counters
-from compgap.ots import (INIT, OtsParams, PreimageIndex, digest, hash_words,
-                         kgen, sign, targets, toy_hash, verify)
+from compgap.game import GOLDEN, MUL1, MUL2
+from compgap.ots import (INIT, OtsParams, PreimageIndex, digest, first_miss,
+                         hash_words, kgen, sign, targets, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,12 +54,6 @@ def test_hash_length_sensitivity():
     a = toy_hash(BitString(1, 8), 32)
     b = toy_hash(BitString(1, 9), 32)
     assert a != b
-
-
-def test_hash_charges_counter():
-    c = Counters()
-    toy_hash(BitString(0, 8), 8, counter=c)
-    assert c.queries == 1
 
 
 @pytest.mark.parametrize("out_bits", [0, 65])
@@ -124,8 +118,8 @@ def test_verify_matches_preimage_ground_truth(seed, data):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_verify_charges_one_hash_per_field_checked(seed):
-    # fields 0..k-1 hit and field k misses: exactly k+1 hashes; all hit: hlen
+def test_first_miss_finds_the_first_field_that_misses(seed):
+    # fields 0..k-1 hit and field k misses: k; all hit: hlen
     keys = kgen(SMALL, seed=seed)
     msg = BitString(seed, 7)
     sig, want = sign(keys.sk, msg, SMALL), want_for(keys.vk, msg)
@@ -134,13 +128,11 @@ def test_verify_charges_one_hash_per_field_checked(seed):
                 if toy_hash(BitString(p, SMALL.slen), SMALL.hlen).value
                 not in want)
     for k in range(SMALL.hlen):
-        c = Counters()
         bad = pack(fields[:k] + [miss] + fields[k + 1:], SMALL.slen)
-        assert not verify(bad, want, SMALL, c)
-        assert c.queries == k + 1
-    c = Counters()
-    assert verify(sig, want, SMALL, c)
-    assert c.queries == SMALL.hlen
+        assert first_miss(bad, want, SMALL) == k
+        assert not verify(bad, want, SMALL)
+    assert first_miss(sig, want, SMALL) == SMALL.hlen
+    assert verify(sig, want, SMALL)
 
 
 def test_key_and_signature_layout():

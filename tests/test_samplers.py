@@ -6,6 +6,7 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_noise_problem)
 from compgap.bitstring import BitString, hamming_distance
 from compgap.circuits import circuit_of_majority, eval_circuit
+from compgap.cnf import write_dimacs
 from compgap.errors import ConfigError
 from compgap.game import binomial_half_width, mix_seed
 from compgap.samplers import (Stage, check_witness, sample_s1, sample_s2,
@@ -127,6 +128,14 @@ def test_s2_threshold_enforced():
     if res.status is Status.SAT:
         assert len(bundle.witness_decoder(res.assignment)) >= \
             math.ceil(0.6 * 5)
+
+
+def test_s2_threshold_is_taken_on_decimal_tau():
+    # 0.28 * 25 is 7.000000000000001 in binary floats; tau = 0.28 of 25
+    # blocks needs 7 selectors, as 0.275 does, not 8 as 0.32 does
+    def dimacs(tau):
+        return write_dimacs(sample_s2(PROB, CIRCUIT, 2, 25, tau, 79).formula)
+    assert dimacs(0.28) == dimacs(0.275) != dimacs(0.32)
 
 
 def test_s2_monotone_composition():

@@ -32,7 +32,6 @@ def _originals():
             "ots.PreimageIndex.forge": ots.PreimageIndex.__dict__["forge"],
             "game.play_game": game.play_game,
             "constructions.verify": constructions.verify,
-            "attackers.verify": attackers.verify,
             **{name: getattr(attackers, name) for name in CTORS}}
 
 
