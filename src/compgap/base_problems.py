@@ -93,8 +93,11 @@ def analytic_adv_risk(params: MajorityNoiseParams, b: int) -> Fraction:
     return alpha + (1 - alpha) * Fraction(reachable, 1 << d)
 
 
-def brute_force_adv_risk(params: MajorityNoiseParams, h: Hypothesis, b: int,
-                         max_d: int = 20) -> Fraction:
+BRUTE_FORCE_D_CAP = 20
+
+
+def brute_force_adv_risk(params: MajorityNoiseParams, h: Hypothesis,
+                         b: int) -> Fraction:
     """Exact adversarial risk of any hypothesis by full ball enumeration.
 
     For every instance x and both label branches (clean weight 1-alpha,
@@ -103,8 +106,8 @@ def brute_force_adv_risk(params: MajorityNoiseParams, h: Hypothesis, b: int,
     exact for the binary float params.alpha, not for its decimal spelling.
     """
     d = params.d
-    if d > max_d:
-        raise ConfigError(f"d={d} exceeds enumeration cap {max_d}")
+    if d > BRUTE_FORCE_D_CAP:
+        raise ConfigError(f"d={d} exceeds enumeration cap {BRUTE_FORCE_D_CAP}")
     if b < 0:
         raise ConfigError("budget must be >= 0")
     size = 1 << d

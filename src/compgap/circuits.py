@@ -1,9 +1,9 @@
 """An explicit Boolean circuit for the majority classifier.
 
 The CNF compiler needs the hypothesis as a gate list rather than a Python
-callable.  A circuit has one output wire, the label bit.  The builder does
-constant folding and structural deduplication, so the adder tree of the
-majority circuit stays as small as the construction allows.
+callable.  A circuit has one output wire, the label bit.  The builder folds
+constants, so the zero-padded words of the majority circuit's adder tree
+emit no gates for their padding.
 
 Wire references during construction are either a bool (a folded constant)
 or an int wire index; emitted circuits contain no constant wires.
@@ -88,14 +88,13 @@ def eval_circuit(circuit: BoolCircuit, x: BitString) -> int:
 
 
 class CircuitBuilder:
-    """Gate emitter with constant folding and structural dedup."""
+    """Gate emitter with constant folding."""
 
     def __init__(self, n_inputs: int) -> None:
         if n_inputs < 1:
             raise ConfigError("circuits need at least one input")
         self.n_inputs = n_inputs
         self.gates: List[Tuple[str, int, Optional[int]]] = []
-        self._cache: dict = {}
 
     def input(self, i: int) -> Ref:
         if not 0 <= i < self.n_inputs:
@@ -105,14 +104,8 @@ class CircuitBuilder:
     def _emit(self, op: str, a: int, b: Optional[int]) -> int:
         if b is not None and op != _NOT and a > b:
             a, b = b, a  # commutative ops: canonical operand order
-        key = (op, a, b)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         self.gates.append((op, a, b))
-        wire = self.n_inputs + len(self.gates) - 1
-        self._cache[key] = wire
-        return wire
+        return self.n_inputs + len(self.gates) - 1
 
     def not_(self, a: Ref) -> Ref:
         if isinstance(a, bool):

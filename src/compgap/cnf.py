@@ -45,12 +45,8 @@ class CnfFormula:
         self.annotations[role] = tuple(variables)
 
     def validate(self) -> None:
-        for clause in self.clauses:
-            if not clause:
-                raise FormatError("empty clause present")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise FormatError(f"literal {lit} out of range")
+        """Check that every annotation and hint names a variable of the
+        formula; `add_clause` has already checked each clause."""
         hints = {"c branch": self.branch_order, "c prefer": self.prefer_true}
         for role, vs in [*self.annotations.items(), *hints.items()]:
             for v in vs:
@@ -138,10 +134,6 @@ def at_least(f: CnfFormula, lits: Sequence[int], k: int) -> None:
         return
     if k > n:
         raise ConfigError(f"cannot require {k} of {n} literals")
-    if k == n:
-        for lit in lits:
-            f.add_clause([lit])
-        return
     if k == 1:
         f.add_clause(list(lits))
         return

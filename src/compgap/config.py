@@ -6,11 +6,11 @@ Unknown keys are errors, missing keys take the defaults, and the defaults
 are the worked separation configuration, so an empty file runs everything
 out of the box.
 
-`validate(kind)` checks the settings of command `kind` that are not a
-game's: the seed, the trial count, `risk`'s problem and `np-forge`'s
-settings.  A game command checks its games by building them in `cli`, all
-before its first trial.  A failed check raises ConfigError, which the CLI
-reports with exit code 2.
+`validate(kind)` checks the plain settings of command `kind`: the seed,
+the trial count and `np-forge`'s settings.  A parameter object checks
+itself when a command builds it, before anything is written; a game command
+builds all its games in `cli` before its first trial.  A failed check
+raises ConfigError, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -122,16 +122,12 @@ class ExperimentConfig:
                 raise ConfigError("forge.stage must be s1, s2, or s")
             if not 0 <= self.forge.tau <= 1:
                 raise ConfigError("forge.tau must be in [0, 1]")
-            if min(self.forge.k, self.forge.reps, self.forge.count,
-                   self.forge.var_cap) < 1:
-                raise ConfigError("forge.k/reps/count/var_cap must be >= 1")
-            # the instances np-forge samples; this checks problem.alpha
-            MajorityNoiseParams(self.forge.d, self.problem.alpha)
+            # forge.reps is read, and checked, by stage s alone
+            if min(self.forge.k, self.forge.count, self.forge.var_cap) < 1:
+                raise ConfigError("forge.k/count/var_cap must be >= 1")
             return
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if kind == "risk":
-            self.problem_params()
 
 
 _GROUPS = ("problem", "ots", "ecc", "c3", "attacker", "forge")

@@ -22,7 +22,8 @@ from .bitstring import BitString, concat_all
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, DecodeFailure, SamplerError
 from .game import STAR, Hypothesis, Label, Problem, mix_seed
-from .ots import OtsParams, digest, kgen, sign, targets, verify
+from .ots import (OtsParams, digest, hash_words, kgen, sign, targets,
+                  verify)
 
 _KGEN_STREAM = 0x4B47454E
 _SIGMA_STREAM = 0x5349474D
@@ -183,6 +184,13 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
 
 def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
     _check_c3_params(base, ots, ecc)
+    # an invalid signature, which every 0-labelled sample carries, exists
+    # iff the hash is not constant on the slen-bit preimages
+    h = hash_words(range(1 << min(ots.slen, 16)), ots.slen, ots.hlen,
+                   ots.hash_rounds)
+    if (h == h[0]).all():
+        raise ConfigError("degenerate C3 parameters: every preimage hashes "
+                          "to one digest, so no signature is invalid")
     return Problem(
         instance_len=c3_instance_len(ots, ecc),
         sampler=lambda seed: (

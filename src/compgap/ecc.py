@@ -32,7 +32,7 @@ from operator import xor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bitstring import BitString
+from .bitstring import BitString, pack
 from .errors import ConfigError, DecodeFailure, FormatError
 
 # A primitive polynomial per supported symbol width; that x generates the
@@ -147,6 +147,9 @@ class ReedSolomon:
         js = np.arange(1, self.nparity + 1, dtype=np.int64)
         self._syn_exp = (degs[None, :] * js[:, None]) % self.order
         self.parity_bits = self.nparity * params.bits_per_symbol
+        # whole-byte symbols go through numpy's big-endian byte view
+        self._sym_dtype = (np.dtype(f">u{params.bits_per_symbol // 8}")
+                           if params.bits_per_symbol % 8 == 0 else None)
         self._columns = self._parity_columns()
 
     # ---- GF helpers ----------------------------------------------------
@@ -157,26 +160,17 @@ class ReedSolomon:
     # ---- bit packing ---------------------------------------------------
 
     def _bits_to_symbols(self, bits: BitString) -> np.ndarray:
-        bps = self.params.bits_per_symbol
-        if bps == 8:
-            return np.frombuffer(bits.to_bytes(), dtype=">u1").astype(np.int64)
-        if bps == 16:
-            return np.frombuffer(bits.to_bytes(), dtype=">u2").astype(np.int64)
-        return np.array([bits.extract(i * bps, bps).value
-                         for i in range(bits.length // bps)], dtype=np.int64)
+        if self._sym_dtype is None:
+            return np.array(bits.fields(self.params.bits_per_symbol),
+                            dtype=np.int64)
+        return np.frombuffer(bits.to_bytes(),
+                             dtype=self._sym_dtype).astype(np.int64)
 
     def _symbols_to_bits(self, syms: np.ndarray) -> BitString:
-        bps = self.params.bits_per_symbol
-        if bps == 8:
-            raw = syms.astype(">u1").tobytes()
-            return BitString(int.from_bytes(raw, "big"), len(syms) * 8)
-        if bps == 16:
-            raw = syms.astype(">u2").tobytes()
-            return BitString(int.from_bytes(raw, "big"), len(syms) * 16)
-        v = 0
-        for s in syms:
-            v = (v << bps) | int(s)
-        return BitString(v, len(syms) * bps)
+        if self._sym_dtype is None:
+            return pack(map(int, syms), self.params.bits_per_symbol)
+        raw = syms.astype(self._sym_dtype).tobytes()
+        return BitString(int.from_bytes(raw, "big"), 8 * len(raw))
 
     # ---- encode / decode ----------------------------------------------
 

@@ -186,8 +186,7 @@ def solve_enumerate(f: CnfFormula) -> SolveResult:
 PROJECTION_CAP = 1 << 20
 
 
-def count_projected_models(f: CnfFormula, variables: Sequence[int],
-                           var_cap: int = DEFAULT_VAR_CAP) -> int:
+def count_projected_models(f: CnfFormula, variables: Sequence[int]) -> int:
     """Number of assignments to `variables` extendable to full models.
 
     Auxiliary cardinality registers are not functionally determined, so raw
@@ -201,7 +200,7 @@ def count_projected_models(f: CnfFormula, variables: Sequence[int],
     for bits in range(1 << k):
         assumptions = [v if (bits >> j) & 1 else -v
                        for j, v in enumerate(variables)]
-        res = solve_small(f, var_cap=var_cap, assumptions=assumptions)
+        res = solve_small(f, assumptions=assumptions)
         if res.status is Status.CAP_EXCEEDED:
             raise ConfigError("formula exceeds solver cap")
         if res.status is Status.SAT:

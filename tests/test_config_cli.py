@@ -276,6 +276,7 @@ VALIDATION_MATRIX = [
     ("oracle-check", "problem.d = 14", 0),
     ("oracle-check", "attacker.name = sneaky", 0),
     ("np-forge", "attacker.name = sneaky; forge.count = 2; forge.d = 9", 0),
+    ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9", 0),
     ("separation", "attacker.name = bounded_c3; c3.d = 100", 0),
     ("adv-risk", "ots.hlen = 8", 0),
     ("c3", "attacker.query_budget = -3", 0),
@@ -297,6 +298,8 @@ VALIDATION_MATRIX = [
     ("adv-risk", "attacker.name = bounded_c3; c3.d = 100", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 2),
     ("risk", "problem.d = 14", 2),
+    ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9; "
+     "forge.stage = s", 2),
     ("c3", "c3.query_budget = -5", 2),
     ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
     ("adv-risk", "attacker.name = identity; problem.b = -1", 2),
@@ -342,6 +345,8 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     ("separation", "ots.hlen = 8; ots.slen = 21; ecc.k_sym = 8; "
      "ecc.n_sym = 348"),
     ("c3", "c3.query_budget = -5"),
+    ("c3", "c3.d = 2; c3.hlen = 1; c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; "
+     "c3.bits_per_symbol = 2"),
 ])
 def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
                                                 command, text):

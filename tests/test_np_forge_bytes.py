@@ -1,0 +1,85 @@
+"""Pins every byte `np-forge` writes: results.csv, transcript.log,
+manifest.txt and each .cnf, by SHA-256, at fixed seeds.  A change to the
+circuit builder, the CNF encoders, the samplers or the solver that moves a
+clause, a hint comment or a verdict fails here."""
+
+import hashlib
+
+import pytest
+
+from compgap.cli import main
+
+# (config lines, seed) -> {file name: sha256 of its bytes}
+PINNED_RUNS = [
+    ("forge.stage = s1; forge.count = 5", 42, {
+        "manifest.txt":
+            "ac872fed587e869c108a344a35fd86a82b6fe036970979b2ca3d524fefabb226",
+        "results.csv":
+            "5e89fe32da5b49882cf5055fee91e40754150fc6f4b46d9131ed8f492c181351",
+        "s1_0000.cnf":
+            "28ecb11b00ddf6aaa200ad6d014700209ea77c7ef90641f6e8ca3ef71a908ab8",
+        "s1_0001.cnf":
+            "2b86ca16967eaa6072b011bb850b3d6afa27d64e5dbb336c33987d37d7f3c5d9",
+        "s1_0002.cnf":
+            "8d35277ce845f275d5af9b600f43bc98059eb3e1c4493aa4f6c66cda9e49efb2",
+        "s1_0003.cnf":
+            "63c00bb61be20d6204cca7b6b6a6463aec202571d283be2f5398f35ff776c911",
+        "s1_0004.cnf":
+            "af01f30532487d973f518c3a0ad42d8c469a36aed1d4761d56db0e6a897dac79",
+        "transcript.log":
+            "d02b3f0b9a2946b67b6d08ffffdd18039064a7678dc6e90a1e8633e10faab7ea",
+    }),
+    ("forge.stage = s2; forge.count = 2", 42, {
+        "manifest.txt":
+            "1e4c36aeff8409fb047d5bfc3627065d6cdc16d89875f35b453557dd73c43968",
+        "results.csv":
+            "244640926632507384464a9c08df0d2f83216dbe761d2375246830ce7e8c23cb",
+        "s2_0000.cnf":
+            "340c412cb97dd38de817ba9a1d192c4d55d8e325cd107cc1a5c3d12a3b28d901",
+        "s2_0001.cnf":
+            "fdba7a15b2d25a45afad7d1c6c32a41963a5c9e3659caf7cced16a9c19610cf1",
+        "transcript.log":
+            "143f4eb847e2abd0c92183e127abf0761ba52b019edece29b2c5d3cdc2798c94",
+    }),
+    ("forge.stage = s2; forge.k = 2; forge.tau = 1; forge.count = 3", 42, {
+        "manifest.txt":
+            "ec17bff31b2b008ac14bfe439dbd2c0a6c54d1cf8bbf0551209ed88ddb76a813",
+        "results.csv":
+            "b8a7fb0944195374db2d1cb911f3df3fe0308ffbc072c6ee67f00137831a7b78",
+        "s2_0000.cnf":
+            "1b98669a44abba37c11b1d085387cf875c1162a9c91c04225df2a2a4f9472e1f",
+        "s2_0001.cnf":
+            "93fc8fc5f94b473db9209dcade6a1e83cb1ea2836e1f3ba84a5aa801181088a4",
+        "s2_0002.cnf":
+            "f694564e867402eeedf53ce3c841e00313f6f21c1bc3c3b5fec8113b4397dd38",
+        "transcript.log":
+            "710d5cfd6dda72e86a1041cd524344642cbaf0304fcdbc8afafb9cf6457d4f0e",
+    }),
+    ("forge.stage = s; forge.k = 8; forge.reps = 2; forge.count = 2", 42, {
+        "manifest.txt":
+            "7bf96d9844b7ffbb6daadfcc4958ce3e9dfb777e7d1b89d1115db74245b4b019",
+        "results.csv":
+            "0523e82159666f547134926fd1a76cc96fa4cc5f1954180b865a8f2273342536",
+        "s_0000.cnf":
+            "24cef199b0d4e2844b4c93d7a74a00c824c51e43a4e31311fbf41103b16ed0e3",
+        "s_0001.cnf":
+            "104adccbb54ee6049246593850deeb3a305c2a0894d7add4a20873c8e42f9ab5",
+        "transcript.log":
+            "143f4eb847e2abd0c92183e127abf0761ba52b019edece29b2c5d3cdc2798c94",
+    }),
+]
+
+
+def _digests(tmp_path, lines, seed):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(p + "\n" for p in lines.split("; ")))
+    out = tmp_path / "o"
+    assert main(["np-forge", "--config", str(cfg), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("lines,seed,want", PINNED_RUNS)
+def test_np_forge_writes_pinned_bytes(tmp_path, lines, seed, want):
+    assert _digests(tmp_path, lines, seed) == want

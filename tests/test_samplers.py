@@ -2,13 +2,14 @@ import math
 
 import pytest
 
+from compgap.attackers import greedy_majority_attacker
 from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
-                                   majority_noise_problem)
+                                   majority_hypothesis, majority_noise_problem)
 from compgap.bitstring import BitString, hamming_distance
 from compgap.circuits import circuit_of_majority, eval_circuit
 from compgap.cnf import write_dimacs
 from compgap.errors import ConfigError
-from compgap.game import binomial_half_width, mix_seed
+from compgap.game import binomial_half_width, mix_seed, play_game
 from compgap.samplers import (Stage, check_witness, sample_s1, sample_s2,
                               sample_s_final)
 from compgap.solver import Status, solve_small
@@ -33,6 +34,22 @@ def test_s1_verdict_matches_ball_enumeration():
                     exists = True
                     break
         assert (solve_small(bundle.formula).status is Status.SAT) == exists
+
+
+def test_s1_verdict_matches_the_greedy_base_game():
+    # semantic oracle: greedy is optimal against majority, so the S1 formula
+    # at a seed is SAT iff the greedy game at that seed is won
+    p = MajorityNoiseParams(11, 0.05)
+    prob, circuit = majority_noise_problem(p), circuit_of_majority(11)
+    h, greedy = majority_hypothesis(11), greedy_majority_attacker(2)
+    verdicts = set()
+    for i in range(200):
+        seed = mix_seed(4, i)
+        sat = solve_small(sample_s1(prob, circuit, 2, seed).formula).status \
+            is Status.SAT
+        assert sat == play_game(prob, h, greedy, 2, seed).won
+        verdicts.add(sat)
+    assert verdicts == {True, False}
 
 
 def test_s1_noiseless_ground_truth_b0_unsat():
