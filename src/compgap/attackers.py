@@ -3,9 +3,11 @@
 Every attacker implements one protocol: given the challenge (x, y), an rng
 and the game's query counter, return a perturbed instance of the same
 length.  Only this module charges queries: one per hash an attacker
-computes, at the line that computes it.  Bounded attackers start a guess
-only while under their budget; unbounded ones may consult a precomputed
-preimage table whose construction is not charged.
+computes, at the line that computes it.  The game's counter enforces the
+query budget: a charge past it raises PreimageNotFound.  An attacker gives
+up by raising that or DecodeFailure, and the game then plays the untampered
+instance.  Unbounded attackers may consult a precomputed preimage table
+whose construction is not charged.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional
 from .bitstring import BitString, pack
 from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, DecodeFailure, PreimageNotFound
+from .errors import ConfigError, PreimageNotFound
 from .game import Label
 from .ots import (OtsParams, PreimageIndex, digest, first_miss, hash_words,
                   targets, toy_hash)
@@ -24,7 +26,7 @@ from .ots import (OtsParams, PreimageIndex, digest, first_miss, hash_words,
 
 PerturbFn = Callable[..., BitString]
 # forge(vk, d, instance, rng, counters) -> a signature for message digest d;
-# charges each hash it makes, raises PreimageNotFound when it gives up
+# charges each hash it makes; a charge past the budget raises PreimageNotFound
 Forger = Callable[..., BitString]
 
 # preimage guesses drawn and hashed per kernel call by bounded_c1
@@ -35,7 +37,12 @@ _CHUNK = 4096
 class Attacker:
     name: str
     perturb: PerturbFn
-    query_budget: Optional[int] = None
+    query_budget: Optional[int] = None  # None: no budget
+
+    def __post_init__(self) -> None:
+        if self.query_budget is not None and self.query_budget < 0:
+            raise ConfigError(
+                f"{self.name} query budget {self.query_budget} < 0")
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +105,9 @@ def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
                  query_budget: Optional[int] = None) -> Attacker:
     """Flip the base instance greedily, then sign the flip with `forge`.
 
-    Falls back to the untampered instance when no flip within b bits helps,
-    the key does not open, or the forger gives up.  The key codeword is left
-    untouched.
+    Returns the untampered instance when no flip within b bits helps, and
+    gives up when the key does not open or the forger does.  The key codeword
+    is left untouched.
     """
     rs = reed_solomon(ecc)
 
@@ -109,12 +116,9 @@ def _c1_attacker(name: str, d: int, b: int, ots: OtsParams, ecc: EccParams,
         flipped = _majority_flip(inst.x, y, b)
         if flipped is None:
             return x
-        try:
-            vk = rs.decode(inst.vk_code)
-            counters.charge()  # once the key opens: digest of the flip
-            sigma = forge(vk, digest(flipped, ots), inst, rng, counters)
-        except (DecodeFailure, PreimageNotFound):
-            return x
+        vk = rs.decode(inst.vk_code)
+        counters.charge()  # once the key opens: digest of the flip
+        sigma = forge(vk, digest(flipped, ots), inst, rng, counters)
         return WrappedInstance(flipped, sigma, inst.vk_code).to_bits()
 
     return Attacker(name, perturb, query_budget)
@@ -127,7 +131,7 @@ def _c3_attacker(name: str, ots: OtsParams, ecc: EccParams, forge: Forger,
     The classifier then sees one verifying slot and outputs 1.  When the true
     label is 1 there is nothing to gain: every slot already verifies and the
     classifier cannot be pushed to 0 within any sub-instance budget, so the
-    attacker leaves the instance alone, as it does when a codeword does not
+    attacker leaves the instance alone.  It gives up when a codeword does not
     decode or the forger gives up.
     """
     rs = reed_solomon(ecc)
@@ -136,12 +140,9 @@ def _c3_attacker(name: str, ots: OtsParams, ecc: EccParams, forge: Forger,
         if y != 0:
             return x
         inst = C3Instance.from_bits(x, ots, ecc)
-        try:
-            vk, xb = rs.decode(inst.vk_code), rs.decode(inst.x_code)
-            counters.charge()  # once both codewords decode: digest of xb
-            sigma = forge(vk, digest(xb, ots), inst, rng, counters)
-        except (DecodeFailure, PreimageNotFound):
-            return x
+        vk, xb = rs.decode(inst.vk_code), rs.decode(inst.x_code)
+        counters.charge()  # once both codewords decode: digest of xb
+        sigma = forge(vk, digest(xb, ots), inst, rng, counters)
         return inst.with_slot0(sigma).to_bits()
 
     return Attacker(name, perturb, query_budget)
@@ -160,12 +161,9 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
 
     Reuses the revealed preimages at digest positions that do not change,
     and spends the hash budget guessing random preimages for the positions
-    that do.  Falls back to the untampered instance when the budget runs out,
-    so its win rate degrades to the plain risk as slen grows.
+    that do.  Gives up when the budget runs out, so its win rate degrades to
+    the plain risk as slen grows.
     """
-    if query_budget < 0:
-        raise ConfigError(f"bounded_c1 query budget {query_budget} < 0")
-
     def forge(vk, d_new, inst, rng, counters):
         counters.charge()
         d_old = digest(inst.x, ots)
@@ -181,22 +179,19 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
                                ots.hash_rounds).value != want[i]]
         # each guess targets missing[0]; guesses are drawn and hashed a
         # chunk at a time, with the rng draws and charges of one at a time
-        while missing and counters.queries < query_budget:
-            n = min(_CHUNK, query_budget - counters.queries)
+        while missing and counters.queries < counters.budget:
+            n = min(_CHUNK, counters.budget - counters.queries)
             state = rng.getstate()
             guesses = [rng.getrandbits(ots.slen) for _ in range(n)]
-            hashes = hash_words(guesses, ots.slen, ots.hlen,
-                                ots.hash_rounds).tolist()
+            hashes = hash_words(guesses, ots.slen, ots.hlen, ots.hash_rounds)
             used = 0
             while missing:
-                i = missing[0]
-                try:
-                    used = hashes.index(want[i], used) + 1
-                except ValueError:  # the rest of the chunk missed i
+                hits = (hashes[used:] == want[missing[0]]).nonzero()[0]
+                if not hits.size:  # the rest of the chunk missed it
                     used = n
                     break
-                preimages[i] = guesses[used - 1]
-                missing.pop(0)
+                used += int(hits[0]) + 1
+                preimages[missing.pop(0)] = guesses[used - 1]
             counters.charge(used)
             if used < n:  # rewind the draws after the last hit
                 rng.setstate(state)
@@ -221,20 +216,16 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
     For a 0-labeled instance it guesses random signatures for slot 0 and
     checks each one field by field, charging the min(k + 1, hlen) hashes of a
     guess whose first miss is field k; each guess succeeds only by hitting
-    hlen independent preimages, so at realistic budgets it reverts to the
-    untampered instance and wins with probability ~0.
+    hlen independent preimages, so at realistic budgets it gives up and wins
+    with probability ~0.  A guess cut short by the budget never counts.
     """
-    if query_budget < 0:
-        raise ConfigError(f"bounded_c3 query budget {query_budget} < 0")
-
     def forge(vk, d, inst, rng, counters):
         want = targets(vk, d, ots)
-        while counters.queries < query_budget:
+        while True:
             cand = BitString.random(rng, ots.sig_bits)
             k = first_miss(cand, want, ots)
             counters.charge(min(k + 1, ots.hlen))
             if k == ots.hlen:
                 return cand
-        raise PreimageNotFound("query budget spent")
 
     return _c3_attacker("bounded_c3", ots, ecc, forge, query_budget)

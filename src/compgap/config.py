@@ -75,7 +75,6 @@ class ForgeConfig:
     reps: int = 1
     count: int = 20
     stage: str = "s1"
-    var_cap: int = 10000
 
 
 @dataclass
@@ -123,8 +122,8 @@ class ExperimentConfig:
             if not 0 <= self.forge.tau <= 1:
                 raise ConfigError("forge.tau must be in [0, 1]")
             # forge.reps is read, and checked, by stage s alone
-            if min(self.forge.k, self.forge.count, self.forge.var_cap) < 1:
-                raise ConfigError("forge.k/count/var_cap must be >= 1")
+            if min(self.forge.k, self.forge.count) < 1:
+                raise ConfigError("forge.k/count must be >= 1")
             return
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")

@@ -55,8 +55,6 @@ _PRIM_POLY = {
     16: 0x1100B,
 }
 
-_TABLE_CACHE: dict = {}
-
 # maps the digits of format(n, "b") to selector bytes 0/1
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -64,8 +62,6 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 def _build_tables(bps: int):
     """exp/log tables for GF(2^bps) with generator alpha=2 and the zero
     sentinel log[0] = 2*order (see the module docstring)."""
-    if bps in _TABLE_CACHE:
-        return _TABLE_CACHE[bps]
     q = 1 << bps  # EccParams admits only the widths of _PRIM_POLY
     n = q - 1
     poly = _PRIM_POLY[bps]
@@ -83,8 +79,7 @@ def _build_tables(bps: int):
         raise ConfigError(f"{poly:#x} is not primitive for width {bps}")
     exp[n:2 * n] = exp[:n]
     log[0] = 2 * n
-    _TABLE_CACHE[bps] = (exp, log, n)
-    return _TABLE_CACHE[bps]
+    return exp, log, n
 
 
 @dataclass(frozen=True, slots=True)

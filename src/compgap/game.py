@@ -13,10 +13,10 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 from .bitstring import BitString, hamming_distance
-from .errors import AttackerProtocolError
+from .errors import AttackerProtocolError, DecodeFailure, PreimageNotFound
 
 
 class _Star:
@@ -77,14 +77,20 @@ class GameOutcome:
 
 
 class Counters:
-    """Transcript-local query counter; the attacker charges its hashes."""
+    """Transcript-local query counter; the attacker charges its hashes.  A
+    charge that would pass the budget (None: none) stops at it and raises
+    PreimageNotFound."""
 
-    __slots__ = ("queries",)
+    __slots__ = ("queries", "budget")
 
-    def __init__(self) -> None:
+    def __init__(self, budget: Optional[int] = None) -> None:
         self.queries = 0
+        self.budget = budget
 
     def charge(self, n: int = 1) -> None:
+        if self.budget is not None and self.queries + n > self.budget:
+            self.queries = self.budget
+            raise PreimageNotFound("query budget spent")
         self.queries += n
 
 
@@ -153,13 +159,17 @@ def play_game(problem: Problem, hypothesis: Hypothesis, attacker,
     """One round of the game: sample, let the attacker perturb, judge.
 
     The attacker gets the challenge (x, y), an rng of its own and a
-    transcript-local query counter.  Charging is the attacker's part: each
-    charges the hashes it computes, and the outcome reports the total.
+    transcript-local counter that enforces its `query_budget`.  The attacker
+    charges the hashes it computes, and the outcome reports the total.  When
+    the attacker gives up (DecodeFailure, PreimageNotFound) the game plays x.
     """
     x, y = problem.sample(seed)
-    counters = Counters()
+    counters = Counters(attacker.query_budget)
     rng = random.Random(mix_seed(seed, 0x41747461))
-    x_prime = attacker.perturb(x, y, rng, counters)
+    try:
+        x_prime = attacker.perturb(x, y, rng, counters)
+    except (DecodeFailure, PreimageNotFound):
+        x_prime = x
     if x_prime.length != x.length:
         raise AttackerProtocolError(
             f"attacker returned length {x_prime.length}, expected {x.length}")

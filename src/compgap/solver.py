@@ -18,7 +18,7 @@ import numpy as np
 from .cnf import CnfFormula
 from .errors import ConfigError
 
-DEFAULT_VAR_CAP = 4000
+DEFAULT_VAR_CAP = 10_000
 ENUMERATE_VAR_CAP = 24
 
 

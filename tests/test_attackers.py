@@ -11,6 +11,8 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_noise_problem,
                                    uniform_balanced_problem)
 from compgap.bitstring import BitString, pack
+from compgap.cli import _build_game
+from compgap.config import ExperimentConfig
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
                                    classifier_c1, classifier_c3, sample_c3,
                                    wrap_sample_c1, wrapped_problem_c1)
@@ -88,6 +90,42 @@ def test_bounded_c1_respects_query_budget():
     assert all(o.queries_used <= 256 for o in outs)
 
 
+def test_bounded_c1_at_budget_zero_never_tampers():
+    # the digest of the flip is a query, so a zero budget forges nothing
+    prob = wrapped_problem_c1(BASE7, OTS, ECC)
+    h = classifier_c1(BASE7_H, OTS, ECC)
+    atk = bounded_c1_attacker(7, 2, OTS, ECC, query_budget=0)
+    outs = game_transcript(prob, h, atk, 2 + OTS.sig_bits, 300, seed=5)
+    assert all(o.perturbation_used == o.queries_used == 0 for o in outs)
+
+
+def _small_config(query_budget):
+    """Settings for every game `cli._build_game` knows at small sizes: C1 on
+    OTS(4,8) with a key code whose radius holds b + sig_bits = 34, and C3 on
+    OTS(4,8) and RS(10,4)/GF(2^8)."""
+    cfg = ExperimentConfig()
+    cfg.problem.d, cfg.problem.alpha = 7, 0.1
+    cfg.ots.hlen, cfg.ots.slen = 4, 8
+    cfg.ecc.k_sym, cfg.ecc.n_sym, cfg.ecc.bits_per_symbol = 4, 72, 8
+    cfg.c3.d, cfg.c3.hlen, cfg.c3.slen = 32, 4, 8
+    cfg.c3.k_sym, cfg.c3.n_sym = 4, 10
+    cfg.attacker.query_budget = cfg.c3.query_budget = query_budget
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["identity", "greedy", "bounded_c1",
+                                  "unbounded_c1", "bounded_c3",
+                                  "unbounded_c3"])
+def test_no_game_ends_above_its_query_budget(name):
+    for query_budget in (0, 1, 4, 64):  # 4 is hlen
+        g = _build_game(_small_config(query_budget), name)
+        outs = game_transcript(g.problem, g.hypothesis, g.attacker, g.budget,
+                               150, seed=query_budget)
+        if g.attacker.query_budget is not None:
+            assert all(o.queries_used <= g.attacker.query_budget
+                       for o in outs)
+
+
 def test_unbounded_budget_monotonicity():
     # more flip budget never hurts the exhaustive attacker
     prob = wrapped_problem_c1(BASE7, OTS, ECC)
@@ -130,9 +168,7 @@ def test_bounded_c3_query_accounting():
     h = classifier_c3(C3_OTS, C3_ECC)
     atk = bounded_c3_attacker(C3_OTS, C3_ECC, query_budget=128)
     outs = game_transcript(prob, h, atk, C3_OTS.sig_bits, 100, seed=13)
-    # each verification inside the loop can add up to hlen charges after
-    # the last budget check
-    assert all(o.queries_used <= 128 + C3_OTS.hlen for o in outs)
+    assert all(o.queries_used <= 128 for o in outs)
 
 
 def _pinned_c1(ots, b, atk, seed):
@@ -192,7 +228,7 @@ PINNED_FORGERS = [
         id="unbounded_c3"),
     pytest.param(
         lambda: _pinned_c3(*C3_TINY, bounded_c3_attacker(*C3_TINY, 64), 28),
-        (65, 1281, 203, {"correct_label": 85, "tamper_win": 65}),
+        (65, 1279, 203, {"correct_label": 85, "tamper_win": 65}),
         id="bounded_c3-slen3-64"),
     pytest.param(
         lambda: _pinned_c3(*C3_TINY, unbounded_c3_attacker(*C3_TINY), 29),
@@ -226,9 +262,17 @@ def test_forging_attackers_fall_back_when_the_key_does_not_open():
             reed_solomon(ecc).decode(inst.vk_code)
         x = inst.to_bits()
         for y in (0, 1):
-            counters = Counters()
-            assert atk.perturb(x, y, rng, counters) == x
-            assert counters.queries == 0
+            assert _perturb(atk, x, y, rng) == (x, 0)
+
+
+def _perturb(atk, x, y, rng):
+    """(the instance the game plays, queries charged) when `atk` perturbs
+    (x, y): its output, or x when it gives up."""
+    counters = Counters(atk.query_budget)
+    try:
+        return atk.perturb(x, y, rng, counters), counters.queries
+    except (DecodeFailure, PreimageNotFound):
+        return x, counters.queries
 
 
 def _scalar_bounded_c1(ots, ecc, budget, log):
@@ -284,9 +328,8 @@ def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
         x = inst.to_bits()
         runs = []
         for atk in (chunked, scalar):
-            rng, counters = random.Random(seed), Counters()
-            runs.append((atk.perturb(x, y, rng, counters),
-                         counters.queries, rng.getstate()))
+            rng = random.Random(seed)
+            runs.append((*_perturb(atk, x, y, rng), rng.getstate()))
         assert runs[0] == runs[1]
         if log and case(*log[-1], runs[1][1]):
             return
@@ -296,10 +339,13 @@ def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
 
 def _reference_bounded_c3(ots, ecc, budget, log):
     """bounded_c3 hashing one signature field per toy_hash call and charging
-    each hash as it is made; appends whether it forged to `log`."""
+    each hash as it is made, until the counter's budget stops it; appends
+    [whether it forged, the queries before its last guess] to `log`."""
     def forge(vk, d, inst, rng, counters):
         want = targets(vk, d, ots)
-        while counters.queries < budget:
+        log.append([False, 0])
+        while True:
+            log[-1][1] = counters.queries
             cand = BitString.random(rng, ots.sig_bits)
             for p, t in zip(cand.fields(ots.slen), want):
                 counters.charge()
@@ -307,36 +353,33 @@ def _reference_bounded_c3(ots, ecc, budget, log):
                             ots.hash_rounds).value != t:
                     break
             else:
-                log.append(True)
+                log[-1][0] = True
                 return cand
-        log.append(False)
-        raise PreimageNotFound("query budget spent")
 
     return _c3_attacker("reference_c3", ots, ecc, forge, budget)
 
 
 @pytest.mark.parametrize("ots,ecc,budget,case", [
-    # the last guess starts under the budget and its hashes end above it
-    (*C3_TINY, 64, lambda forged, q: q > 64),
-    (*C3_SMALL, 512, lambda forged, q: forged),
-], ids=["ends-above-budget", "forges"])
+    # the last guess starts under the budget and is cut short at it
+    (*C3_TINY, 64, lambda forged, start, q: not forged and start < q == 64),
+    (*C3_SMALL, 512, lambda forged, start, q: forged),
+], ids=["cut-short-at-budget", "forges"])
 def test_bounded_c3_matches_field_by_field_charging(ots, ecc, budget, case):
     log = []
     bounded = bounded_c3_attacker(ots, ecc, budget)
     reference = _reference_bounded_c3(ots, ecc, budget, log)
     base = uniform_balanced_problem(ecc.data_bits)
     # the game seeds of the pinned bounded_c3-slen3-64 run; about one C3_TINY
-    # game in a hundred ends above its budget
+    # game in a hundred has its last guess cut short
     for seed in (mix_seed(28, i) for i in range(400)):
         inst, y = sample_c3(base, ots, ecc, seed)
         x = inst.to_bits()
         runs = []
         for atk in (bounded, reference):
-            rng, counters = random.Random(seed), Counters()
-            runs.append((atk.perturb(x, y, rng, counters),
-                         counters.queries, rng.getstate()))
+            rng = random.Random(seed)
+            runs.append((*_perturb(atk, x, y, rng), rng.getstate()))
         assert runs[0] == runs[1]
-        if log and case(log[-1], runs[1][1]):
+        if log and case(*log[-1], runs[1][1]):
             return
         log.clear()
     pytest.fail("no sample reached the case")

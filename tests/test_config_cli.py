@@ -300,6 +300,7 @@ VALIDATION_MATRIX = [
     ("risk", "problem.d = 14", 2),
     ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9; "
      "forge.stage = s", 2),
+    ("np-forge", "forge.var_cap = 10000; forge.count = 2; forge.d = 9", 2),
     ("c3", "c3.query_budget = -5", 2),
     ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
     ("adv-risk", "attacker.name = identity; problem.b = -1", 2),
@@ -337,6 +338,16 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     assert run_cli(argv) == code
     if code:
         assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_np_forge_bad_reps_makes_no_out_dir(tmp_path):
+    # forge.reps is checked when bundle 0 is built, before --out is made
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("forge.stage = s\nforge.reps = 0\nforge.count = 2\n"
+                   "forge.d = 9\n")
+    out = tmp_path / "o"
+    assert run_cli(["np-forge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 # a bad setting of a command's later game, and a config that builds every

@@ -204,7 +204,6 @@ def test_non_primitive_polynomial_rejected(monkeypatch, width, poly):
     # 0x1F is irreducible of order 5, 0x15 = (x^2+x+1)^2; neither lets x
     # generate all 15 nonzero elements of GF(16)
     import compgap.ecc as ecc_mod
-    monkeypatch.setattr(ecc_mod, "_TABLE_CACHE", {})
     monkeypatch.setitem(ecc_mod._PRIM_POLY, width, poly)
     with pytest.raises(ConfigError, match="not primitive"):
         ecc_mod.ReedSolomon(EccParams(k_sym=1, n_sym=3, bits_per_symbol=width))

@@ -6,7 +6,7 @@ from compgap.attackers import greedy_majority_attacker, identity_attacker
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    majority_noise_problem)
 from compgap.bitstring import BitString
-from compgap.errors import AttackerProtocolError
+from compgap.errors import AttackerProtocolError, PreimageNotFound
 from compgap.game import (STAR, Counters, Hypothesis, Reason,
                           estimate_adv_risk, estimate_risk, mix_seed,
                           play_game, splitmix64, winning)
@@ -68,6 +68,8 @@ def test_attacker_length_protocol_enforced():
     prob = majority_noise_problem(MajorityNoiseParams(5, 0.0))
 
     class Bad:
+        query_budget = None
+
         def perturb(self, x, y, rng, counters):
             return BitString(0, 3)
 
@@ -98,4 +100,17 @@ def test_counters_accumulate():
     c = Counters()
     c.charge()
     c.charge(4)
+    assert c.queries == 5
+
+
+def test_counters_stop_at_the_budget():
+    c = Counters(5)
+    c.charge(4)
+    c.charge(1)  # reaching the budget is allowed
+    with pytest.raises(PreimageNotFound):
+        c.charge()
+    c = Counters(5)
+    c.charge(3)
+    with pytest.raises(PreimageNotFound):
+        c.charge(4)  # a charge that would pass the budget stops at it
     assert c.queries == 5

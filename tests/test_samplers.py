@@ -125,14 +125,13 @@ def test_s2_k1_tau1_equals_s1():
         s1 = sample_s1(PROB, CIRCUIT, 2, mix_seed(seed, 0))
         s2 = sample_s2(PROB, CIRCUIT, 2, 1, 1.0, seed)
         assert (solve_small(s1.formula).status is
-                solve_small(s2.formula, var_cap=5000).status)
+                solve_small(s2.formula).status)
 
 
 def test_s2_selector_semantics():
     bundle = sample_s2(PROB, CIRCUIT, 2, 4, 0.5, 77)
     sels = bundle.formula.annotations["selectors"]
-    res = solve_small(bundle.formula, var_cap=5000,
-                      assumptions=list(sels))
+    res = solve_small(bundle.formula, assumptions=list(sels))
     if res.status is Status.SAT:
         # all selectors forced: every block must be individually satisfied
         assert check_witness(bundle, CIRCUIT, res.assignment)
@@ -141,7 +140,7 @@ def test_s2_selector_semantics():
 
 def test_s2_threshold_enforced():
     bundle = sample_s2(PROB, CIRCUIT, 2, 5, 0.6, 78)
-    res = solve_small(bundle.formula, var_cap=5000)
+    res = solve_small(bundle.formula)
     if res.status is Status.SAT:
         assert len(bundle.witness_decoder(res.assignment)) >= \
             math.ceil(0.6 * 5)
@@ -162,7 +161,7 @@ def test_s2_monotone_composition():
         s1 = sample_s1(PROB, CIRCUIT, 2, mix_seed(seed, 0))
         if solve_small(s1.formula).status is Status.SAT:
             s2 = sample_s2(PROB, CIRCUIT, 2, 1, 1.0, seed)
-            assert solve_small(s2.formula, var_cap=5000).status is Status.SAT
+            assert solve_small(s2.formula).status is Status.SAT
 
 
 def test_s_final_blocks_disjoint():
@@ -179,7 +178,7 @@ def test_s_final_reps1_equals_s2_verdict():
     for i in range(8):
         seed = mix_seed(7, i)
         one = sample_s_final(PROB, CIRCUIT, 2, 3, TAU, 1, seed)
-        res = solve_small(one.formula, var_cap=5000)
+        res = solve_small(one.formula)
         assert res.status in (Status.SAT, Status.UNSAT)
         if res.status is Status.SAT:
             assert check_witness(one, CIRCUIT, res.assignment)
