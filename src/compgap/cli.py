@@ -229,7 +229,7 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
     bundle = build(0)  # checks forge.reps before --out is made
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, transcript = [], []
-    sat = 0
+    sat = unknown = 0
     for i in range(fc.count):
         if i:
             bundle = build(i)
@@ -245,13 +245,19 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
             sat += 1
             if not check_witness(bundle, circuit, res.assignment):
                 raise InvariantViolation(f"bundle {i} witness failed round-trip")
+        elif res.status is Status.UNKNOWN:
+            unknown += 1
         transcript.append(f"bundle={i} status={res.status.value}")
     (out_dir / "manifest.txt").write_text(
         "".join(line + "\n" for line in manifest))
     frac = sat / fc.count
-    rows = [_csv_row("np-forge",
-                     f"stage={fc.stage} d={fc.d} b={fc.b} k={fc.k} "
-                     f"tau={tau:.6f} witnesses={sat}",
+    # an undecided bundle is neither SAT nor UNSAT, so with unknown > 0
+    # frac is a lower bound on the SAT rate; runs without one keep their
+    # bytes
+    params = (f"stage={fc.stage} d={fc.d} b={fc.b} k={fc.k} "
+              f"tau={tau:.6f} witnesses={sat}"
+              + (f" unknown={unknown}" if unknown else ""))
+    rows = [_csv_row("np-forge", params,
                      frac, binomial_half_width(frac, fc.count), fc.count,
                      cfg.seed)]
     return _write_out(out_dir, rows, transcript)

@@ -1,12 +1,14 @@
 """Pins every byte `np-forge` writes: results.csv, transcript.log,
 manifest.txt and each .cnf, by SHA-256, at fixed seeds.  A change to the
 circuit builder, the CNF encoders, the samplers or the solver that moves a
-clause, a hint comment or a verdict fails here."""
+clause, a hint comment or a verdict fails here.  Also runs the inputs that
+used to hang the solver, and checks how an undecided bundle is reported."""
 
 import hashlib
 
 import pytest
 
+from compgap import solver
 from compgap.cli import main
 
 # (config lines, seed) -> {file name: sha256 of its bytes}
@@ -67,19 +69,70 @@ PINNED_RUNS = [
         "transcript.log":
             "143f4eb847e2abd0c92183e127abf0761ba52b019edece29b2c5d3cdc2798c94",
     }),
+    # three UNSAT bundles; pinned from the DPLL solver this row outlived,
+    # which took 48 s on it
+    ("forge.stage = s; forge.k = 2; forge.tau = 1; forge.reps = 2; "
+     "forge.count = 3", 2, {
+        "manifest.txt":
+            "e8a49c6a4e9f396c8ccdd6e4065dbb589ac0ce811fe354846be55ebd2521434b",
+        "results.csv":
+            "414d80a97c8fd5c88eac4c9475a24d549e58a7dca90489130f0feb8c9f50a1a4",
+        "s_0000.cnf":
+            "434217f235475e474911f16cfb8cd9827c7804106e2740c95076c4d27ac8c373",
+        "s_0001.cnf":
+            "3345d05b3ae7ea5acaa16bfa443465c2c508b7a87300c762bf4bb648f202444b",
+        "s_0002.cnf":
+            "b95e6c6f5faded4017d0a93e6e99b6391fd427ba6293d7459909b1f4a032686e",
+        "transcript.log":
+            "27161c652387981c8306a860755b17a9517f034c12294f88f42da35e6e210aeb",
+    }),
+]
+
+# inputs on which the DPLL solver ran from 13 s to past 10 minutes, with
+# the verdict of each bundle (which the greedy base game confirms); the
+# fourth such input, stage s at k=2, tau=1, reps=2, count=3 and seed 2, is
+# the last PINNED_RUNS row, whose transcript pins its three UNSAT verdicts
+HANG_RUNS = [
+    ("forge.stage = s; forge.k = 6; forge.count = 10", 42,
+     ["sat"] * 8 + ["unsat", "sat"]),
+    ("forge.stage = s2; forge.k = 2; forge.count = 6", 2,
+     ["sat"] * 5 + ["unsat"]),
+    ("forge.stage = s; forge.k = 2; forge.tau = 1; forge.reps = 2; "
+     "forge.count = 3", 3, ["unsat", "sat", "unsat"]),
 ]
 
 
-def _digests(tmp_path, lines, seed):
+def _run(tmp_path, lines, seed):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("".join(p + "\n" for p in lines.split("; ")))
     out = tmp_path / "o"
     assert main(["np-forge", "--config", str(cfg), "--seed", str(seed),
                  "--out", str(out)]) == 0
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir())}
+    return out
+
+
+def _statuses(out):
+    return [line.split("status=")[1]
+            for line in (out / "transcript.log").read_text().splitlines()]
 
 
 @pytest.mark.parametrize("lines,seed,want", PINNED_RUNS)
 def test_np_forge_writes_pinned_bytes(tmp_path, lines, seed, want):
-    assert _digests(tmp_path, lines, seed) == want
+    out = _run(tmp_path, lines, seed)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == want
+
+
+@pytest.mark.parametrize("lines,seed,want", HANG_RUNS)
+def test_np_forge_decides_the_recorded_hangs(tmp_path, lines, seed, want):
+    assert _statuses(_run(tmp_path, lines, seed)) == want
+
+
+def test_np_forge_reports_unknown_apart_from_unsat(tmp_path, monkeypatch):
+    # with no conflicts to spend, every bundle of this run stays undecided
+    monkeypatch.setattr(solver, "DEFAULT_CONFLICT_BUDGET", 0)
+    out = _run(tmp_path, HANG_RUNS[2][0], 3)
+    assert _statuses(out) == ["unknown"] * 3
+    row = (out / "results.csv").read_text().splitlines()[1]
+    assert row.startswith("np-forge,stage=s d=11 b=2 k=2 tau=1.000000 "
+                          "witnesses=0 unknown=3,0.000000,")

@@ -36,18 +36,24 @@ def test_s1_verdict_matches_ball_enumeration():
         assert (solve_small(bundle.formula).status is Status.SAT) == exists
 
 
+P11 = MajorityNoiseParams(11, 0.05)
+PROB11, CIRCUIT11 = majority_noise_problem(P11), circuit_of_majority(11)
+
+
+def _greedy_wins(seed):
+    return play_game(PROB11, majority_hypothesis(11),
+                     greedy_majority_attacker(2), 2, seed).won
+
+
 def test_s1_verdict_matches_the_greedy_base_game():
     # semantic oracle: greedy is optimal against majority, so the S1 formula
     # at a seed is SAT iff the greedy game at that seed is won
-    p = MajorityNoiseParams(11, 0.05)
-    prob, circuit = majority_noise_problem(p), circuit_of_majority(11)
-    h, greedy = majority_hypothesis(11), greedy_majority_attacker(2)
     verdicts = set()
     for i in range(200):
         seed = mix_seed(4, i)
-        sat = solve_small(sample_s1(prob, circuit, 2, seed).formula).status \
-            is Status.SAT
-        assert sat == play_game(prob, h, greedy, 2, seed).won
+        res = solve_small(sample_s1(PROB11, CIRCUIT11, 2, seed).formula)
+        sat = res.status is Status.SAT
+        assert sat == _greedy_wins(seed)
         verdicts.add(sat)
     assert verdicts == {True, False}
 
@@ -133,9 +139,40 @@ def test_s2_selector_semantics():
     sels = bundle.formula.annotations["selectors"]
     res = solve_small(bundle.formula, assumptions=list(sels))
     if res.status is Status.SAT:
+        assert all(res.assignment[s] for s in sels)
         # all selectors forced: every block must be individually satisfied
         assert check_witness(bundle, CIRCUIT, res.assignment)
         assert len(bundle.witness_decoder(res.assignment)) == 4
+
+
+def test_s2_verdict_matches_the_greedy_base_game():
+    # semantic oracle: block j of an S2 draw is the S1 formula at
+    # mix_seed(seed, j), so the draw is SAT iff at least ceil(tau*k) of
+    # those greedy games are won
+    verdicts = set()
+    for i, (k, tau) in enumerate([(4, 0.5)] * 10 + [(3, 1.0)] * 10):
+        seed = mix_seed(8, i)
+        won = sum(_greedy_wins(mix_seed(seed, j)) for j in range(k))
+        res = solve_small(sample_s2(PROB11, CIRCUIT11, 2, k, tau,
+                                    seed).formula)
+        assert res.status in (Status.SAT, Status.UNSAT)
+        sat = res.status is Status.SAT
+        assert sat == (won >= math.ceil(tau * k))
+        verdicts.add((tau, sat))
+    assert (1.0, False) in verdicts and (1.0, True) in verdicts
+    assert (0.5, True) in verdicts
+
+
+def test_s2_refutes_a_last_block_failure_within_the_budget():
+    # tau = 1 and only the last of 10 blocks has no adversarial example:
+    # chronological backtracking refutes that block again under every
+    # assignment of the blocks before it, which took 4.4 s at k = 3 and
+    # over 100 s at k = 4
+    k, seed = 10, mix_seed(10, 22)
+    won = [_greedy_wins(mix_seed(seed, j)) for j in range(k)]
+    assert won == [True] * (k - 1) + [False]
+    bundle = sample_s2(PROB11, CIRCUIT11, 2, k, 1.0, seed)
+    assert solve_small(bundle.formula).status is Status.UNSAT
 
 
 def test_s2_threshold_enforced():
