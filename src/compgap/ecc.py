@@ -20,6 +20,16 @@ each addend is a log or an exponent in [0, order]: no zero mask and no
 modulo.  log X^-j is order - (log X * j mod order), which lies in
 [1, order], so one exponent matrix (_syn_exp) serves syndromes, Chien and
 Forney alike.
+
+A decode does work in proportion to the errors it finds: Berlekamp-Massey
+stops early.  At a zero discrepancy at step n >= 2L with 1 <= L <= t_max
+it hands its locator to the usual finish (Chien, Forney, the magnitude
+check, is_codeword), at most once per L, and resumes if any check fails.
+An accepted word is a codeword exactly L <= t_max symbols from the received
+word.  The minimum distance nparity + 1 exceeds 2 t_max, so that codeword
+is the only one within t_max and the one the full run returns.  A word
+with no codeword within t_max fails every early try, so its full run ends
+with the same DecodeFailure as before.
 """
 
 from __future__ import annotations
@@ -58,6 +68,11 @@ _PRIM_POLY = {
 # maps the digits of format(n, "b") to selector bytes 0/1
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
+# Most entries (nparity * n_sym) a code's syndrome exponent table may
+# have: the int64 table and one syndrome pass's temporaries then take under
+# 100 MB.  The default C1 code, RS(640,32), has 389,120.
+MAX_SYN_TABLE = 1 << 22
+
 
 def _build_tables(bps: int):
     """exp/log tables for GF(2^bps) with generator alpha=2 and the zero
@@ -90,7 +105,8 @@ class EccParams:
     (k_sym=32, n_sym=640): the verification key is 512 bits = 32 wide
     symbols, and the correction radius t_max=304 then exceeds the unbounded
     attacker's b + signature-length budget, which an 8-bit-symbol block
-    cannot reach.
+    cannot reach.  nparity * n_sym is capped at MAX_SYN_TABLE, so a code
+    too large to decode fails here, before any table is built.
     """
 
     k_sym: int
@@ -107,6 +123,11 @@ class EccParams:
             raise ConfigError(
                 f"n_sym {self.n_sym} exceeds field bound "
                 f"{(1 << self.bits_per_symbol) - 1} for {self.bits_per_symbol}-bit symbols")
+        table = (self.n_sym - self.k_sym) * self.n_sym
+        if table > MAX_SYN_TABLE:
+            raise ConfigError(
+                f"(n_sym - k_sym) * n_sym = {table} exceeds the syndrome "
+                f"table cap {MAX_SYN_TABLE}")
 
     @property
     def t_max(self) -> int:
@@ -226,7 +247,20 @@ class ReedSolomon:
         # windows that run past S_1
         srev = np.concatenate((self.log[self._syndromes(recv)[::-1]],
                                np.full(p.t_max, 2 * self.order)))
-        locator = self._berlekamp_massey(srev)
+        # the first locator that corrects recv wins; the last one is the
+        # full run's, and its failure is the decode's
+        for locator in self._berlekamp_massey(srev):
+            try:
+                return self._correct(recv, srev, locator)
+            except DecodeFailure as exc:
+                failure = exc
+        raise failure
+
+    def _correct(self, recv: np.ndarray, srev: np.ndarray,
+                 locator: np.ndarray) -> BitString:
+        """The message of the codeword that `locator` says recv is near;
+        DecodeFailure unless that codeword lies within t_max symbols."""
+        p = self.params
         n_err = len(locator) - 1
         if n_err > p.t_max:
             raise DecodeFailure(f"{n_err} errors exceed correction radius {p.t_max}")
@@ -243,25 +277,41 @@ class ReedSolomon:
             raise DecodeFailure("correction did not reach a codeword")
         return BitString(word >> self.parity_bits, p.data_bits)
 
-    def _berlekamp_massey(self, srev: np.ndarray) -> np.ndarray:
-        """Error-locator polynomial, low-degree-first coefficients.
+    def _berlekamp_massey(self, srev: np.ndarray):
+        """Candidate error locators, low-degree-first coefficients; the
+        last one yielded is the locator of the full nparity-step run.
 
         The discrepancy at step n is sum_{i<=L} C_i S_(n+1-i), one window
         of srev.  deg C <= L and deg B <= the L at which B was saved, so B
         is kept as logs over that live degree only.
+
+        Stop rule: at a zero discrepancy with n >= 2L and 1 <= L <= t_max,
+        C is yielded early, at most once per L (L never falls; L = 0 has no
+        error to locate).  With t <= t_max errors C is final once 2t
+        syndromes are in, so it is tried at step 2t, or yielded last when
+        2t = nparity.  The caller accepts a candidate only if it gives a
+        codeword exactly L <= t_max symbols from the received word; the
+        minimum distance nparity + 1 exceeds 2 t_max, so that codeword is
+        the only one within t_max, the one the full run finds.  A word
+        with no codeword within t_max fails every early try.  Each yield is
+        a view of C, valid until the generator resumes.
         """
         exp, log, order = self.exp, self.log, self.order
-        nsyn = self.nparity
+        nsyn, t_max = self.nparity, self.params.t_max
         C = np.zeros(nsyn + 1, dtype=np.int64)
         C[0] = 1
         B_log = np.zeros(1, dtype=np.int64)  # B = 1
         L, m, b_log = 0, 1, 0
+        tried = 0  # the L of the last early try; L = 0 is never tried
         for n_ in range(nsyn):
             C_log = log[C[:L + 1]]
             start = nsyn - 1 - n_
             d = int(np.bitwise_xor.reduce(
                 exp[C_log + srev[start:start + L + 1]]))
             if d == 0:
+                if 2 * L <= n_ and tried < L <= t_max:
+                    tried = L
+                    yield C[:L + 1]
                 m += 1
                 continue
             d_log = int(log[d])
@@ -271,7 +321,7 @@ class ReedSolomon:
                 B_log, b_log, m = C_log, d_log, 1
             else:
                 m += 1
-        return C[:L + 1]
+        yield C[:L + 1]
 
     def _chien(self, locator: np.ndarray) -> np.ndarray:
         """Indices of erroneous symbols (0 = first symbol of the codeword):

@@ -63,6 +63,12 @@ def hash_words(values, length: int, out_bits: int,
                      rounds)
 
 
+# Most hash rounds a configuration may ask for.  Every hash runs that many
+# mixer rounds per input word, the 2^FORGE_SLEN_CAP-entry preimage table's
+# hashes included; the frozen test vectors use 1 to 3.
+MAX_HASH_ROUNDS = 64
+
+
 @dataclass(frozen=True, slots=True)
 class OtsParams:
     hlen: int
@@ -70,10 +76,11 @@ class OtsParams:
     hash_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if not (1 <= self.hlen <= 64 and 1 <= self.slen <= 64) \
-                or self.hash_rounds < 1:
+        if not (1 <= self.hlen <= 64 and 1 <= self.slen <= 64
+                and 1 <= self.hash_rounds <= MAX_HASH_ROUNDS):
             raise ConfigError("hlen and slen must be in 1..64 (one hash "
-                              "word), hash_rounds >= 1")
+                              "word), hash_rounds in "
+                              f"1..{MAX_HASH_ROUNDS}")
 
     @property
     def sig_bits(self) -> int:

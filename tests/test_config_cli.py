@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import compgap
 from compgap import cli
 from compgap.cli import _build_game, _build_games, main
 from compgap.config import ExperimentConfig, parse_config
@@ -75,6 +81,24 @@ def test_build_game_builds_each_known_attacker(name):
 
 def run_cli(args):
     return main(args)
+
+
+# the child limits its own address space to 3 GiB, then runs the CLI
+_CAPPED_CHILD = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+                 "from compgap.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+
+
+def run_cli_capped(args):
+    """main(args) in a child process that may run 60 s; its exit code,
+    after checking that it printed no traceback."""
+    src = str(Path(compgap.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *args],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert "Traceback" not in done.stderr
+    return done.returncode
 
 
 def test_cli_risk_writes_outputs(tmp_path):
@@ -268,9 +292,22 @@ def test_cli_game_commands_pinned_bytes(tmp_path, capsys, command):
     assert capsys.readouterr().out == results.split("\n", 1)[1]
 
 
+# Sizes that would run for minutes or ask for tens of GB if their cap
+# broke.  The matrix runs these rows in a child process under a timeout and
+# an address-space limit, so a regression fails instead of hanging the
+# suite or exhausting memory.
+CAP_PROBES = [
+    # every hash, the 2^16 preimage table's included, runs hash_rounds rounds
+    ("separation", "ots.hash_rounds = 1000000000", 2),
+    # a 31.7 GiB syndrome table
+    ("c3", "c3.hlen = 64; c3.slen = 20; c3.k_sym = 512; c3.n_sym = 65535; "
+     "c3.d = 8192; c3.bits_per_symbol = 16", 2),
+]
+
 # (command, config text, exit code): each command checks exactly the
 # settings it reads, and a bad value it reads exits 2, never a traceback
 VALIDATION_MATRIX = [
+    *CAP_PROBES,
     # settings the command never reads
     ("c3", "problem.d = 14", 0),
     ("oracle-check", "problem.d = 14", 0),
@@ -335,7 +372,10 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     # argparse keeps the last value of a repeated flag
     argv += [word.format(tmp=tmp_path) for p in parts if p.startswith("--")
              for word in p.split()]
-    assert run_cli(argv) == code
+    if (command, text, code) in CAP_PROBES:
+        assert run_cli_capped(argv) == code
+    else:
+        assert run_cli(argv) == code
     if code:
         assert not (tmp_path / "o" / "results.csv").exists()
 

@@ -140,13 +140,30 @@ def test_default_parameters_full_radius():
 
 @pytest.mark.parametrize("params", [
     EccParams(k_sym=2, n_sym=6, bits_per_symbol=4),
-    EccParams(k_sym=2, n_sym=7, bits_per_symbol=3)])
-def test_bounded_distance_decoding_matches_brute_force(params):
+    EccParams(k_sym=2, n_sym=7, bits_per_symbol=3),
+    EccParams(k_sym=2, n_sym=15, bits_per_symbol=4),
+    EccParams(k_sym=2, n_sym=31, bits_per_symbol=5)])
+def test_bounded_distance_decoding_matches_brute_force(monkeypatch, params):
     # decode returns the nearest codeword's message when it lies within
     # t_max symbols and raises DecodeFailure otherwise; small fields make
     # zero symbols and zero locator coefficients common
     rs = reed_solomon(params)
     bps, n = params.bits_per_symbol, params.n_sym
+    # count Berlekamp-Massey's early tries, and those decode resumed from
+    tries = {"early": 0, "resumed": 0}
+    full_run = rs._berlekamp_massey
+
+    def counted(srev):
+        # reads one locator ahead, so it copies each out of the running C
+        locators = (c.copy() for c in full_run(srev))
+        early = next(locators)
+        for later in locators:  # `early` is not the last locator
+            tries["early"] += 1
+            yield early
+            tries["resumed"] += 1
+            early = later
+        yield early
+    monkeypatch.setattr(rs, "_berlekamp_massey", counted)
 
     def symbols(word):
         return [(word >> (bps * (n - 1 - i))) & ((1 << bps) - 1)
@@ -169,6 +186,8 @@ def test_bounded_distance_decoding_matches_brute_force(params):
         else:
             with pytest.raises(DecodeFailure):
                 rs.decode(received)
+    # both ways an early try ends occur: accepted, and failed then resumed
+    assert 0 < tries["resumed"] < tries["early"]
 
 
 def _gf_mul(a, b, poly, width):
