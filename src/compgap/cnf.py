@@ -5,6 +5,11 @@ Formulas carry annotations (semantic roles of variables) plus solver hints
 (a branching order and preferred polarities).  Hints never change
 satisfiability; they exist because the composed formulas have a block
 structure that a naive variable order explores exponentially.
+
+A formula owns its limits: `new_vars` raises ConfigError before it passes
+MAX_VARS variables, so an oversized formula stops while it is built, and
+`add_clause` drops repeated literals, keeping order.  Tautologies stay:
+DIMACS allows them, and one of their two watched literals is always true.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from .bitstring import BitString
 from .circuits import BoolCircuit
 from .errors import ConfigError, FormatError, ParseError
 
+MAX_VARS = 10_000
+
 
 @dataclass
 class CnfFormula:
@@ -26,14 +33,16 @@ class CnfFormula:
     prefer_true: List[int] = field(default_factory=list)
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        return self.num_vars
+        return self.new_vars(1)[0]
 
     def new_vars(self, n: int) -> List[int]:
-        return [self.new_var() for _ in range(n)]
+        if self.num_vars + n > MAX_VARS:
+            raise ConfigError(f"formula needs more than {MAX_VARS} variables")
+        self.num_vars += n
+        return list(range(self.num_vars - n + 1, self.num_vars + 1))
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        clause = list(lits)
+        clause = list(dict.fromkeys(lits))
         if not clause:
             raise FormatError("refusing to emit an empty clause")
         for lit in clause:
@@ -43,15 +52,6 @@ class CnfFormula:
 
     def annotate(self, role: str, variables: Sequence[int]) -> None:
         self.annotations[role] = tuple(variables)
-
-    def validate(self) -> None:
-        """Check that every annotation and hint names a variable of the
-        formula; `add_clause` has already checked each clause."""
-        hints = {"c branch": self.branch_order, "c prefer": self.prefer_true}
-        for role, vs in [*self.annotations.items(), *hints.items()]:
-            for v in vs:
-                if not 1 <= v <= self.num_vars:
-                    raise FormatError(f"annotation {role} names bad var {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +215,12 @@ def read_dimacs(text: str) -> CnfFormula:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("malformed problem line", line_no)
             try:
-                f.num_vars = int(parts[2])
-                expected_clauses = int(parts[3])
+                num_vars, expected_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-numeric problem line", line_no)
-            if f.num_vars < 0 or expected_clauses < 0:
+            if num_vars < 0 or expected_clauses < 0:
                 raise ParseError("negative count in problem line", line_no)
+            f.new_vars(num_vars)
             header_seen = True
             continue
         if not header_seen:
@@ -240,5 +240,10 @@ def read_dimacs(text: str) -> CnfFormula:
         raise ParseError(
             f"header promises {expected_clauses} clauses, found "
             f"{len(f.clauses)}", 0)
-    f.validate()
+    # add_clause checked each clause; the comments name variables too
+    hints = {"c branch": f.branch_order, "c prefer": f.prefer_true}
+    for role, vs in [*f.annotations.items(), *hints.items()]:
+        for v in vs:
+            if not 1 <= v <= f.num_vars:
+                raise FormatError(f"annotation {role} names bad var {v}")
     return f

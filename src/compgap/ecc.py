@@ -247,8 +247,8 @@ class ReedSolomon:
         # windows that run past S_1
         srev = np.concatenate((self.log[self._syndromes(recv)[::-1]],
                                np.full(p.t_max, 2 * self.order)))
-        # the first locator that corrects recv wins; the last one is the
-        # full run's, and its failure is the decode's
+        # the first locator that corrects recv wins; the last one tried is
+        # the full run's, and its failure is the decode's
         for locator in self._berlekamp_massey(srev):
             try:
                 return self._correct(recv, srev, locator)
@@ -280,6 +280,8 @@ class ReedSolomon:
     def _berlekamp_massey(self, srev: np.ndarray):
         """Candidate error locators, low-degree-first coefficients; the
         last one yielded is the locator of the full nparity-step run.
+        That locator is not yielded again when the last early try already
+        was it: no discrepancy since then was nonzero, so C is unchanged.
 
         The discrepancy at step n is sum_{i<=L} C_i S_(n+1-i), one window
         of srev.  deg C <= L and deg B <= the L at which B was saved, so B
@@ -303,6 +305,7 @@ class ReedSolomon:
         B_log = np.zeros(1, dtype=np.int64)  # B = 1
         L, m, b_log = 0, 1, 0
         tried = 0  # the L of the last early try; L = 0 is never tried
+        fresh = True  # C has not been yielded since it last changed
         for n_ in range(nsyn):
             C_log = log[C[:L + 1]]
             start = nsyn - 1 - n_
@@ -310,18 +313,20 @@ class ReedSolomon:
                 exp[C_log + srev[start:start + L + 1]]))
             if d == 0:
                 if 2 * L <= n_ and tried < L <= t_max:
-                    tried = L
+                    tried, fresh = L, False
                     yield C[:L + 1]
                 m += 1
                 continue
             d_log = int(log[d])
             C[m:m + len(B_log)] ^= exp[B_log + (d_log - b_log) % order]
+            fresh = True
             if 2 * L <= n_:
                 L = n_ + 1 - L
                 B_log, b_log, m = C_log, d_log, 1
             else:
                 m += 1
-        yield C[:L + 1]
+        if fresh:
+            yield C[:L + 1]
 
     def _chien(self, locator: np.ndarray) -> np.ndarray:
         """Indices of erroneous symbols (0 = first symbol of the codeword):

@@ -89,12 +89,14 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
 def _merge_guarded(f: CnfFormula, sub: CnfFormula,
                    selector: Optional[int]) -> int:
     """Append sub's clauses on fresh variables; guard them behind the
-    selector when one is given.  Returns the variable offset used."""
+    selector when one is given.  Returns the variable offset used.  sub's
+    clauses are already checked and the selector is older than every
+    shifted variable, so they are copied without a second check."""
     off = f.num_vars
-    f.num_vars += sub.num_vars
+    f.new_vars(sub.num_vars)
     guard = [] if selector is None else [-selector]
-    for clause in sub.clauses:
-        f.add_clause(guard + [l + off if l > 0 else l - off for l in clause])
+    f.clauses.extend(guard + [l + off if l > 0 else l - off for l in clause]
+                     for clause in sub.clauses)
     f.branch_order.extend(v + off for v in sub.branch_order)
     f.prefer_true.extend(v + off for v in sub.prefer_true)
     return off

@@ -8,9 +8,10 @@ clause deletion and no activity heap: branching follows the formula's hint
 order (its branch order, then the rest by index) through a pointer that
 resumes instead of rescanning, with the preferred polarities as initial
 phases and phase saving after that.  A conflict budget bounds the work, so
-every solve either decides or returns UNKNOWN.  A separate
-exhaustive-enumeration path doubles as an independent oracle for small
-formulas.
+every solve either decides or returns UNKNOWN.  The formula bounds its size
+and repeats no literal in a clause (see `cnf`), so set-up only copies and
+watches clauses.  A separate exhaustive-enumeration path doubles as an
+independent oracle for small formulas.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ import numpy as np
 from .cnf import CnfFormula
 from .errors import ConfigError
 
-DEFAULT_VAR_CAP = 10_000
 # about 17 times the most conflicts a lab formula takes (571, among 100 S2
-# draws at k=40); a hard random 3-CNF near the variable cap spends it in
-# about 50 s on a 2-core Xeon VM
+# draws at k=40); a hard random 3-CNF near cnf.MAX_VARS variables spends it
+# in about 50 s on a 2-core Xeon VM
 DEFAULT_CONFLICT_BUDGET = 10_000
 ENUMERATE_VAR_CAP = 24
 
@@ -35,7 +35,6 @@ ENUMERATE_VAR_CAP = 24
 class Status(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
-    CAP_EXCEEDED = "cap_exceeded"
     UNKNOWN = "unknown"  # the conflict budget ran out first
 
 
@@ -204,13 +203,10 @@ class _Cdcl:
                 self.enqueue(learnt[0], learnt)
 
 
-def solve_small(f: CnfFormula, var_cap: int = DEFAULT_VAR_CAP,
-                assumptions: Iterable[int] = ()) -> SolveResult:
-    """Decide satisfiability; refuses formulas above the variable cap and
-    returns UNKNOWN after DEFAULT_CONFLICT_BUDGET conflicts.  Assumptions
-    are asserted as units, so UNSAT means unsatisfiable under them."""
-    if f.num_vars > var_cap:
-        return SolveResult(Status.CAP_EXCEEDED)
+def solve_small(f: CnfFormula, assumptions: Iterable[int] = ()) -> SolveResult:
+    """Decide satisfiability; returns UNKNOWN after DEFAULT_CONFLICT_BUDGET
+    conflicts.  Assumptions are asserted as units, so UNSAT means
+    unsatisfiable under them."""
     n = f.num_vars
     order = list(f.branch_order)
     seen = set(order)
@@ -224,17 +220,10 @@ def solve_small(f: CnfFormula, var_cap: int = DEFAULT_VAR_CAP,
         if not 1 <= abs(lit) <= n:
             raise ConfigError(f"assumption {lit} names no variable")
     for clause in f.clauses:
-        lits = list(clause)  # a copy: propagation reorders it in place
-        if len(set(map(abs, lits))) < len(lits):
-            lits = list(dict.fromkeys(lits))
-            if len(set(map(abs, lits))) < len(lits):
-                continue  # tautology
-        if len(lits) > 1:
-            s.add_clause(lits)
-        elif lits:
-            units.append(lits[0])
+        if len(clause) > 1:
+            s.add_clause(list(clause))  # a copy: propagation reorders it
         else:
-            return SolveResult(Status.UNSAT)
+            units.append(clause[0])
     if not all(s.enqueue(lit, None) for lit in units):
         return SolveResult(Status.UNSAT)
     return s.solve(DEFAULT_CONFLICT_BUDGET)
@@ -279,9 +268,9 @@ def count_projected_models(f: CnfFormula, variables: Sequence[int]) -> int:
 
     Auxiliary cardinality registers are not functionally determined, so raw
     model counts overcount; projection onto the semantic variables is what
-    the ball-size identities are stated over.  A solve above the variable
-    cap or out of conflict budget raises ConfigError: it decides nothing,
-    so it cannot count as a missing model.
+    the ball-size identities are stated over.  A solve out of conflict
+    budget raises ConfigError: it decides nothing, so it cannot count as a
+    missing model.
     """
     k = len(variables)
     if 1 << k > PROJECTION_CAP:
@@ -291,8 +280,6 @@ def count_projected_models(f: CnfFormula, variables: Sequence[int]) -> int:
         assumptions = [v if (bits >> j) & 1 else -v
                        for j, v in enumerate(variables)]
         res = solve_small(f, assumptions=assumptions)
-        if res.status is Status.CAP_EXCEEDED:
-            raise ConfigError("formula exceeds solver cap")
         if res.status is Status.UNKNOWN:
             raise ConfigError("solver ran out of its conflict budget")
         if res.status is Status.SAT:

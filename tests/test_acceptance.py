@@ -167,7 +167,7 @@ def test_criterion_6_sat_rate_reproduction():
     s2_draws = 100
     s2_sat = sum(
         solve_small(sample_s2(prob, circuit, B, 40, tau, mix_seed(607, i)
-                              ).formula, var_cap=10_000).status is Status.SAT
+                              ).formula).status is Status.SAT
         for i in range(s2_draws))
     s2_ok = s2_sat / s2_draws >= 0.95
     report("compiled-formula SAT rates track the game oracles",

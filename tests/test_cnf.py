@@ -139,6 +139,15 @@ def test_dimacs_empty_formula():
     assert write_dimacs(CnfFormula()) == "p cnf 0 0\n"
 
 
+def test_add_clause_drops_repeats_and_keeps_tautologies():
+    f = CnfFormula()
+    f.new_vars(3)
+    f.add_clause([3, 1, 3, -2])
+    f.add_clause([2, -2])
+    assert f.clauses == [[3, 1, -2], [2, -2]]
+    assert read_dimacs(write_dimacs(f)) == f
+
+
 def test_dimacs_roundtrip_100_random_formulas():
     rng = random.Random(4)
     for _ in range(100):

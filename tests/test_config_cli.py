@@ -302,6 +302,9 @@ CAP_PROBES = [
     # a 31.7 GiB syndrome table
     ("c3", "c3.hlen = 64; c3.slen = 20; c3.k_sym = 512; c3.n_sym = 65535; "
      "c3.d = 8192; c3.bits_per_symbol = 16", 2),
+    # formulas of about 5.4 million and 13.5 million variables
+    ("np-forge", "forge.stage = s; forge.reps = 1000; forge.count = 1", 2),
+    ("np-forge", "forge.stage = s2; forge.k = 100000; forge.count = 1", 2),
 ]
 
 # (command, config text, exit code): each command checks exactly the
@@ -374,6 +377,7 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
              for word in p.split()]
     if (command, text, code) in CAP_PROBES:
         assert run_cli_capped(argv) == code
+        assert not (tmp_path / "o").exists()
     else:
         assert run_cli(argv) == code
     if code:

@@ -149,21 +149,14 @@ def test_bounded_distance_decoding_matches_brute_force(monkeypatch, params):
     # zero symbols and zero locator coefficients common
     rs = reed_solomon(params)
     bps, n = params.bits_per_symbol, params.n_sym
-    # count Berlekamp-Massey's early tries, and those decode resumed from
-    tries = {"early": 0, "resumed": 0}
-    full_run = rs._berlekamp_massey
+    # the locators each decode finishes, in order
+    finished = []
+    correct = rs._correct
 
-    def counted(srev):
-        # reads one locator ahead, so it copies each out of the running C
-        locators = (c.copy() for c in full_run(srev))
-        early = next(locators)
-        for later in locators:  # `early` is not the last locator
-            tries["early"] += 1
-            yield early
-            tries["resumed"] += 1
-            early = later
-        yield early
-    monkeypatch.setattr(rs, "_berlekamp_massey", counted)
+    def recorded(recv, srev, locator):
+        finished[-1].append(tuple(locator))
+        return correct(recv, srev, locator)
+    monkeypatch.setattr(rs, "_correct", recorded)
 
     def symbols(word):
         return [(word >> (bps * (n - 1 - i))) & ((1 << bps) - 1)
@@ -177,17 +170,26 @@ def test_bounded_distance_decoding_matches_brute_force(monkeypatch, params):
         for s in rng.sample(range(n), rng.randrange(params.t_max + 3)):
             word ^= rng.randrange(1, 1 << bps) << (bps * (n - 1 - s))
         words.append(word)
+    accepted_early = 0
     for word in words:
         dist = (book != symbols(word)).sum(axis=1)
         nearest = int(dist.argmin())
         received = BitString(word, params.n_bits)
+        finished.append([])
         if dist[nearest] <= params.t_max:
             assert rs.decode(received).value == nearest
+            # a t-error locator is final at step 2t, so one accepted with
+            # 2t < nparity was tried before the last step
+            accepted_early += any(2 * (len(loc) - 1) < rs.nparity
+                                  for loc in finished[-1][-1:])
         else:
             with pytest.raises(DecodeFailure):
                 rs.decode(received)
+    # no decode finishes the same locator twice
+    assert [f for f in finished if len(set(f)) < len(f)] == []
     # both ways an early try ends occur: accepted, and failed then resumed
-    assert 0 < tries["resumed"] < tries["early"]
+    assert accepted_early > 0
+    assert any(len(f) > 1 for f in finished)
 
 
 def _gf_mul(a, b, poly, width):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from compgap import solver
+from compgap import cnf, solver
 from compgap.cnf import CnfFormula
 from compgap.errors import ConfigError
 from compgap.solver import (Status, count_projected_models, solve_enumerate,
@@ -37,9 +37,12 @@ def test_empty_formula_sat():
     assert solve_small(formula(0, [])).status is Status.SAT
 
 
-def test_cap_exceeded():
-    f = formula(10, [[1]])
-    assert solve_small(f, var_cap=5).status is Status.CAP_EXCEEDED
+def test_new_var_past_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(cnf, "MAX_VARS", 5)
+    f = formula(5, [[1]])
+    with pytest.raises(ConfigError, match="more than 5 variables"):
+        f.new_var()
+    assert f.num_vars == 5
 
 
 def test_model_is_actually_a_model():
