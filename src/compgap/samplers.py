@@ -57,11 +57,14 @@ class SamplerBundle:
                 if not blk.selector or assignment[blk.selector]]
 
 
-def _compile_block(x: BitString, y: int, circuit: BoolCircuit,
+def _compile_block(x: BitString, y: int, gates: CnfFormula,
                    b: int) -> CnfFormula:
-    """CNF for: exists x' with HD(x,x') <= b and h(x') != y, where h is the
-    circuit's output bit."""
-    f = tseitin(circuit)
+    """CNF for: exists x' with HD(x,x') <= b and h(x') != y, where gates is
+    the circuit's Tseitin formula and h its output bit.  Each block extends
+    its own copy of the clause list, so one transform serves every block of
+    a bundle."""
+    f = CnfFormula(gates.num_vars, list(gates.clauses),
+                   dict(gates.annotations))
     flips = encode_hamming_ball(f, x, f.annotations["inputs"], b)
     label = f.annotations["outputs"][0]
     f.add_clause([label] if y == 0 else [-label])
@@ -81,7 +84,7 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
     x, y = problem.sample(seed)
     if not isinstance(y, int):
         raise SamplerError("stage-1 compilation needs integer labels")
-    f = _compile_block(x, y, circuit, b)
+    f = _compile_block(x, y, tseitin(circuit), b)
     block = BlockInfo(0, f.annotations["inputs"], x, y)
     return SamplerBundle(f, Stage.S1, seed, b, (block,))
 
@@ -108,6 +111,11 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     least ceil(tau*k) must hold, chosen by selector variables.  The ceiling
     is taken on tau's decimal repr (0.28 of 25 is 7), not on its binary
     value."""
+    return _sample_s2(problem, tseitin(circuit), b, k, tau, seed)
+
+
+def _sample_s2(problem: Problem, gates: CnfFormula, b: int, k: int,
+               tau: float, seed: int) -> SamplerBundle:
     if k < 1:
         raise ConfigError("k must be >= 1")
     if not 0 < tau <= 1:
@@ -117,7 +125,7 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     blocks: List[BlockInfo] = []
     for j in range(k):
         x, y = problem.sample(mix_seed(seed, j))
-        sub = _compile_block(x, y, circuit, b)
+        sub = _compile_block(x, y, gates, b)
         s = f.new_var()
         selectors.append(s)
         # decide each selector right before its block's variables; a set
@@ -137,11 +145,12 @@ def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     """Conjunction of reps disjoint stage-2 formulas; every one must hold."""
     if reps < 1:
         raise ConfigError("reps must be >= 1")
+    gates = tseitin(circuit)
     f = CnfFormula()
     blocks: List[BlockInfo] = []
     for r in range(reps):
-        sub_bundle = sample_s2(problem, circuit, b, k, tau,
-                               mix_seed(seed, 0x5346 + r))
+        sub_bundle = _sample_s2(problem, gates, b, k, tau,
+                                mix_seed(seed, 0x5346 + r))
         off = _merge_guarded(f, sub_bundle.formula, None)
         for blk in sub_bundle.blocks:
             blocks.append(BlockInfo(blk.selector + off,

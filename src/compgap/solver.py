@@ -3,15 +3,20 @@
 A MiniSat-style loop (Een & Sorensson 2003): unit propagation over
 two-watched-literal lists, first-UIP conflict analysis with
 non-chronological backjumping (GRASP, Marques-Silva & Sakallah 1999), and
-learned clauses watched like the formula's own.  There are no restarts, no
-clause deletion and no activity heap: branching follows the formula's hint
-order (its branch order, then the rest by index) through a pointer that
-resumes instead of rescanning, with the preferred polarities as initial
-phases and phase saving after that.  A conflict budget bounds the work, so
-every solve either decides or returns UNKNOWN.  The formula bounds its size
-and repeats no literal in a clause (see `cnf`), so set-up only copies and
-watches clauses.  A separate exhaustive-enumeration path doubles as an
-independent oracle for small formulas.
+learned clauses watched like the formula's own.  A learned unit is the one
+exception to backjumping: it undoes only the conflict's level and is
+asserted on top of the level below, not at level 0 after unwinding the
+whole search (chronological backtracking restricted to units; Mohle &
+Biere, "Backing Backtracking", SAT 2019).  Conflict analysis reads it as a
+level-0 fact, and every backjump that undoes it puts it back.  There are no
+restarts, no clause deletion and no activity heap: branching follows the
+formula's hint order (its branch order, then the rest by index) through a
+pointer that resumes instead of rescanning, with the preferred polarities
+as initial phases and phase saving after that.  A conflict budget bounds
+the work, so every solve either decides or returns UNKNOWN.  The formula
+bounds its size and repeats no literal in a clause (see `cnf`), so set-up
+only copies and watches clauses.  A separate exhaustive-enumeration path
+doubles as an independent oracle for small formulas.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class _Cdcl:
         self.qhead = 0  # trail[qhead:] is not yet propagated
         self.lims: List[int] = []  # trail length at each decision
         self.lim_pos: List[int] = []  # order position of each decision
+        self.units: List[int] = []  # learned units, each a level-0 fact
 
     def enqueue(self, lit: int, reason: Optional[List[int]]) -> bool:
         """Assign lit at the current level; False if it is already false."""
@@ -119,11 +125,11 @@ class _Cdcl:
         self.qhead = qhead
         return None
 
-    def analyze(self, confl: List[int]) -> List[int]:
-        """First-UIP learned clause, asserting literal first and a literal
-        of the backjump level second."""
+    def analyze(self, confl: List[int], lvl: int) -> List[int]:
+        """First-UIP learned clause at lvl, the conflict's highest level,
+        asserting literal first and a literal of the backjump level second.
+        Level-0 facts, learned units among them, are skipped."""
         level, reason, trail = self.level, self.reason, self.trail
-        lvl = len(self.lims)
         seen = set()
         learnt = [0]
         pending = 0  # current-level literals seen but not yet resolved
@@ -181,26 +187,38 @@ class _Cdcl:
 
     def solve(self, budget: int) -> SolveResult:
         conflicts = 0
+        val, level = self.val, self.level
         while True:
             confl = self.propagate()
             if confl is None:
                 if not self.decide():
                     return SolveResult(Status.SAT, {
-                        v: self.val[v] == 1 for v in range(1, self.n + 1)})
+                        v: val[v] == 1 for v in range(1, self.n + 1)})
                 continue
-            if not self.lims:
+            # the conflict's level: below the current one when its only
+            # literals there are learned units, which read as level 0
+            lvl = max(level[abs(lit)] for lit in confl)
+            if not lvl:
                 return SolveResult(Status.UNSAT)
             if conflicts >= budget:
                 return SolveResult(Status.UNKNOWN)
             conflicts += 1
-            learnt = self.analyze(confl)
+            learnt = self.analyze(confl, lvl)
             if len(learnt) == 1:
-                self.backjump(0)
-                self.enqueue(learnt[0], None)
+                # a unit keeps every level below the conflict's
+                self.backjump(lvl - 1)
+                self.units.append(learnt[0])
             else:
-                self.backjump(self.level[abs(learnt[1])])
+                self.backjump(level[abs(learnt[1])])
                 self.add_clause(learnt)
                 self.enqueue(learnt[0], learnt)
+            # put back each unit the backjump undid, on top of the trail;
+            # the next backjump below this level undoes it again, but its
+            # level reads 0, so to analyze it is a fact
+            for lit in self.units:
+                if not val[lit]:
+                    self.enqueue(lit, None)
+                    level[abs(lit)] = 0
 
 
 def solve_small(f: CnfFormula, assumptions: Iterable[int] = ()) -> SolveResult:
