@@ -13,15 +13,17 @@ whose construction is not charged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
 
 from .bitstring import BitString, pack
 from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, PreimageNotFound
+from .errors import ConfigError
 from .game import Label
-from .ots import (OtsParams, PreimageIndex, digest, first_miss, hash_words,
-                  targets, toy_hash)
+from .ots import (OtsParams, PreimageIndex, digest, hash_words, targets,
+                  toy_hash)
 
 
 PerturbFn = Callable[..., BitString]
@@ -29,8 +31,12 @@ PerturbFn = Callable[..., BitString]
 # charges each hash it makes; a charge past the budget raises PreimageNotFound
 Forger = Callable[..., BitString]
 
-# preimage guesses drawn and hashed per kernel call by bounded_c1
+# most guesses the bounded forgers draw and hash per kernel call
 _CHUNK = 4096
+
+# The largest query budget an attacker takes.  A game at the cap draws and
+# hashes about 2^24 guesses, which takes seconds (README, Limits).
+MAX_QUERY_BUDGET = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,11 @@ class Attacker:
     query_budget: Optional[int] = None  # None: no budget
 
     def __post_init__(self) -> None:
-        if self.query_budget is not None and self.query_budget < 0:
+        if self.query_budget is not None and \
+                not 0 <= self.query_budget <= MAX_QUERY_BUDGET:
             raise ConfigError(
-                f"{self.name} query budget {self.query_budget} < 0")
+                f"{self.name} query budget {self.query_budget} is not in "
+                f"0..{MAX_QUERY_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +101,65 @@ def greedy_majority_attacker(b: int) -> Attacker:
 # ---------------------------------------------------------------------------
 # Forging attackers: one skeleton per construction plus a forger
 # ---------------------------------------------------------------------------
+
+def _field_hashes(guesses: List[int], i: int, width: int,
+                  ots: OtsParams) -> np.ndarray:
+    """The hashes of field i (slen bits; field 0 at the high end) of
+    `width`-field guesses."""
+    if width > 1:  # a one-field guess is its own field
+        shift, mask = (width - 1 - i) * ots.slen, (1 << ots.slen) - 1
+        guesses = [g >> shift & mask for g in guesses]
+    return hash_words(guesses, ots.slen, ots.hlen, ots.hash_rounds)
+
+
+def _guess(wants: Sequence[Sequence[int]], ots: OtsParams, rng,
+           counters) -> List[int]:
+    """For each target list in `wants`, in turn, the first random guess whose
+    field i hashes to targets[i] for every i.
+
+    A guess is drawn as BitString.random draws it and costs the
+    min(k + 1, len(targets)) hashes of its first miss k; the charge of one
+    that would pass the budget stops there and raises PreimageNotFound.
+    Guesses come in chunks sized to the budget left: field 0 of a chunk is
+    hashed in one hash_words call, field i + 1 only where field i hit.
+    """
+    found: List[int] = []
+    guesses: List[int] = []
+    used = 0  # guesses of the chunk already charged
+    for want in wants:
+        width = len(want)
+        while True:
+            if used == len(guesses):
+                n = min(_CHUNK, counters.budget - counters.queries)
+                if n == 0:
+                    counters.charge()  # the budget is spent: this raises
+                guesses = [rng.getrandbits(width * ots.slen)
+                           for _ in range(n)]
+                field0 = _field_hashes(guesses, 0, width, ots)
+                used = 0
+            # k[j]: the first field that guess used + j misses, width if none
+            k = np.zeros(len(guesses) - used, dtype=np.int64)
+            hit = np.flatnonzero(field0[used:] == want[0])
+            k[hit] = 1
+            for i in range(1, width):
+                if not hit.size:
+                    break
+                picks = [guesses[used + j] for j in hit.tolist()]
+                hit = hit[_field_hashes(picks, i, width, ots) == want[i]]
+                k[hit] = i + 1
+            cost = np.cumsum(np.minimum(k + 1, width))
+            # the search ends at a full match or at the first guess whose
+            # charge would pass the budget
+            ends = np.flatnonzero(
+                (k == width) | (cost > counters.budget - counters.queries))
+            j = int(ends[0]) if ends.size else len(k) - 1
+            counters.charge(int(cost[j]))  # raises when guess j passes it
+            used += j + 1
+            if k[j] == width:
+                found.append(guesses[used - 1])
+                break
+    return found
+
 
 def _table_forger(ots: OtsParams) -> Forger:
     """Forge from a full preimage table; a lookup hashes nothing."""
@@ -177,28 +244,10 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
         missing = [i for i in missing
                    if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
                                ots.hash_rounds).value != want[i]]
-        # each guess targets missing[0]; guesses are drawn and hashed a
-        # chunk at a time, with the rng draws and charges of one at a time
-        while missing and counters.queries < counters.budget:
-            n = min(_CHUNK, counters.budget - counters.queries)
-            state = rng.getstate()
-            guesses = [rng.getrandbits(ots.slen) for _ in range(n)]
-            hashes = hash_words(guesses, ots.slen, ots.hlen, ots.hash_rounds)
-            used = 0
-            while missing:
-                hits = (hashes[used:] == want[missing[0]]).nonzero()[0]
-                if not hits.size:  # the rest of the chunk missed it
-                    used = n
-                    break
-                used += int(hits[0]) + 1
-                preimages[missing.pop(0)] = guesses[used - 1]
-            counters.charge(used)
-            if used < n:  # rewind the draws after the last hit
-                rng.setstate(state)
-                for _ in range(used):
-                    rng.getrandbits(ots.slen)
-        if missing:
-            raise PreimageNotFound("query budget spent")
+        # each guess targets the first position still missing
+        for i, p in zip(missing, _guess([[want[i]] for i in missing], ots,
+                                        rng, counters)):
+            preimages[i] = p
         return pack(preimages, ots.slen)
 
     return _c1_attacker("bounded_c1", d, b, ots, ecc, forge, query_budget)
@@ -213,19 +262,15 @@ def bounded_c3_attacker(ots: OtsParams, ecc: EccParams,
                         query_budget: int) -> Attacker:
     """Budget-limited forgery attempts against the no-detection classifier.
 
-    For a 0-labeled instance it guesses random signatures for slot 0 and
-    checks each one field by field, charging the min(k + 1, hlen) hashes of a
-    guess whose first miss is field k; each guess succeeds only by hitting
-    hlen independent preimages, so at realistic budgets it gives up and wins
-    with probability ~0.  A guess cut short by the budget never counts.
+    For a 0-labeled instance it guesses random signatures for slot 0 until
+    one hits all hlen target digests, a chunk of guesses at a time (`_guess`).
+    A guess whose first miss is field k costs min(k + 1, hlen) hashes, and
+    one cut short by the budget never counts.  Each field hits with chance
+    about 2^-hlen, so at realistic budgets it gives up and wins with
+    probability ~0.
     """
     def forge(vk, d, inst, rng, counters):
-        want = targets(vk, d, ots)
-        while True:
-            cand = BitString.random(rng, ots.sig_bits)
-            k = first_miss(cand, want, ots)
-            counters.charge(min(k + 1, ots.hlen))
-            if k == ots.hlen:
-                return cand
+        sig, = _guess([targets(vk, d, ots)], ots, rng, counters)
+        return BitString(sig, ots.sig_bits)
 
     return _c3_attacker("bounded_c3", ots, ecc, forge, query_budget)

@@ -45,12 +45,20 @@ MUL1 = 0xBF58476D1CE4E5B9
 MUL2 = 0x94D049BB133111EB
 
 
-def splitmix64(z: int) -> int:
+def splitmix64(z: int, mul1: int = MUL1, mul2: int = MUL2,
+               mask: int = MASK64) -> int:
     """The splitmix64 finalizer of z mod 2^64, for either kind of value
-    ots.mix_words hashes: an int or a numpy uint64 array."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * MUL1) & MASK64
-    z = ((z ^ (z >> 27)) * MUL2) & MASK64
+    ots.mix_words hashes.  An int grows past 64 bits, so each step masks it.
+    A numpy uint64 array wraps mod 2^64 by itself: ots.hash_words passes
+    mask=0, which skips the masks, and the multipliers as np.uint64."""
+    if mask:
+        z &= mask
+    z = (z ^ (z >> 30)) * mul1
+    if mask:
+        z &= mask
+    z = (z ^ (z >> 27)) * mul2
+    if mask:
+        z &= mask
     return z ^ (z >> 31)
 
 

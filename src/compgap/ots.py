@@ -22,29 +22,40 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bitstring import BitString, pack
 from .errors import ConfigError, FormatError, PreimageNotFound
-from .game import GOLDEN, MASK64, splitmix64
+from .game import GOLDEN, MASK64, MUL1, MUL2, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
 
+# the round as hash_words runs it on uint64 arrays, which wrap mod 2^64 by
+# themselves: no masks, and constants numpy need not convert
+_GOLDEN_U64 = np.uint64(GOLDEN)
+_splitmix64_u64 = partial(splitmix64, mul1=np.uint64(MUL1),
+                          mul2=np.uint64(MUL2), mask=0)
 
-def mix_words(value, length: int, out_bits: int, rounds: int):
+
+def mix_words(value, length: int, out_bits: int, rounds: int,
+              golden=GOLDEN, mix=splitmix64):
     """The toy hash (docs/toy_hash.md) of the `length`-bit `value`, out_bits
     in 1..64.  Only ^ & >> + and * touch the value, so it may be an int or
-    a numpy uint64 array (elementwise, wrapping mod 2^64).
+    a numpy uint64 array (elementwise, wrapping mod 2^64, length <= 64); an
+    array takes the array round as `golden` and `mix` (see hash_words).
     """
     state = INIT ^ (length * GOLDEN & MASK64)
-    for w in range((length + 63) // 64):
-        state ^= (value >> max(0, length - 64 * (w + 1))) & MASK64
+    # the big-endian 64-bit words; a value of at most 64 bits is one word
+    for shift in range(length - 64, -64, -64):
+        word = value >> shift if shift > 0 else value
+        state ^= word & MASK64 if length > 64 else word
         for _ in range(rounds):
-            state = splitmix64(state + GOLDEN)
-    return splitmix64(state + GOLDEN) >> (64 - out_bits)
+            state = mix(state + golden)
+    return mix(state + golden) >> (64 - out_bits)
 
 
 def toy_hash(x: BitString, out_bits: int, rounds: int = 2) -> BitString:
@@ -60,7 +71,7 @@ def hash_words(values, length: int, out_bits: int,
     if not (1 <= length <= 64 and 1 <= out_bits <= 64):
         raise FormatError("hash_words needs 1 <= length, out_bits <= 64")
     return mix_words(np.asarray(values, dtype=np.uint64), length, out_bits,
-                     rounds)
+                     rounds, _GOLDEN_U64, _splitmix64_u64)
 
 
 # Most hash rounds a configuration may ask for.  Every hash runs that many

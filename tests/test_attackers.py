@@ -275,9 +275,22 @@ def _perturb(atk, x, y, rng):
         return x, counters.queries
 
 
-def _scalar_bounded_c1(ots, ecc, budget, log):
-    """bounded_c1 guessing one preimage per toy_hash call; appends
-    (positions to forge, hits) to `log` for each forgery."""
+def _outcome(atk, x, y, seed):
+    """What `atk` does with the challenge (x, y) under an rng seeded with
+    `seed`: the instance it returns or PreimageNotFound when it gives up, and
+    the queries it charged."""
+    counters = Counters(atk.query_budget)
+    try:
+        out = atk.perturb(x, y, random.Random(seed), counters)
+    except PreimageNotFound:
+        out = PreimageNotFound
+    return out, counters.queries
+
+
+def _reference_bounded_c1(ots, ecc, budget, log):
+    """bounded_c1 guessing one preimage per toy_hash call and charging each
+    hash as it is made, until the counter's budget stops it; appends
+    [positions to forge, hits] to `log` for each forgery."""
     def forge(vk, d_new, inst, rng, counters):
         counters.charge()
         d_old = digest(inst.x, ots)
@@ -290,51 +303,16 @@ def _scalar_bounded_c1(ots, ecc, budget, log):
                         ots.hash_rounds).value == want[i]:
                 missing.remove(i)
         log.append([len(missing), 0])
-        while missing and counters.queries < budget:
-            i = missing[0]
+        while missing:
             cand = BitString.random(rng, ots.slen)
             counters.charge()
-            if toy_hash(cand, ots.hlen, ots.hash_rounds).value == want[i]:
-                preimages[i] = cand.value
-                missing.pop(0)
+            if toy_hash(cand, ots.hlen,
+                        ots.hash_rounds).value == want[missing[0]]:
+                preimages[missing.pop(0)] = cand.value
                 log[-1][1] += 1
-        if missing:
-            raise PreimageNotFound("query budget spent")
         return pack(preimages, ots.slen)
 
-    return _c1_attacker("scalar_c1", 7, 2, ots, ecc, forge, budget)
-
-
-OTS4_16 = OtsParams(hlen=4, slen=16)
-OTS16_16 = OtsParams(hlen=16, slen=16)
-ECC512 = EccParams(k_sym=64, n_sym=80, bits_per_symbol=8)
-
-
-@pytest.mark.parametrize("ots,ecc,budget,case", [
-    # one position to forge, hit before the chunk ends
-    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits == 1),
-    # several positions, all hit within one chunk
-    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits >= 2),
-    # no hit in a budget that spans two chunks
-    (OTS16_16, ECC512, 5000,
-     lambda todo, hits, q: todo and not hits and q == 5000 > _CHUNK),
-], ids=["hit-mid-chunk", "two-hits-one-chunk", "two-chunks-no-hit"])
-def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
-    log = []
-    chunked = bounded_c1_attacker(7, 2, ots, ecc, budget)
-    scalar = _scalar_bounded_c1(ots, ecc, budget, log)
-    for seed in range(40):
-        inst, y = wrap_sample_c1(BASE7, ots, ecc, seed)
-        x = inst.to_bits()
-        runs = []
-        for atk in (chunked, scalar):
-            rng = random.Random(seed)
-            runs.append((*_perturb(atk, x, y, rng), rng.getstate()))
-        assert runs[0] == runs[1]
-        if log and case(*log[-1], runs[1][1]):
-            return
-        log.clear()
-    pytest.fail("no sample reached the case")
+    return _c1_attacker("reference_c1", 7, 2, ots, ecc, forge, budget)
 
 
 def _reference_bounded_c3(ots, ecc, budget, log):
@@ -359,6 +337,103 @@ def _reference_bounded_c3(ots, ecc, budget, log):
     return _c3_attacker("reference_c3", ots, ecc, forge, budget)
 
 
+def _c1_challenge(ots, ecc, seed):
+    inst, y = wrap_sample_c1(BASE7, ots, ecc, seed)
+    return inst.to_bits(), y
+
+
+def _c3_challenge(ots, ecc, seed):
+    inst, y = sample_c3(uniform_balanced_problem(ecc.data_bits), ots, ecc,
+                        seed)
+    return inst.to_bits(), y
+
+
+# name: (the bounded forger, its one-at-a-time reference, a challenge for a
+# seed), each forger built from (ots, ecc, query budget)
+FORGER_PAIRS = {
+    "bounded_c1": (lambda ots, ecc, q: bounded_c1_attacker(7, 2, ots, ecc, q),
+                   lambda ots, ecc, q: _reference_bounded_c1(ots, ecc, q, []),
+                   _c1_challenge),
+    "bounded_c3": (bounded_c3_attacker,
+                   lambda ots, ecc, q: _reference_bounded_c3(ots, ecc, q, []),
+                   _c3_challenge),
+}
+# (ots, ecc) sets whose key fits both constructions' codes
+FORGER_SETS = {"C3_SMALL": C3_SMALL, "C3_TINY": C3_TINY, "OTS": (OTS, ECC),
+               "OTS46": (OTS46, ECC)}
+
+
+@pytest.mark.parametrize("forger", sorted(FORGER_PAIRS))
+@pytest.mark.parametrize("ots_set", sorted(FORGER_SETS))
+def test_bounded_forgers_match_the_one_at_a_time_reference(forger, ots_set):
+    ots, ecc = FORGER_SETS[ots_set]
+    bounded, reference, challenge = FORGER_PAIRS[forger]
+    forged = gave_up = 0
+    for budget in sorted({0, 1, ots.hlen - 1, ots.hlen, ots.hlen + 1, 64,
+                          512}):
+        atk, ref = bounded(ots, ecc, budget), reference(ots, ecc, budget)
+        for seed in range(30):
+            x, y = challenge(ots, ecc, seed)
+            out = _outcome(atk, x, y, seed)
+            assert out == _outcome(ref, x, y, seed), (budget, seed)
+            forged += out[0] not in (x, PreimageNotFound)
+            gave_up += out[0] is PreimageNotFound
+    # a bounded_c3 guess on an hlen-4 set hits with chance about 2^-16, so
+    # only the hlen-2 sets forge within 512 queries
+    assert gave_up and (forged or forger == "bounded_c3" and ots.hlen == 4)
+
+
+@pytest.mark.parametrize("forger,ots_set", [("bounded_c1", "OTS46"),
+                                            ("bounded_c3", "C3_TINY"),
+                                            ("bounded_c3", "C3_SMALL")])
+def test_bounded_forgers_at_and_one_below_a_forgerys_cost(forger, ots_set):
+    # q: the queries of a forgery at a budget it does not reach.  At budget q
+    # the forgery's last charge ends exactly on the budget; at q - 1 that
+    # charge passes the budget by one and the forger gives up there
+    ots, ecc = FORGER_SETS[ots_set]
+    bounded, reference, challenge = FORGER_PAIRS[forger]
+    cases = 0
+    for seed in range(200):
+        x, y = challenge(ots, ecc, seed)
+        out, q = _outcome(reference(ots, ecc, 512), x, y, seed)
+        if out in (x, PreimageNotFound):
+            continue
+        for atk in (bounded(ots, ecc, q), reference(ots, ecc, q)):
+            assert _outcome(atk, x, y, seed) == (out, q)
+        for atk in (bounded(ots, ecc, q - 1), reference(ots, ecc, q - 1)):
+            assert _outcome(atk, x, y, seed) == (PreimageNotFound, q - 1)
+        cases += 1
+    assert cases >= 5
+
+
+OTS4_16 = OtsParams(hlen=4, slen=16)
+OTS16_16 = OtsParams(hlen=16, slen=16)
+ECC512 = EccParams(k_sym=64, n_sym=80, bits_per_symbol=8)
+
+
+@pytest.mark.parametrize("ots,ecc,budget,case", [
+    # one position to forge, hit before the chunk ends
+    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits == 1),
+    # several positions, all hit within one chunk
+    (OTS4_16, ECC, 256, lambda todo, hits, q: todo == hits >= 2),
+    # no hit in a budget that spans two chunks
+    (OTS16_16, ECC512, 5000,
+     lambda todo, hits, q: todo and not hits and q == 5000 > _CHUNK),
+], ids=["hit-mid-chunk", "two-hits-one-chunk", "two-chunks-no-hit"])
+def test_bounded_c1_chunks_match_scalar_guessing(ots, ecc, budget, case):
+    log = []
+    chunked = bounded_c1_attacker(7, 2, ots, ecc, budget)
+    scalar = _reference_bounded_c1(ots, ecc, budget, log)
+    for seed in range(40):
+        x, y = _c1_challenge(ots, ecc, seed)
+        out = _outcome(chunked, x, y, seed)
+        assert out == _outcome(scalar, x, y, seed)
+        if log and case(*log[-1], out[1]):
+            return
+        log.clear()
+    pytest.fail("no sample reached the case")
+
+
 @pytest.mark.parametrize("ots,ecc,budget,case", [
     # the last guess starts under the budget and is cut short at it
     (*C3_TINY, 64, lambda forged, start, q: not forged and start < q == 64),
@@ -368,18 +443,13 @@ def test_bounded_c3_matches_field_by_field_charging(ots, ecc, budget, case):
     log = []
     bounded = bounded_c3_attacker(ots, ecc, budget)
     reference = _reference_bounded_c3(ots, ecc, budget, log)
-    base = uniform_balanced_problem(ecc.data_bits)
     # the game seeds of the pinned bounded_c3-slen3-64 run; about one C3_TINY
     # game in a hundred has its last guess cut short
     for seed in (mix_seed(28, i) for i in range(400)):
-        inst, y = sample_c3(base, ots, ecc, seed)
-        x = inst.to_bits()
-        runs = []
-        for atk in (bounded, reference):
-            rng = random.Random(seed)
-            runs.append((*_perturb(atk, x, y, rng), rng.getstate()))
-        assert runs[0] == runs[1]
-        if log and case(*log[-1], runs[1][1]):
+        x, y = _c3_challenge(ots, ecc, seed)
+        out = _outcome(bounded, x, y, seed)
+        assert out == _outcome(reference, x, y, seed)
+        if log and case(*log[-1], out[1]):
             return
         log.clear()
     pytest.fail("no sample reached the case")

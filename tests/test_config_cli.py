@@ -305,6 +305,9 @@ CAP_PROBES = [
     # formulas of about 5.4 million and 13.5 million variables
     ("np-forge", "forge.stage = s; forge.reps = 1000; forge.count = 1", 2),
     ("np-forge", "forge.stage = s2; forge.k = 100000; forge.count = 1", 2),
+    # 10^11 queries: days of guessing in one bounded game
+    ("c3", "c3.query_budget = 100000000000", 2),
+    ("separation", "attacker.query_budget = 100000000000", 2),
 ]
 
 # (command, config text, exit code): each command checks exactly the
