@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import List, NamedTuple, Optional
@@ -334,6 +335,7 @@ _COMMANDS: dict = {
 }
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compgap",

@@ -6,7 +6,8 @@ space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.  `mix_words` is its one
 implementation: `toy_hash` applies it to a bit string and `hash_words` to
-a numpy uint64 array.
+a numpy uint64 array.  Inputs of at most TABLE_BITS bits are hashed by one
+read from a table that `mix_words` builds over their whole input space.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +47,7 @@ def mix_words(value, length: int, out_bits: int, rounds: int,
     """The toy hash (docs/toy_hash.md) of the `length`-bit `value`, out_bits
     in 1..64.  Only ^ & >> + and * touch the value, so it may be an int or
     a numpy uint64 array (elementwise, wrapping mod 2^64, length <= 64); an
-    array takes the array round as `golden` and `mix` (see hash_words).
+    array takes the array round as `golden` and `mix` (see _mix_u64).
     """
     state = INIT ^ (length * GOLDEN & MASK64)
     # the big-endian 64-bit words; a value of at most 64 bits is one word
@@ -58,10 +59,30 @@ def mix_words(value, length: int, out_bits: int, rounds: int,
     return mix(state + golden) >> (64 - out_bits)
 
 
+# mix_words on uint64 arrays
+_mix_u64 = partial(mix_words, golden=_GOLDEN_U64, mix=_splitmix64_u64)
+
+# inputs of at most this many bits are hashed by reading _table
+TABLE_BITS = 16
+
+
+@lru_cache(maxsize=16)
+def _table(length: int, out_bits: int, rounds: int) -> np.ndarray:
+    """The digest of every `length`-bit input, indexed by the input; length
+    in 1..TABLE_BITS.  The cache holds at most 16 such tables, 8 MB."""
+    table = _mix_u64(np.arange(1 << length, dtype=np.uint64), length,
+                     out_bits, rounds)
+    table.flags.writeable = False
+    return table
+
+
 def toy_hash(x: BitString, out_bits: int, rounds: int = 2) -> BitString:
     """mix_words of one bit string, out_bits in 1..64."""
     if not 1 <= out_bits <= 64:
         raise FormatError("toy_hash needs 1 <= out_bits <= 64")
+    if 1 <= x.length <= TABLE_BITS:
+        return BitString(_table(x.length, out_bits, rounds).item(x.value),
+                         out_bits)
     return BitString(mix_words(x.value, x.length, out_bits, rounds), out_bits)
 
 
@@ -70,8 +91,16 @@ def hash_words(values, length: int, out_bits: int,
     """toy_hash of many `length`-bit inputs at once, as a uint64 array."""
     if not (1 <= length <= 64 and 1 <= out_bits <= 64):
         raise FormatError("hash_words needs 1 <= length, out_bits <= 64")
-    return mix_words(np.asarray(values, dtype=np.uint64), length, out_bits,
-                     rounds, _GOLDEN_U64, _splitmix64_u64)
+    try:  # an input below 0 or above 2^64 - 1 overflows uint64
+        words = np.asarray(values, dtype=np.uint64)
+        if length < 64 and words.size and int(words.max()) >> length:
+            raise OverflowError
+    except OverflowError:
+        raise FormatError(
+            f"hash_words input is not in 0..2^{length}-1") from None
+    if length <= TABLE_BITS:
+        return _table(length, out_bits, rounds)[words]
+    return _mix_u64(words, length, out_bits, rounds)
 
 
 # Most hash rounds a configuration may ask for.  Every hash runs that many

@@ -124,6 +124,20 @@ def test_cli_seed_changes_rows(tmp_path):
     assert (a / "results.csv").read_text() != (b / "results.csv").read_text()
 
 
+def test_cli_reuses_one_parser(tmp_path):
+    # main parses with one parser per process, and a usage error (argparse
+    # exits 2) leaves it fit for the next call in the same process
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["risk", "--trials", "many"])
+    assert exc.value.code == 2
+    out = tmp_path / "o"
+    assert run_cli(["risk", "--trials", "50", "--seed", "3",
+                    "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines()[1] \
+        .endswith(",50,3")
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("problem.d = fifteen\n")

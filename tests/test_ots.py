@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import GOLDEN, MUL1, MUL2
-from compgap.ots import (INIT, OtsParams, PreimageIndex, digest, first_miss,
-                         hash_words, kgen, sign, targets, toy_hash, verify)
+from compgap.ots import (INIT, MAX_HASH_ROUNDS, TABLE_BITS, OtsParams,
+                         PreimageIndex, _table, digest, first_miss,
+                         hash_words, kgen, mix_words, sign, targets,
+                         toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +50,67 @@ def test_hash_words_matches_toy_hash(length, out_bits, rounds, data):
     got = hash_words(values, length, out_bits, rounds).tolist()
     assert got == [toy_hash(BitString(v, length), out_bits, rounds).value
                    for v in values]
+
+
+@given(st.integers(min_value=1, max_value=TABLE_BITS),
+       st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=3), st.data())
+def test_table_reads_match_the_computed_hash(length, out_bits, rounds, data):
+    # up to TABLE_BITS bits both forms read the table; the int path of
+    # mix_words computes each digest without it
+    values = data.draw(st.lists(
+        st.integers(min_value=0, max_value=(1 << length) - 1),
+        min_size=1, max_size=8))
+    want = [mix_words(v, length, out_bits, rounds) for v in values]
+    assert hash_words(values, length, out_bits, rounds).tolist() == want
+    assert [toy_hash(BitString(v, length), out_bits, rounds).value
+            for v in values] == want
+
+
+@pytest.mark.parametrize("value", [0, 1, 0x5A5A, (1 << TABLE_BITS) - 1])
+def test_table_matches_the_computed_hash_at_most_rounds(value):
+    want = mix_words(value, TABLE_BITS, 64, MAX_HASH_ROUNDS)
+    assert toy_hash(BitString(value, TABLE_BITS), 64,
+                    MAX_HASH_ROUNDS).value == want
+    assert hash_words([value], TABLE_BITS, 64, MAX_HASH_ROUNDS)[0] == want
+
+
+U64_MAX = np.array([(1 << 64) - 1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("length", [8, TABLE_BITS, TABLE_BITS + 1, 40])
+def test_hash_words_rejects_values_outside_length(length):
+    # on the table path and the computed one; a uint64 of 2^64 - 1 would
+    # index the table at -1 were it let through
+    for bad in ([1 << length], [0, -1], [1 << 64], U64_MAX):
+        with pytest.raises(FormatError):
+            hash_words(bad, length, 8)
+
+
+def test_hash_words_range_ends():
+    with pytest.raises(FormatError):
+        hash_words([300], 8, 8)
+    for bad in ([-1], [1 << 64]):
+        with pytest.raises(FormatError):
+            hash_words(bad, 64, 8)
+    assert hash_words(U64_MAX, 64, 8).size == 1
+    assert hash_words([], 8, 8).size == 0
+
+
+def test_table_cache_holds_at_most_its_bound():
+    bound = _table.cache_info().maxsize
+    for out_bits in range(1, bound + 5):
+        hash_words([1], 4, out_bits)
+    assert _table.cache_info().currsize == bound
+
+
+def test_table_reads_are_copies():
+    got = hash_words([1, 2], 8, 8)
+    got[:] = 0
+    assert hash_words([1, 2], 8, 8).tolist() == \
+        [mix_words(v, 8, 8, 2) for v in (1, 2)]
+    with pytest.raises(ValueError):
+        _table(8, 8, 2)[0] = 0
 
 
 def test_hash_length_sensitivity():
