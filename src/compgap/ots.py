@@ -5,9 +5,10 @@ far below 2**slen while the exhaustive forger searches the full preimage
 space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.  `mix_words` is its one
-implementation: `toy_hash` applies it to a bit string and `hash_words` to
-a numpy uint64 array.  Inputs of at most TABLE_BITS bits are hashed by one
-read from a table that `mix_words` builds over their whole input space.
+implementation: `hash_int` applies it to an int, `toy_hash` to a bit string
+and `hash_words` to a numpy uint64 array.  Inputs of at most TABLE_BITS
+bits are hashed by one read from a table that `mix_words` builds over their
+whole input space.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -15,8 +16,9 @@ hlen-bit fields: field 2i+b is the digest of the secret preimage sk[2i+b],
 the one revealed when digest bit i is b.  A signature has hlen slen-bit
 fields: field i is the preimage revealed for digest bit i.  `targets` reads
 this layout into the hlen digests a signature must hit; `first_miss`,
-`verify` and `PreimageIndex.forge` take that list.  Nothing here counts
-queries: each attacker charges the hashes it makes.
+`verify` and `PreimageIndex.forge` take that list; digest bits and fields
+are shifted out of the ints.  Nothing here counts queries: each attacker
+charges the hashes it makes.
 """
 
 from __future__ import annotations
@@ -76,14 +78,19 @@ def _table(length: int, out_bits: int, rounds: int) -> np.ndarray:
     return table
 
 
+def hash_int(value: int, length: int, out_bits: int, rounds: int) -> int:
+    """mix_words of the `length`-bit int `value`, read from _table when
+    length is at most TABLE_BITS; no checks."""
+    if 1 <= length <= TABLE_BITS:
+        return _table(length, out_bits, rounds).item(value)
+    return mix_words(value, length, out_bits, rounds)
+
+
 def toy_hash(x: BitString, out_bits: int, rounds: int = 2) -> BitString:
-    """mix_words of one bit string, out_bits in 1..64."""
+    """hash_int of one bit string, out_bits in 1..64."""
     if not 1 <= out_bits <= 64:
         raise FormatError("toy_hash needs 1 <= out_bits <= 64")
-    if 1 <= x.length <= TABLE_BITS:
-        return BitString(_table(x.length, out_bits, rounds).item(x.value),
-                         out_bits)
-    return BitString(mix_words(x.value, x.length, out_bits, rounds), out_bits)
+    return BitString(hash_int(x.value, x.length, out_bits, rounds), out_bits)
 
 
 def hash_words(values, length: int, out_bits: int,
@@ -156,16 +163,17 @@ def targets(vk: BitString, d: BitString, params: OtsParams) -> List[int]:
     if vk.length != params.vk_bits:
         raise FormatError(
             f"verification key must be {params.vk_bits} bits, got {vk.length}")
-    fields = vk.fields(params.hlen)
-    return [fields[2 * i + b] for i, b in enumerate(d)]
+    fields, bits, n = vk.fields(params.hlen), d.value, d.length
+    return [fields[2 * i + (bits >> (n - 1 - i) & 1)] for i in range(n)]
 
 
 def sign(sk: Tuple[int, ...], message: BitString,
          params: OtsParams) -> BitString:
     if len(sk) != 2 * params.hlen:
         raise FormatError("secret key does not match params")
-    d = digest(message, params)
-    return pack((sk[2 * i + b] for i, b in enumerate(d)), params.slen)
+    hlen, bits = params.hlen, digest(message, params).value
+    return pack((sk[2 * i + (bits >> (hlen - 1 - i) & 1)]
+                 for i in range(hlen)), params.slen)
 
 
 def first_miss(sig: BitString, want: Sequence[int],
@@ -177,11 +185,13 @@ def first_miss(sig: BitString, want: Sequence[int],
             f"signature must be {params.sig_bits} bits, got {sig.length}")
     if len(want) != params.hlen:
         raise FormatError(f"need {params.hlen} targets, got {len(want)}")
+    hlen, slen, rounds = params.hlen, params.slen, params.hash_rounds
+    bits, mask = sig.value, (1 << slen) - 1
     for i, t in enumerate(want):
-        if toy_hash(sig.extract(i * params.slen, params.slen), params.hlen,
-                    params.hash_rounds).value != t:
+        if hash_int(bits >> (hlen - 1 - i) * slen & mask, slen, hlen,
+                    rounds) != t:
             return i
-    return params.hlen
+    return hlen
 
 
 def verify(sig: BitString, want: Sequence[int], params: OtsParams) -> bool:

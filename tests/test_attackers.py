@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from compgap.attackers import (_CHUNK, _c1_attacker, _c3_attacker,
-                               bounded_c1_attacker, bounded_c3_attacker,
+from compgap.attackers import (_CHUNK, _c1_attacker, _c3_attacker, _draw,
+                               _field_hashes, bounded_c1_attacker,
+                               bounded_c3_attacker,
                                greedy_majority_attacker, identity_attacker,
                                unbounded_c1_attacker, unbounded_c3_attacker)
 from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
@@ -20,7 +21,7 @@ from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import DecodeFailure, PreimageNotFound
 from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
                           estimate_risk, game_transcript, mix_seed)
-from compgap.ots import OtsParams, digest, targets, toy_hash
+from compgap.ots import OtsParams, digest, hash_words, targets, toy_hash
 
 P = MajorityNoiseParams(11, 0.05)
 BASE = majority_noise_problem(P)
@@ -453,3 +454,28 @@ def test_bounded_c3_matches_field_by_field_charging(ots, ecc, budget, case):
             return
         log.clear()
     pytest.fail("no sample reached the case")
+
+
+# (width, slen): guesses of 1, 3, 10, 16, 31, 32, 33, 64, 80, 120 and 128
+# bits; at (2, 60) field 0 spans three words, at (1, 64) two
+DRAW_SHAPES = [(1, 1), (3, 1), (2, 5), (1, 16), (1, 31), (2, 16), (3, 11),
+               (1, 64), (8, 10), (2, 60), (2, 64)]
+
+
+@pytest.mark.parametrize("n", [1, 7, _CHUNK])
+@pytest.mark.parametrize("width,slen", DRAW_SHAPES)
+def test_one_call_draws_what_per_guess_calls_draw(width, slen, n):
+    bits = width * slen
+    rng, ref = random.Random(n * bits), random.Random(n * bits)
+    words = _draw(rng, n, bits)
+    guesses = [ref.getrandbits(bits) for _ in range(n)]
+    assert rng.getstate() == ref.getstate()
+    assert [int.from_bytes(row.tobytes(), "little") for row in words] \
+        == guesses
+    # with 64-bit digests the hash of a one-word input is a bijection, so
+    # equal hashes are equal fields
+    ots, mask = OtsParams(hlen=64, slen=slen), (1 << slen) - 1
+    for i in range(width):
+        fields = [g >> (width - 1 - i) * slen & mask for g in guesses]
+        assert _field_hashes(words, i, width, ots).tolist() == \
+            hash_words(fields, slen, 64).tolist()

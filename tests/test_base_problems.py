@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
+from compgap.base_problems import (MAX_D, MajorityNoiseParams,
+                                   analytic_adv_risk,
                                    brute_force_adv_risk, majority,
                                    majority_hypothesis,
                                    majority_noise_problem,
@@ -20,6 +22,10 @@ def test_params_validation():
         MajorityNoiseParams(4, 0.1)  # even
     with pytest.raises(ConfigError):
         MajorityNoiseParams(5, 1.0)
+    MajorityNoiseParams(MAX_D, 0.1)
+    for d in (MAX_D + 2, 10 ** 12 + 1, -1):
+        with pytest.raises(ConfigError, match=f"1..{MAX_D}"):
+            MajorityNoiseParams(d, 0.1)
 
 
 def test_majority_examples():
@@ -57,6 +63,19 @@ def test_analytic_equals_brute_force(d, alpha, b):
     p = MajorityNoiseParams(d, alpha)
     assert analytic_adv_risk(p, b) == \
         brute_force_adv_risk(p, majority_hypothesis(d), b)
+
+
+@given(st.integers(min_value=0, max_value=40).map(lambda n: 2 * n + 1),
+       st.integers(min_value=0, max_value=45),
+       st.sampled_from([0.0, 0.05, 0.3]))
+def test_analytic_sums_only_the_reachable_margins(d, b, alpha):
+    # the sum over all d + 1 counts of ones, keeping the reachable ones
+    reachable = sum(math.comb(d, o) for o in range(d + 1)
+                    if abs(2 * o - d) <= 2 * b)
+    got = analytic_adv_risk(MajorityNoiseParams(d, alpha), b)
+    assert type(got) is Fraction
+    assert got == Fraction(alpha) + (1 - Fraction(alpha)) * Fraction(
+        reachable, 1 << d)
 
 
 @given(st.sampled_from([5, 9, 15]), st.integers(min_value=0, max_value=7))

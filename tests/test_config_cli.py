@@ -322,6 +322,12 @@ CAP_PROBES = [
     # 10^11 queries: days of guessing in one bounded game
     ("c3", "c3.query_budget = 100000000000", 2),
     ("separation", "attacker.query_budget = 100000000000", 2),
+    # a 10^12-bit instance; and the adversarial-risk oracle's binomials at
+    # d = 10^6 + 1 and 10^7 + 1, which took 49 s and over 120 s to sum
+    ("risk", "problem.d = 1000000000001", 2),
+    ("adv-risk", "problem.d = 1000000000001", 2),
+    ("separation", "problem.d = 1000001", 2),
+    ("separation", "problem.d = 10000001", 2),
 ]
 
 # (command, config text, exit code): each command checks exactly the

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,35 @@ def test_first_miss_finds_the_first_field_that_misses(seed):
         assert not verify(bad, want, SMALL)
     assert first_miss(sig, want, SMALL) == SMALL.hlen
     assert verify(sig, want, SMALL)
+
+
+def _first_miss_by_fields(sig, want, params):
+    """first_miss as toy_hash of one extracted field at a time."""
+    for i, t in enumerate(want):
+        field = sig.extract(i * params.slen, params.slen)
+        if toy_hash(field, params.hlen, params.hash_rounds).value != t:
+            return i
+    return params.hlen
+
+
+# slen 8 and 16 read the table, 17 and up mix
+@pytest.mark.parametrize("slen", [8, TABLE_BITS, 17, 33, 64])
+def test_first_miss_matches_field_by_field_hashing(slen):
+    params = OtsParams(hlen=5, slen=slen, hash_rounds=3)
+    rng, ones = random.Random(slen), (1 << slen) - 1
+    for fields in ([ones] * 5, [0, ones, 1, ones - 1, ones],
+                   [rng.getrandbits(slen) for _ in range(5)]):
+        # targets from the array path, which shares no code with hash_int
+        sig, want = pack(fields, slen), hash_words(fields, slen, 5, 3).tolist()
+        # every field hits, then a miss at each index
+        for k in range(6):
+            bad = want[:k] + [want[k] ^ 1] + want[k + 1:] if k < 5 else want
+            assert first_miss(sig, bad, params) == k == \
+                _first_miss_by_fields(sig, bad, params)
+    with pytest.raises(FormatError, match="signature must be"):
+        first_miss(BitString(0, 5 * slen - 1), want, params)
+    with pytest.raises(FormatError, match="need 5 targets"):
+        first_miss(sig, want[:-1], params)
 
 
 def test_key_and_signature_layout():
