@@ -37,28 +37,23 @@ STAR = _Star()
 
 Label = Union[int, _Star]
 
-# splitmix64's constants; splitmix64 is also the round function of the toy
-# hash, ots.mix_words, so it must work on ints and uint64 arrays alike
+# splitmix64's constants; splitmix64 is also the one round of the toy hash,
+# ots.mix_words, which runs it on ints and on numpy uint64 arrays
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 MUL1 = 0xBF58476D1CE4E5B9
 MUL2 = 0x94D049BB133111EB
 
 
-def splitmix64(z: int, mul1: int = MUL1, mul2: int = MUL2,
-               mask: int = MASK64) -> int:
+def splitmix64(z: int) -> int:
     """The splitmix64 finalizer of z mod 2^64, for either kind of value
-    ots.mix_words hashes.  An int grows past 64 bits, so each step masks it.
-    A numpy uint64 array wraps mod 2^64 by itself: ots.hash_words passes
-    mask=0, which skips the masks, and the multipliers as np.uint64."""
-    if mask:
-        z &= mask
-    z = (z ^ (z >> 30)) * mul1
-    if mask:
-        z &= mask
-    z = (z ^ (z >> 27)) * mul2
-    if mask:
-        z &= mask
+    ots.mix_words hashes.  z is masked before the first step and after each
+    multiply: exact for an int of any size, and no-ops on a numpy uint64
+    array, which wraps mod 2^64 by itself.  The caller's array is not
+    written."""
+    z = z & MASK64
+    z = ((z ^ (z >> 30)) * MUL1) & MASK64
+    z = ((z ^ (z >> 27)) * MUL2) & MASK64
     return z ^ (z >> 31)
 
 

@@ -5,10 +5,10 @@ far below 2**slen while the exhaustive forger searches the full preimage
 space.  The hash is a documented xorshift-multiply construction (see
 docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.  `mix_words` is its one
-implementation: `hash_int` applies it to an int, `toy_hash` to a bit string
-and `hash_words` to a numpy uint64 array.  Inputs of at most TABLE_BITS
-bits are hashed by one read from a table that `mix_words` builds over their
-whole input space.
+implementation, over the one masked round `game.splitmix64`: `hash_int`
+applies it to an int, `toy_hash` to a bit string and `hash_words` to a
+numpy uint64 array.  Inputs of at most TABLE_BITS bits are hashed by one
+read from a table that `mix_words` builds over their whole input space.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -25,44 +25,33 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bitstring import BitString, pack
 from .errors import ConfigError, FormatError, PreimageNotFound
-from .game import GOLDEN, MASK64, MUL1, MUL2, splitmix64
+from .game import GOLDEN, MASK64, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
 
-# the round as hash_words runs it on uint64 arrays, which wrap mod 2^64 by
-# themselves: no masks, and constants numpy need not convert
-_GOLDEN_U64 = np.uint64(GOLDEN)
-_splitmix64_u64 = partial(splitmix64, mul1=np.uint64(MUL1),
-                          mul2=np.uint64(MUL2), mask=0)
 
-
-def mix_words(value, length: int, out_bits: int, rounds: int,
-              golden=GOLDEN, mix=splitmix64):
+def mix_words(value, length: int, out_bits: int, rounds: int):
     """The toy hash (docs/toy_hash.md) of the `length`-bit `value`, out_bits
     in 1..64.  Only ^ & >> + and * touch the value, so it may be an int or
-    a numpy uint64 array (elementwise, wrapping mod 2^64, length <= 64); an
-    array takes the array round as `golden` and `mix` (see _mix_u64).
+    a numpy uint64 array (elementwise, wrapping mod 2^64, length <= 64).
     """
     state = INIT ^ (length * GOLDEN & MASK64)
     # the big-endian 64-bit words; a value of at most 64 bits is one word
     for shift in range(length - 64, -64, -64):
         word = value >> shift if shift > 0 else value
-        state ^= word & MASK64 if length > 64 else word
+        state ^= word & MASK64
         for _ in range(rounds):
-            state = mix(state + golden)
-    return mix(state + golden) >> (64 - out_bits)
+            state = splitmix64(state + GOLDEN)
+    return splitmix64(state + GOLDEN) >> (64 - out_bits)
 
-
-# mix_words on uint64 arrays
-_mix_u64 = partial(mix_words, golden=_GOLDEN_U64, mix=_splitmix64_u64)
 
 # inputs of at most this many bits are hashed by reading _table
 TABLE_BITS = 16
@@ -72,8 +61,8 @@ TABLE_BITS = 16
 def _table(length: int, out_bits: int, rounds: int) -> np.ndarray:
     """The digest of every `length`-bit input, indexed by the input; length
     in 1..TABLE_BITS.  The cache holds at most 16 such tables, 8 MB."""
-    table = _mix_u64(np.arange(1 << length, dtype=np.uint64), length,
-                     out_bits, rounds)
+    table = mix_words(np.arange(1 << length, dtype=np.uint64), length,
+                      out_bits, rounds)
     table.flags.writeable = False
     return table
 
@@ -107,7 +96,7 @@ def hash_words(values, length: int, out_bits: int,
             f"hash_words input is not in 0..2^{length}-1") from None
     if length <= TABLE_BITS:
         return _table(length, out_bits, rounds)[words]
-    return _mix_u64(words, length, out_bits, rounds)
+    return mix_words(words, length, out_bits, rounds)
 
 
 # Most hash rounds a configuration may ask for.  Every hash runs that many

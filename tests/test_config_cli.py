@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import compgap
 from compgap import cli
@@ -405,6 +407,51 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
         assert run_cli(argv) == code
     if code:
         assert not (tmp_path / "o" / "results.csv").exists()
+
+
+# The settings each command reads, with the config lines that make it read
+# them; the requested work (trials, forge.count) stays at 1 and is not
+# varied.  adv-risk reads the settings of attacker.name's game.
+_C1_KEYS = ("problem.d", "problem.alpha", "problem.b", "seed")
+_OTS_KEYS = ("ots.hlen", "ots.slen", "ots.hash_rounds", "ecc.k_sym",
+             "ecc.n_sym", "ecc.bits_per_symbol")
+_C3_KEYS = ("c3.d", "c3.hlen", "c3.slen", "c3.k_sym", "c3.n_sym",
+            "c3.bits_per_symbol", "seed")
+_FORGE = "forge.count = 1\n"
+KEYS_READ = [
+    ("risk", "", ("problem.d", "problem.alpha", "seed")),
+    ("adv-risk", "attacker.name = identity\n", _C1_KEYS),
+    ("adv-risk", "attacker.name = greedy\n", _C1_KEYS),
+    ("adv-risk", "attacker.name = bounded_c1\n",
+     _C1_KEYS + _OTS_KEYS + ("attacker.query_budget",)),
+    ("adv-risk", "attacker.name = unbounded_c1\n", _C1_KEYS + _OTS_KEYS),
+    ("adv-risk", "attacker.name = bounded_c3\n",
+     _C3_KEYS + ("c3.query_budget",)),
+    ("adv-risk", "attacker.name = unbounded_c3\n", _C3_KEYS),
+    ("separation", "", _C1_KEYS + _OTS_KEYS + ("attacker.query_budget",)),
+    ("c3", "", _C3_KEYS + ("c3.query_budget",)),
+    ("np-forge", _FORGE, ("forge.d", "forge.b", "forge.k", "forge.tau",
+                          "forge.stage", "problem.alpha", "seed")),
+    ("np-forge", _FORGE + "forge.stage = s2\n", ("forge.k", "forge.tau")),
+    ("np-forge", _FORGE + "forge.stage = s\n", ("forge.reps",)),
+]
+EXTREME_VALUES = ("0", "-1", str(1 << 31), str(1 << 63), str(10**12), "nan",
+                  "inf", "1e308", "word")
+EXTREME_CASES = [(command, base + f"{key} = {value}\n")
+                 for command, base, keys in KEYS_READ for key in keys
+                 for value in EXTREME_VALUES]
+
+
+# a bounded sample of the grid per run; each case is a child process
+@settings(max_examples=50)
+@given(st.sampled_from(EXTREME_CASES))
+def test_cli_survives_extreme_values(tmp_path_factory, case):
+    command, text = case
+    tmp = tmp_path_factory.mktemp("extreme")
+    (tmp / "c.cfg").write_text(text)
+    argv = [command, "--config", str(tmp / "c.cfg"), "--out",
+            str(tmp / "o"), "--trials", "1"]
+    assert run_cli_capped(argv) in (0, 2, 3)
 
 
 def test_np_forge_bad_reps_makes_no_out_dir(tmp_path):

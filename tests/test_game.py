@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,9 +52,17 @@ def test_correct_label_loses():
     assert not winning(x, x, 1, h_const(1), budget=2).won
 
 
-@given(st.integers(min_value=0, max_value=(1 << 64) - 1))
-def test_splitmix_is_u64(z):
-    assert 0 <= splitmix64(z) < 1 << 64
+@given(st.lists(st.integers(min_value=0, max_value=1 << 70), min_size=1))
+def test_splitmix_is_u64(zs):
+    # mix_seed passes ints past 2^64; the one round reduces them mod 2^64,
+    # and on a uint64 array (no overflow warning) gives the same words
+    outs = [splitmix64(z) for z in zs]
+    assert all(0 <= out < 1 << 64 for out in outs)
+    assert outs == [splitmix64(z % (1 << 64)) for z in zs]
+    words = np.array([z % (1 << 64) for z in zs], dtype=np.uint64)
+    before = words.copy()
+    assert splitmix64(words).tolist() == outs
+    assert (words == before).all()  # the caller's array is not written
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1),
