@@ -4,7 +4,8 @@ The file format is `key = value` with '#' comments; keys are dotted paths
 into the config groups below, values are integers, decimals, or bare words.
 Unknown keys are errors, missing keys take the defaults, and the defaults
 are the worked separation configuration, so an empty file runs everything
-out of the box.
+out of the box.  What the key width fixes is derived, not set: a key code's
+k_sym and C3's instance length d.
 
 `validate(kind)` checks the plain settings of command `kind`: the seed,
 the trial count and `np-forge`'s settings.  A parameter object checks
@@ -24,49 +25,50 @@ from .errors import ConfigError, ParseError
 from .ots import OtsParams
 
 
-@dataclass
+@dataclass(slots=True)
 class ProblemConfig:
     d: int = 15
     alpha: float = 0.05
     b: int = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class OtsConfig:
     hlen: int = 16
     slen: int = 16
     hash_rounds: int = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class EccConfig:
-    k_sym: int = 32
     n_sym: int = 640
     bits_per_symbol: int = 16
 
 
-@dataclass
+@dataclass(slots=True)
 class C3Config:
-    """Parameters of the no-detection construction; the shared code must
-    carry both the base instance and the verification key, so d is tied to
-    2*hlen^2 and to k_sym*bits_per_symbol."""
+    """Parameters of the no-detection construction.  One code carries both
+    the base instance and the verification key, so the instance length d
+    and the code's data width both equal the key width 2*hlen^2."""
 
-    d: int = 128
     hlen: int = 8
     slen: int = 10
-    k_sym: int = 16
     n_sym: int = 40
     bits_per_symbol: int = 8
     query_budget: int = 1024
 
+    @property
+    def d(self) -> int:
+        return 2 * self.hlen * self.hlen
 
-@dataclass
+
+@dataclass(slots=True)
 class AttackerConfig:
     name: str = "greedy"
     query_budget: int = 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class ForgeConfig:
     d: int = 11
     b: int = 2
@@ -77,7 +79,17 @@ class ForgeConfig:
     stage: str = "s1"
 
 
-@dataclass
+def _key_code(name: str, hlen: int, group: EccConfig | C3Config) -> EccParams:
+    """The code of config group `name`, whose data width is one
+    2*hlen^2-bit verification key: k_sym = 2*hlen^2 / bits_per_symbol."""
+    key_bits, width = 2 * hlen * hlen, group.bits_per_symbol
+    if width < 1 or key_bits % width:
+        raise ConfigError(f"{name}.bits_per_symbol must divide the "
+                          f"{key_bits}-bit verification key, got {width}")
+    return EccParams(key_bits // width, group.n_sym, width)
+
+
+@dataclass(slots=True)
 class ExperimentConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     ots: OtsConfig = field(default_factory=OtsConfig)
@@ -98,15 +110,13 @@ class ExperimentConfig:
         return OtsParams(self.ots.hlen, self.ots.slen, self.ots.hash_rounds)
 
     def ecc_params(self) -> EccParams:
-        return EccParams(self.ecc.k_sym, self.ecc.n_sym,
-                         self.ecc.bits_per_symbol)
+        return _key_code("ecc", self.ots.hlen, self.ecc)
 
     def c3_ots_params(self) -> OtsParams:
         return OtsParams(self.c3.hlen, self.c3.slen)
 
     def c3_ecc_params(self) -> EccParams:
-        return EccParams(self.c3.k_sym, self.c3.n_sym,
-                         self.c3.bits_per_symbol)
+        return _key_code("c3", self.c3.hlen, self.c3)
 
     def validate(self, kind: str) -> None:
         """Check the settings command `kind` reads outside its games."""
@@ -115,8 +125,7 @@ class ExperimentConfig:
         if self.seed < 0 or self.seed >= 1 << 64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if kind == "np-forge":
-            if self.forge.d % 2 == 0 or self.forge.d < 1:
-                raise ConfigError("forge.d must be odd and positive")
+            # forge.d is checked by the problem and circuit np-forge builds
             if self.forge.stage not in ("s1", "s2", "s"):
                 raise ConfigError("forge.stage must be s1, s2, or s")
             if not 0 <= self.forge.tau <= 1:

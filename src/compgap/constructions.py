@@ -204,8 +204,6 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
 
     Decode failure on either codeword yields 0: the classifier has no STAR,
     and an undecodable input cannot satisfy the verification branch.
-    Identical slots are deduplicated before verifying; verification is
-    deterministic, so this does not change the decision.
     """
     rs = reed_solomon(ecc)
     n, ell = ecc.n_bits, ots.sig_bits
@@ -219,14 +217,11 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
         except DecodeFailure:
             return 0
         want = targets(vk, digest(x, ots), ots)
-        raw, seen = inst.slots.value, set()
+        raw = inst.slots.value
         # n copies of slot 0 (fields cannot carry): verify slot 0 alone
         count = 1 if raw == (raw >> ((n - 1) * ell)) * repeat else n
         for i in range(count):
             v = (raw >> ((n - 1 - i) * ell)) & ((1 << ell) - 1)
-            if v in seen:
-                continue
-            seen.add(v)
             if verify(BitString(v, ell), want, ots):
                 return 1
         return 0

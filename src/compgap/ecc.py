@@ -35,7 +35,7 @@ with the same DecodeFailure as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress
 from operator import xor
 
@@ -115,7 +115,8 @@ class EccParams:
 
     def __post_init__(self) -> None:
         if self.k_sym < 1 or self.n_sym <= self.k_sym:
-            raise ConfigError("need n_sym > k_sym >= 1")
+            raise ConfigError(f"need n_sym > k_sym >= 1, got n_sym "
+                              f"{self.n_sym} and k_sym {self.k_sym}")
         if self.bits_per_symbol not in _PRIM_POLY:
             raise ConfigError(
                 f"bits_per_symbol must be in 2..16, got {self.bits_per_symbol}")
@@ -363,11 +364,6 @@ class ReedSolomon:
         return exp[log[om] + order - log[dprime]]
 
 
-_RS_CACHE: dict = {}
-
-
+@cache
 def reed_solomon(params: EccParams) -> ReedSolomon:
-    rs = _RS_CACHE.get(params)
-    if rs is None:
-        rs = _RS_CACHE[params] = ReedSolomon(params)
-    return rs
+    return ReedSolomon(params)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -192,16 +192,23 @@ def verify(sig: BitString, want: Sequence[int], params: OtsParams) -> bool:
 FORGE_SLEN_CAP = 20
 
 
+@cache
+def _preimage_table(params: OtsParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct digests of all slen-bit inputs, and each one's
+    first preimage."""
+    return np.unique(hash_words(np.arange(1 << params.slen, dtype=np.uint64),
+                                params.slen, params.hlen, params.hash_rounds),
+                     return_index=True)
+
+
 class PreimageIndex:
     """Precomputed digest -> smallest-preimage table over the full space.
 
     This is the unbounded attacker's precomputation: it makes each forgery a
     table lookup instead of a fresh 2**(slen-1) expected-work search.  The
-    table depends only on (slen, hlen, hash_rounds), so one build serves
-    every key pair.
+    table depends only on the OTS parameters, so one build serves every key
+    pair.
     """
-
-    _cache: dict = {}
 
     def __init__(self, params: OtsParams) -> None:
         if params.slen > FORGE_SLEN_CAP:
@@ -209,16 +216,7 @@ class PreimageIndex:
                 f"slen {params.slen} exceeds the preimage-table cap "
                 f"{FORGE_SLEN_CAP}")
         self.params = params
-        key = (params.slen, params.hlen, params.hash_rounds)
-        table = self._cache.get(key)
-        if table is None:
-            # the sorted distinct digests, and each one's first preimage
-            table = np.unique(
-                hash_words(np.arange(1 << params.slen, dtype=np.uint64),
-                           params.slen, params.hlen, params.hash_rounds),
-                return_index=True)
-            self._cache[key] = table
-        self.digests, self.preimages = table
+        self.digests, self.preimages = _preimage_table(params)
 
     def forge(self, want: Sequence[int]) -> BitString:
         if len(want) != self.params.hlen:

@@ -107,9 +107,8 @@ def _small_config(query_budget):
     cfg = ExperimentConfig()
     cfg.problem.d, cfg.problem.alpha = 7, 0.1
     cfg.ots.hlen, cfg.ots.slen = 4, 8
-    cfg.ecc.k_sym, cfg.ecc.n_sym, cfg.ecc.bits_per_symbol = 4, 72, 8
-    cfg.c3.d, cfg.c3.hlen, cfg.c3.slen = 32, 4, 8
-    cfg.c3.k_sym, cfg.c3.n_sym = 4, 10
+    cfg.ecc.n_sym, cfg.ecc.bits_per_symbol = 72, 8
+    cfg.c3.hlen, cfg.c3.slen, cfg.c3.n_sym = 4, 8, 10
     cfg.attacker.query_budget = cfg.c3.query_budget = query_budget
     return cfg
 

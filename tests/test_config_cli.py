@@ -11,6 +11,7 @@ import compgap
 from compgap import cli
 from compgap.cli import _build_game, _build_games, main
 from compgap.config import ExperimentConfig, parse_config
+from compgap.ecc import EccParams
 from compgap.errors import ConfigError, ParseError
 
 
@@ -39,6 +40,35 @@ def test_unknown_key_rejected():
         parse_config("problem.q = 3\n")
     with pytest.raises(ParseError):
         parse_config("nonsense = 3\n")
+
+
+# the key width 2*hlen^2 fixes a key code's k_sym and C3's d, so neither
+# is a setting
+@pytest.mark.parametrize("command,line", [("risk", "ecc.k_sym = 32"),
+                                          ("c3", "c3.k_sym = 16"),
+                                          ("c3", "c3.d = 128")])
+def test_derived_keys_are_unknown(tmp_path, capsys, command, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli([command, "--config", str(cfg), "--trials", "2",
+                    "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_derived_widths():
+    cfg = ExperimentConfig()
+    assert cfg.ecc_params() == EccParams(32, 640, 16)
+    assert cfg.c3_ecc_params() == EccParams(16, 40, 8)
+    assert cfg.c3.d == 128
+    cfg.ots.hlen = cfg.c3.hlen = 4
+    assert cfg.ecc_params().k_sym == 2 and cfg.c3_ecc_params().k_sym == 4
+    assert cfg.c3.d == 32
+    # a config group takes no attribute it does not declare
+    with pytest.raises(AttributeError):
+        cfg.ecc.k_sym = 4
+    with pytest.raises(AttributeError):
+        cfg.c3.d = 32
 
 
 def test_top_level_keys():
@@ -316,8 +346,8 @@ CAP_PROBES = [
     # every hash, the 2^16 preimage table's included, runs hash_rounds rounds
     ("separation", "ots.hash_rounds = 1000000000", 2),
     # a 31.7 GiB syndrome table
-    ("c3", "c3.hlen = 64; c3.slen = 20; c3.k_sym = 512; c3.n_sym = 65535; "
-     "c3.d = 8192; c3.bits_per_symbol = 16", 2),
+    ("c3", "c3.hlen = 64; c3.slen = 20; c3.n_sym = 65535; "
+     "c3.bits_per_symbol = 16", 2),
     # formulas of about 5.4 million and 13.5 million variables
     ("np-forge", "forge.stage = s; forge.reps = 1000; forge.count = 1", 2),
     ("np-forge", "forge.stage = s2; forge.k = 100000; forge.count = 1", 2),
@@ -342,7 +372,7 @@ VALIDATION_MATRIX = [
     ("oracle-check", "attacker.name = sneaky", 0),
     ("np-forge", "attacker.name = sneaky; forge.count = 2; forge.d = 9", 0),
     ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9", 0),
-    ("separation", "attacker.name = bounded_c3; c3.d = 100", 0),
+    ("separation", "attacker.name = bounded_c3; c3.hlen = 100", 0),
     ("adv-risk", "ots.hlen = 8", 0),
     ("c3", "attacker.query_budget = -3", 0),
     ("separation", "c3.query_budget = -5", 0),
@@ -353,19 +383,25 @@ VALIDATION_MATRIX = [
     ("separation", "ecc.bits_per_symbol = -1", 2),
     ("c3", "c3.bits_per_symbol = -3", 2),
     # degenerate OTS: no invalid signature to sample for a 0-labelled slot
-    ("c3", "c3.d = 2; c3.hlen = 1; c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; "
-     "c3.bits_per_symbol = 2", 2),
-    ("adv-risk", "attacker.name = unbounded_c3; c3.d = 2; c3.hlen = 1; "
-     "c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; c3.bits_per_symbol = 2", 2),
+    ("c3", "c3.hlen = 1; c3.slen = 1; c3.n_sym = 3; c3.bits_per_symbol = 2",
+     2),
+    ("adv-risk", "attacker.name = unbounded_c3; c3.hlen = 1; c3.slen = 1; "
+     "c3.n_sym = 3; c3.bits_per_symbol = 2", 2),
     # settings the command reads
     ("adv-risk", "attacker.name = sneaky", 2),
     ("separation", "ecc.n_sym = 140", 2),
-    ("adv-risk", "attacker.name = bounded_c3; c3.d = 100", 2),
-    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 2),
+    # a key code's k_sym is the key width 2*hlen^2 over bits_per_symbol,
+    # which must divide it
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 0),
+    ("adv-risk", "attacker.name = bounded_c3; c3.bits_per_symbol = 3", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ecc.bits_per_symbol = 12", 2),
+    ("c3", "c3.bits_per_symbol = 0", 2),
     ("risk", "problem.d = 14", 2),
     ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9; "
      "forge.stage = s", 2),
     ("np-forge", "forge.var_cap = 10000; forge.count = 2; forge.d = 9", 2),
+    ("np-forge", "forge.count = 2; forge.d = 10", 2),
+    ("np-forge", "forge.count = 2; forge.d = 65", 2),
     ("c3", "c3.query_budget = -5", 2),
     ("adv-risk", "attacker.name = bounded_c1; attacker.query_budget = -1", 2),
     ("adv-risk", "attacker.name = identity; problem.b = -1", 2),
@@ -375,13 +411,12 @@ VALIDATION_MATRIX = [
     ("adv-risk", "attacker.name = unbounded_c1; ecc.n_sym = 140", 2),
     # one-word hash bounds, and the preimage-table cap on unbounded forgers
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65; "
-     "ecc.k_sym = 2; ecc.n_sym = 530", 2),
+     "ecc.n_sym = 530", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 65; ots.slen = 1; "
-     "ecc.k_sym = 845; ecc.n_sym = 979; ecc.bits_per_symbol = 10", 2),
-    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.k_sym = 8; "
-     "ecc.n_sym = 348", 2),
+     "ecc.n_sym = 979; ecc.bits_per_symbol = 10", 2),
+    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.n_sym = 348", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8; ots.slen = 21; "
-     "ecc.k_sym = 8; ecc.n_sym = 348", 0),
+     "ecc.n_sym = 348", 0),
     # bad paths; a "--flag value" part overrides the default flag
     ("risk", "--config {tmp}/missing.cfg", 2),
     ("risk", "--config {tmp}", 2),
@@ -413,10 +448,9 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
 # them; the requested work (trials, forge.count) stays at 1 and is not
 # varied.  adv-risk reads the settings of attacker.name's game.
 _C1_KEYS = ("problem.d", "problem.alpha", "problem.b", "seed")
-_OTS_KEYS = ("ots.hlen", "ots.slen", "ots.hash_rounds", "ecc.k_sym",
-             "ecc.n_sym", "ecc.bits_per_symbol")
-_C3_KEYS = ("c3.d", "c3.hlen", "c3.slen", "c3.k_sym", "c3.n_sym",
-            "c3.bits_per_symbol", "seed")
+_OTS_KEYS = ("ots.hlen", "ots.slen", "ots.hash_rounds", "ecc.n_sym",
+             "ecc.bits_per_symbol")
+_C3_KEYS = ("c3.hlen", "c3.slen", "c3.n_sym", "c3.bits_per_symbol", "seed")
 _FORGE = "forge.count = 1\n"
 KEYS_READ = [
     ("risk", "", ("problem.d", "problem.alpha", "seed")),
@@ -464,14 +498,22 @@ def test_np_forge_bad_reps_makes_no_out_dir(tmp_path):
     assert not out.exists()
 
 
+# forge.d is checked by the base problem and the circuit np-forge builds
+@pytest.mark.parametrize("d", [10, 0, -1, 50003, 10**12, 65])
+def test_np_forge_bad_d_makes_no_out_dir(tmp_path, d):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"forge.count = 2\nforge.d = {d}\n")
+    out = tmp_path / "o"
+    assert run_cli(["np-forge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # a bad setting of a command's later game, and a config that builds every
 # earlier game
 @pytest.mark.parametrize("command,text", [
-    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.k_sym = 8; "
-     "ecc.n_sym = 348"),
+    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.n_sym = 348"),
     ("c3", "c3.query_budget = -5"),
-    ("c3", "c3.d = 2; c3.hlen = 1; c3.slen = 1; c3.k_sym = 1; c3.n_sym = 3; "
-     "c3.bits_per_symbol = 2"),
+    ("c3", "c3.hlen = 1; c3.slen = 1; c3.n_sym = 3; c3.bits_per_symbol = 2"),
 ])
 def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
                                                 command, text):

@@ -5,7 +5,7 @@ import pytest
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    majority_noise_problem,
                                    uniform_balanced_problem)
-from compgap.bitstring import BitString
+from compgap.bitstring import BitString, concat_all
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
                                    classifier_c1, classifier_c3, sample_c3,
                                    wrap_sample_c1, wrapped_problem_c1)
@@ -141,6 +141,28 @@ def test_c3_forged_slot_flips_zero_to_one():
             inst.slots.extract(ell, inst.slots.length - ell)
         assert h(forged.to_bits()) == 1
     assert found
+
+
+def test_c3_classifier_reads_every_slot():
+    # 1 iff some slot verifies, wherever it sits; slots that differ are
+    # all verified, and none of two alternating invalid ones does
+    n, ell = C3_ECC.n_bits, C3_OTS.sig_bits
+    h = classifier_c3(C3_OTS, C3_ECC)
+    rs = reed_solomon(C3_ECC)
+    inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, 0)
+    assert y == 0
+    want = targets(rs.decode(inst.vk_code), digest(rs.decode(inst.x_code),
+                                                    C3_OTS), C3_OTS)
+    bad = inst.slots.extract(0, ell)
+    forged = PreimageIndex(C3_OTS).forge(want)
+    last = C3Instance(inst.x_code, inst.slots.extract(0, (n - 1) * ell)
+                      .concat(forged), inst.vk_code)
+    assert h(last.to_bits()) == 1
+    other = BitString(bad.value ^ 1, ell)
+    assert not verify(bad, want, C3_OTS) and not verify(other, want, C3_OTS)
+    alternating = C3Instance(inst.x_code, concat_all([bad, other] * (n // 2)),
+                             inst.vk_code)
+    assert h(alternating.to_bits()) == 0
 
 
 # sha256 of to01() of whole instances.  results.csv cannot see a reordering
