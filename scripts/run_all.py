@@ -4,7 +4,8 @@
 Order: frozen-oracle self-check first (abort on failure), then the risk
 and adversarial-risk measurements, the separation, the no-detection
 construction, and a CNF bundle batch.  Each experiment gets its own
-subdirectory under out/.
+subdirectory under out/; the self-check prints its PASS/FAIL lines and
+writes nothing.
 """
 
 import sys
@@ -12,7 +13,7 @@ import sys
 from compgap.cli import main
 
 STEPS = [
-    ["oracle-check", "--out", "out/oracle"],
+    ["oracle-check"],
     ["risk", "--trials", "100000", "--out", "out/risk"],
     ["adv-risk", "--trials", "4000", "--out", "out/adv-risk"],
     ["separation", "--trials", "2000", "--out", "out/separation"],

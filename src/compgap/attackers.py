@@ -125,7 +125,7 @@ def _field_hashes(words: np.ndarray, i: int, width: int,
     for m in range(a + 1, (lo + ots.slen - 1) // 32 + 1):
         field |= words[:, m].astype(np.uint64) << np.uint64(32 * (m - a) - o)
     return hash_words(field & np.uint64((1 << ots.slen) - 1), ots.slen,
-                      ots.hlen, ots.hash_rounds)
+                      ots.hlen)
 
 
 def _guess(wants: Sequence[Sequence[int]], ots: OtsParams, rng,
@@ -259,8 +259,7 @@ def bounded_c1_attacker(d: int, b: int, ots: OtsParams, ecc: EccParams,
         # a revealed preimage may also hit the opposite digest slot by luck
         counters.charge(len(missing))
         missing = [i for i in missing
-                   if hash_int(preimages[i], ots.slen, ots.hlen,
-                               ots.hash_rounds) != want[i]]
+                   if hash_int(preimages[i], ots.slen, ots.hlen) != want[i]]
         # each guess targets the first position still missing
         for i, p in zip(missing, _guess([[want[i]] for i in missing], ots,
                                         rng, counters)):

@@ -32,8 +32,7 @@ from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .ecc import EccParams, reed_solomon
-from .errors import (ConfigError, InvariantViolation, ParseError,
-                     SamplerError)
+from .errors import ConfigError, InvariantViolation, ParseError
 from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
                    game_transcript, mix_seed)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
@@ -360,13 +359,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         if args.trials is not None:
-            cfg.trials = args.trials
+            # np-forge's trials are its bundles
+            cfg.trials = cfg.forge.count = args.trials
         if args.out is not None:
             cfg.out = args.out
         cfg.validate(args.command)
         return _COMMANDS[args.command](cfg, Path(cfg.out))
-    except (ParseError, ConfigError, SamplerError) as exc:
-        # every SamplerError a command can reach comes from its parameters
+    except (ParseError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a --config or --out path that cannot be used

@@ -36,7 +36,6 @@ class ProblemConfig:
 class OtsConfig:
     hlen: int = 16
     slen: int = 16
-    hash_rounds: int = 2
 
 
 @dataclass(slots=True)
@@ -107,7 +106,7 @@ class ExperimentConfig:
         return MajorityNoiseParams(self.problem.d, self.problem.alpha)
 
     def ots_params(self) -> OtsParams:
-        return OtsParams(self.ots.hlen, self.ots.slen, self.ots.hash_rounds)
+        return OtsParams(self.ots.hlen, self.ots.slen)
 
     def ecc_params(self) -> EccParams:
         return _key_code("ecc", self.ots.hlen, self.ecc)

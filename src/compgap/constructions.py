@@ -20,7 +20,7 @@ import random
 
 from .bitstring import BitString, concat_all
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, DecodeFailure, SamplerError
+from .errors import ConfigError, DecodeFailure
 from .game import STAR, Hypothesis, Label, Problem, mix_seed
 from .ots import (OtsParams, digest, hash_words, kgen, sign, targets,
                   verify)
@@ -175,7 +175,7 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
             if not verify(sigma, want, ots):
                 break
         else:
-            raise SamplerError(
+            raise ConfigError(
                 "could not sample an invalid signature; OTS parameters are "
                 "degenerate")
     return C3Instance(rs.encode(x), sigma.repeat(ecc.n_bits),
@@ -186,8 +186,7 @@ def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
     _check_c3_params(base, ots, ecc)
     # an invalid signature, which every 0-labelled sample carries, exists
     # iff the hash is not constant on the slen-bit preimages
-    h = hash_words(range(1 << min(ots.slen, 16)), ots.slen, ots.hlen,
-                   ots.hash_rounds)
+    h = hash_words(range(1 << min(ots.slen, 16)), ots.slen, ots.hlen)
     if (h == h[0]).all():
         raise ConfigError("degenerate C3 parameters: every preimage hashes "
                           "to one digest, so no signature is invalid")

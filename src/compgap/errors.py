@@ -29,10 +29,6 @@ class ConfigError(CompgapError):
     """Parameter combination violates a module precondition."""
 
 
-class SamplerError(CompgapError):
-    """A rejection sampler exceeded its attempt cap."""
-
-
 class ParseError(CompgapError):
     """Malformed config text."""
 

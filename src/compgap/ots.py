@@ -7,8 +7,10 @@ docs/toy_hash.md) so digests are reproducible bit-exactly; it has no
 cryptographic strength and none is claimed.  `mix_words` is its one
 implementation, over the one masked round `game.splitmix64`: `hash_int`
 applies it to an int, `toy_hash` to a bit string and `hash_words` to a
-numpy uint64 array.  Inputs of at most TABLE_BITS bits are hashed by one
-read from a table that `mix_words` builds over their whole input space.
+numpy uint64 array, all at ROUNDS rounds per word (`mix_words` takes any
+count, as the spec and its vectors do).  Inputs of at most TABLE_BITS bits
+are hashed by one read from a table that `mix_words` builds over their
+whole input space.
 
 Keys and signatures are the bit strings the instances carry, read as
 fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
@@ -36,6 +38,8 @@ from .game import GOLDEN, MASK64, splitmix64
 
 # toy_hash's initial state; its round function is game.splitmix64
 INIT = 0x6A09E667F3BCC909
+# the mixer rounds per input word of every hash the lab makes
+ROUNDS = 2
 
 
 def mix_words(value, length: int, out_bits: int, rounds: int):
@@ -58,32 +62,31 @@ TABLE_BITS = 16
 
 
 @lru_cache(maxsize=16)
-def _table(length: int, out_bits: int, rounds: int) -> np.ndarray:
+def _table(length: int, out_bits: int) -> np.ndarray:
     """The digest of every `length`-bit input, indexed by the input; length
     in 1..TABLE_BITS.  The cache holds at most 16 such tables, 8 MB."""
     table = mix_words(np.arange(1 << length, dtype=np.uint64), length,
-                      out_bits, rounds)
+                      out_bits, ROUNDS)
     table.flags.writeable = False
     return table
 
 
-def hash_int(value: int, length: int, out_bits: int, rounds: int) -> int:
-    """mix_words of the `length`-bit int `value`, read from _table when
-    length is at most TABLE_BITS; no checks."""
+def hash_int(value: int, length: int, out_bits: int) -> int:
+    """mix_words of the `length`-bit int `value` at ROUNDS, read from
+    _table when length is at most TABLE_BITS; no checks."""
     if 1 <= length <= TABLE_BITS:
-        return _table(length, out_bits, rounds).item(value)
-    return mix_words(value, length, out_bits, rounds)
+        return _table(length, out_bits).item(value)
+    return mix_words(value, length, out_bits, ROUNDS)
 
 
-def toy_hash(x: BitString, out_bits: int, rounds: int = 2) -> BitString:
+def toy_hash(x: BitString, out_bits: int) -> BitString:
     """hash_int of one bit string, out_bits in 1..64."""
     if not 1 <= out_bits <= 64:
         raise FormatError("toy_hash needs 1 <= out_bits <= 64")
-    return BitString(hash_int(x.value, x.length, out_bits, rounds), out_bits)
+    return BitString(hash_int(x.value, x.length, out_bits), out_bits)
 
 
-def hash_words(values, length: int, out_bits: int,
-               rounds: int = 2) -> np.ndarray:
+def hash_words(values, length: int, out_bits: int) -> np.ndarray:
     """toy_hash of many `length`-bit inputs at once, as a uint64 array."""
     if not (1 <= length <= 64 and 1 <= out_bits <= 64):
         raise FormatError("hash_words needs 1 <= length, out_bits <= 64")
@@ -95,28 +98,18 @@ def hash_words(values, length: int, out_bits: int,
         raise FormatError(
             f"hash_words input is not in 0..2^{length}-1") from None
     if length <= TABLE_BITS:
-        return _table(length, out_bits, rounds)[words]
-    return mix_words(words, length, out_bits, rounds)
-
-
-# Most hash rounds a configuration may ask for.  Every hash runs that many
-# mixer rounds per input word, the 2^FORGE_SLEN_CAP-entry preimage table's
-# hashes included; the frozen test vectors use 1 to 3.
-MAX_HASH_ROUNDS = 64
+        return _table(length, out_bits)[words]
+    return mix_words(words, length, out_bits, ROUNDS)
 
 
 @dataclass(frozen=True, slots=True)
 class OtsParams:
     hlen: int
     slen: int
-    hash_rounds: int = 2
 
     def __post_init__(self) -> None:
-        if not (1 <= self.hlen <= 64 and 1 <= self.slen <= 64
-                and 1 <= self.hash_rounds <= MAX_HASH_ROUNDS):
-            raise ConfigError("hlen and slen must be in 1..64 (one hash "
-                              "word), hash_rounds in "
-                              f"1..{MAX_HASH_ROUNDS}")
+        if not (1 <= self.hlen <= 64 and 1 <= self.slen <= 64):
+            raise ConfigError("hlen and slen must be in 1..64 (one hash word)")
 
     @property
     def sig_bits(self) -> int:
@@ -138,12 +131,12 @@ def kgen(params: OtsParams, seed: int) -> KeyPair:
     hlen, slen = params.hlen, params.slen
     # sk[0], sk[1], ..., drawn as BitString.random does
     sk = tuple(rng.getrandbits(slen) for _ in range(2 * hlen))
-    digests = hash_words(sk, slen, hlen, params.hash_rounds).tolist()
+    digests = hash_words(sk, slen, hlen).tolist()
     return KeyPair(sk, pack(digests, hlen))
 
 
 def digest(message: BitString, params: OtsParams) -> BitString:
-    return toy_hash(message, params.hlen, params.hash_rounds)
+    return toy_hash(message, params.hlen)
 
 
 def targets(vk: BitString, d: BitString, params: OtsParams) -> List[int]:
@@ -174,11 +167,10 @@ def first_miss(sig: BitString, want: Sequence[int],
             f"signature must be {params.sig_bits} bits, got {sig.length}")
     if len(want) != params.hlen:
         raise FormatError(f"need {params.hlen} targets, got {len(want)}")
-    hlen, slen, rounds = params.hlen, params.slen, params.hash_rounds
+    hlen, slen = params.hlen, params.slen
     bits, mask = sig.value, (1 << slen) - 1
     for i, t in enumerate(want):
-        if hash_int(bits >> (hlen - 1 - i) * slen & mask, slen, hlen,
-                    rounds) != t:
+        if hash_int(bits >> (hlen - 1 - i) * slen & mask, slen, hlen) != t:
             return i
     return hlen
 
@@ -197,7 +189,7 @@ def _preimage_table(params: OtsParams) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct digests of all slen-bit inputs, and each one's
     first preimage."""
     return np.unique(hash_words(np.arange(1 << params.slen, dtype=np.uint64),
-                                params.slen, params.hlen, params.hash_rounds),
+                                params.slen, params.hlen),
                      return_index=True)
 
 

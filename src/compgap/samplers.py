@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
 from .cnf import CnfFormula, at_least, encode_hamming_ball, tseitin
-from .errors import ConfigError, SamplerError
+from .errors import ConfigError
 from .game import Problem, mix_seed
 
 
@@ -83,7 +83,7 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
         raise ConfigError("circuit does not match the problem's instance length")
     x, y = problem.sample(seed)
     if not isinstance(y, int):
-        raise SamplerError("stage-1 compilation needs integer labels")
+        raise ConfigError("stage-1 compilation needs integer labels")
     f = _compile_block(x, y, tseitin(circuit), b)
     block = BlockInfo(0, f.annotations["inputs"], x, y)
     return SamplerBundle(f, Stage.S1, seed, b, (block,))

@@ -299,15 +299,14 @@ def _reference_bounded_c1(ots, ecc, budget, log):
         missing = [i for i in range(ots.hlen) if d_new[i] != d_old[i]]
         for i in list(missing):
             counters.charge()
-            if toy_hash(BitString(preimages[i], ots.slen), ots.hlen,
-                        ots.hash_rounds).value == want[i]:
+            if toy_hash(BitString(preimages[i], ots.slen),
+                        ots.hlen).value == want[i]:
                 missing.remove(i)
         log.append([len(missing), 0])
         while missing:
             cand = BitString.random(rng, ots.slen)
             counters.charge()
-            if toy_hash(cand, ots.hlen,
-                        ots.hash_rounds).value == want[missing[0]]:
+            if toy_hash(cand, ots.hlen).value == want[missing[0]]:
                 preimages[missing.pop(0)] = cand.value
                 log[-1][1] += 1
         return pack(preimages, ots.slen)
@@ -327,8 +326,7 @@ def _reference_bounded_c3(ots, ecc, budget, log):
             cand = BitString.random(rng, ots.sig_bits)
             for p, t in zip(cand.fields(ots.slen), want):
                 counters.charge()
-                if toy_hash(BitString(p, ots.slen), ots.hlen,
-                            ots.hash_rounds).value != t:
+                if toy_hash(BitString(p, ots.slen), ots.hlen).value != t:
                     break
             else:
                 log[-1][0] = True

@@ -43,11 +43,13 @@ def test_unknown_key_rejected():
 
 
 # the key width 2*hlen^2 fixes a key code's k_sym and C3's d, so neither
-# is a setting
+# is a setting; every hash runs ots.ROUNDS rounds
 @pytest.mark.parametrize("command,line", [("risk", "ecc.k_sym = 32"),
                                           ("c3", "c3.k_sym = 16"),
-                                          ("c3", "c3.d = 128")])
-def test_derived_keys_are_unknown(tmp_path, capsys, command, line):
+                                          ("c3", "c3.d = 128"),
+                                          ("separation",
+                                           "ots.hash_rounds = 2")])
+def test_derived_and_fixed_keys_are_unknown(tmp_path, capsys, command, line):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(line + "\n")
     assert run_cli([command, "--config", str(cfg), "--trials", "2",
@@ -214,6 +216,15 @@ def test_cli_np_forge_emits_bundles(tmp_path):
         read_dimacs((out / files[0]).read_text())
 
 
+def test_cli_np_forge_trials_set_the_bundle_count(tmp_path):
+    # np-forge's trials are its bundles, forge.count
+    out = tmp_path / "o"
+    assert run_cli(["np-forge", "--trials", "3", "--out", str(out)]) == 0
+    assert len(list(out.glob("*.cnf"))) == 3
+    assert (out / "results.csv").read_text().splitlines()[1].split(",")[4] \
+        == "3"
+
+
 def test_cli_oracle_check_passes(tmp_path, capsys):
     assert run_cli(["oracle-check", "--out", str(tmp_path / "o")]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
@@ -343,8 +354,6 @@ def test_cli_game_commands_pinned_bytes(tmp_path, capsys, command):
 # an address-space limit, so a regression fails instead of hanging the
 # suite or exhausting memory.
 CAP_PROBES = [
-    # every hash, the 2^16 preimage table's included, runs hash_rounds rounds
-    ("separation", "ots.hash_rounds = 1000000000", 2),
     # a 31.7 GiB syndrome table
     ("c3", "c3.hlen = 64; c3.slen = 20; c3.n_sym = 65535; "
      "c3.bits_per_symbol = 16", 2),
@@ -378,7 +387,6 @@ VALIDATION_MATRIX = [
     ("separation", "c3.query_budget = -5", 0),
     # parameter errors deep in a module
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 0", 2),
-    ("adv-risk", "attacker.name = bounded_c1; ots.hash_rounds = 0", 2),
     ("c3", "c3.slen = 0", 2),
     ("separation", "ecc.bits_per_symbol = -1", 2),
     ("c3", "c3.bits_per_symbol = -3", 2),
@@ -448,8 +456,7 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
 # them; the requested work (trials, forge.count) stays at 1 and is not
 # varied.  adv-risk reads the settings of attacker.name's game.
 _C1_KEYS = ("problem.d", "problem.alpha", "problem.b", "seed")
-_OTS_KEYS = ("ots.hlen", "ots.slen", "ots.hash_rounds", "ecc.n_sym",
-             "ecc.bits_per_symbol")
+_OTS_KEYS = ("ots.hlen", "ots.slen", "ecc.n_sym", "ecc.bits_per_symbol")
 _C3_KEYS = ("c3.hlen", "c3.slen", "c3.n_sym", "c3.bits_per_symbol", "seed")
 _FORGE = "forge.count = 1\n"
 KEYS_READ = [

@@ -90,6 +90,14 @@ def test_c3_param_checks():
         c3_problem(uniform_balanced_problem(16), C3_OTS, C3_ECC)
 
 
+def test_c3_degenerate_ots_is_a_config_error():
+    # both 1-bit preimages hash to 1, so a 0-labelled sample has no invalid
+    # signature to carry
+    with pytest.raises(ConfigError):
+        sample_c3(uniform_balanced_problem(2), OtsParams(1, 1),
+                  EccParams(1, 3, 2), 0)
+
+
 def test_c3_sample_shapes():
     ell, n = C3_OTS.sig_bits, C3_ECC.n_bits
     for seed in (4, 5):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import GOLDEN, MUL1, MUL2
-from compgap.ots import (INIT, MAX_HASH_ROUNDS, TABLE_BITS, OtsParams,
-                         PreimageIndex, _table, digest, first_miss,
-                         hash_words, kgen, mix_words, sign, targets,
-                         toy_hash, verify)
+from compgap.ots import (INIT, ROUNDS, TABLE_BITS, OtsParams, PreimageIndex,
+                         _table, digest, first_miss, hash_words, kgen,
+                         mix_words, sign, targets, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,57 +22,69 @@ def want_for(vk, msg, params=SMALL):
     return targets(vk, digest(msg, params), params)
 
 
-def test_frozen_hash_vectors():
+def _vectors():
+    """Each frozen vector's line and its length, value, out_bits, rounds
+    and expected digest."""
     for line in (FIXTURES / "toy_hash_vectors.txt").read_text().splitlines():
-        length, value, out_bits, rounds, expected = map(int, line.split())
-        got = toy_hash(BitString(value, length), out_bits, rounds)
-        assert got.value == expected, line
+        yield (line, *map(int, line.split()))
+
+
+def test_frozen_hash_vectors():
+    # the spec's mixer at every round count the vectors use; the lab's
+    # hash at ROUNDS
+    for line, length, value, out_bits, rounds, expected in _vectors():
+        assert mix_words(value, length, out_bits, rounds) == expected, line
+        if rounds == ROUNDS:
+            got = toy_hash(BitString(value, length), out_bits)
+            assert got.value == expected, line
 
 
 def test_hash_words_matches_frozen_vectors():
     checked = 0
-    for line in (FIXTURES / "toy_hash_vectors.txt").read_text().splitlines():
-        length, value, out_bits, rounds, expected = map(int, line.split())
-        if length <= 64 and out_bits <= 64:
-            assert int(hash_words([value], length, out_bits, rounds)[0]) \
+    for line, length, value, out_bits, rounds, expected in _vectors():
+        if length <= 64:
+            words = np.array([value], dtype=np.uint64)
+            assert int(mix_words(words, length, out_bits, rounds)[0]) \
                 == expected, line
+            if rounds == ROUNDS:
+                assert int(hash_words([value], length, out_bits)[0]) \
+                    == expected, line
             checked += 1
     assert checked >= 20
 
 
 @given(st.integers(min_value=1, max_value=64),
-       st.integers(min_value=1, max_value=64),
-       st.integers(min_value=1, max_value=3), st.data())
-def test_hash_words_matches_toy_hash(length, out_bits, rounds, data):
+       st.integers(min_value=1, max_value=64), st.data())
+def test_hash_words_matches_toy_hash(length, out_bits, data):
     values = data.draw(st.lists(
         st.integers(min_value=0, max_value=(1 << length) - 1),
         min_size=1, max_size=8))
-    got = hash_words(values, length, out_bits, rounds).tolist()
-    assert got == [toy_hash(BitString(v, length), out_bits, rounds).value
+    got = hash_words(values, length, out_bits).tolist()
+    assert got == [toy_hash(BitString(v, length), out_bits).value
                    for v in values]
 
 
 @given(st.integers(min_value=1, max_value=TABLE_BITS),
-       st.integers(min_value=1, max_value=64),
-       st.integers(min_value=1, max_value=3), st.data())
-def test_table_reads_match_the_computed_hash(length, out_bits, rounds, data):
+       st.integers(min_value=1, max_value=64), st.data())
+def test_table_reads_match_the_computed_hash(length, out_bits, data):
     # up to TABLE_BITS bits both forms read the table; the int path of
     # mix_words computes each digest without it
     values = data.draw(st.lists(
         st.integers(min_value=0, max_value=(1 << length) - 1),
         min_size=1, max_size=8))
-    want = [mix_words(v, length, out_bits, rounds) for v in values]
-    assert hash_words(values, length, out_bits, rounds).tolist() == want
-    assert [toy_hash(BitString(v, length), out_bits, rounds).value
+    want = [mix_words(v, length, out_bits, ROUNDS) for v in values]
+    assert hash_words(values, length, out_bits).tolist() == want
+    assert [toy_hash(BitString(v, length), out_bits).value
             for v in values] == want
 
 
+# the table's corners at its widest input and output, which the drawn
+# cases above need not reach
 @pytest.mark.parametrize("value", [0, 1, 0x5A5A, (1 << TABLE_BITS) - 1])
-def test_table_matches_the_computed_hash_at_most_rounds(value):
-    want = mix_words(value, TABLE_BITS, 64, MAX_HASH_ROUNDS)
-    assert toy_hash(BitString(value, TABLE_BITS), 64,
-                    MAX_HASH_ROUNDS).value == want
-    assert hash_words([value], TABLE_BITS, 64, MAX_HASH_ROUNDS)[0] == want
+def test_table_matches_the_computed_hash_at_the_corners(value):
+    want = mix_words(value, TABLE_BITS, 64, ROUNDS)
+    assert toy_hash(BitString(value, TABLE_BITS), 64).value == want
+    assert hash_words([value], TABLE_BITS, 64)[0] == want
 
 
 U64_MAX = np.array([(1 << 64) - 1], dtype=np.uint64)
@@ -109,9 +120,14 @@ def test_table_reads_are_copies():
     got = hash_words([1, 2], 8, 8)
     got[:] = 0
     assert hash_words([1, 2], 8, 8).tolist() == \
-        [mix_words(v, 8, 8, 2) for v in (1, 2)]
+        [mix_words(v, 8, 8, ROUNDS) for v in (1, 2)]
     with pytest.raises(ValueError):
-        _table(8, 8, 2)[0] = 0
+        _table(8, 8)[0] = 0
+
+
+def test_the_lab_hashes_at_two_rounds():
+    assert ROUNDS == 2
+    assert OtsParams.__slots__ == ("hlen", "slen")
 
 
 def test_hash_length_sensitivity():
@@ -204,7 +220,7 @@ def _first_miss_by_fields(sig, want, params):
     """first_miss as toy_hash of one extracted field at a time."""
     for i, t in enumerate(want):
         field = sig.extract(i * params.slen, params.slen)
-        if toy_hash(field, params.hlen, params.hash_rounds).value != t:
+        if toy_hash(field, params.hlen).value != t:
             return i
     return params.hlen
 
@@ -212,12 +228,12 @@ def _first_miss_by_fields(sig, want, params):
 # slen 8 and 16 read the table, 17 and up mix
 @pytest.mark.parametrize("slen", [8, TABLE_BITS, 17, 33, 64])
 def test_first_miss_matches_field_by_field_hashing(slen):
-    params = OtsParams(hlen=5, slen=slen, hash_rounds=3)
+    params = OtsParams(hlen=5, slen=slen)
     rng, ones = random.Random(slen), (1 << slen) - 1
     for fields in ([ones] * 5, [0, ones, 1, ones - 1, ones],
                    [rng.getrandbits(slen) for _ in range(5)]):
         # targets from the array path, which shares no code with hash_int
-        sig, want = pack(fields, slen), hash_words(fields, slen, 5, 3).tolist()
+        sig, want = pack(fields, slen), hash_words(fields, slen, 5).tolist()
         # every field hits, then a miss at each index
         for k in range(6):
             bad = want[:k] + [want[k] ^ 1] + want[k + 1:] if k < 5 else want

@@ -2,12 +2,12 @@
 
 Each runs as a child process in an empty working directory, as a user runs
 it from a checkout, and must leave a results.csv in every experiment
-directory it makes under out/.  run_forge_batch.py is left out: it sets
-only forge.* keys, which the np-forge step of run_all.py already reads,
-and its 250 bundles take several seconds.
+directory it makes under out/.  `--trials 3` also sets np-forge's bundle
+count, so run_forge_batch.py writes 3 bundles per stage, not 250.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script,dirs", [
     ("run_all.py", {"risk", "adv-risk", "separation", "c3", "forge"}),
     ("run_separation.py", {"separation"}),
+    ("run_forge_batch.py", {"forge-s1", "forge-s2"}),
 ])
 def test_script_runs(tmp_path, script, dirs):
     done = subprocess.run(
@@ -30,3 +31,8 @@ def test_script_runs(tmp_path, script, dirs):
     made = {p.name for p in (tmp_path / "out").iterdir()}
     assert made == dirs
     assert all((tmp_path / "out" / d / "results.csv").is_file() for d in dirs)
+    if script == "run_all.py":  # every --out a step names is made
+        steps = runpy.run_path(str(ROOT / "scripts" / script))["STEPS"]
+        assert {s[s.index("--out") + 1] for s in steps if "--out" in s} \
+            == {f"out/{d}" for d in dirs}
+
