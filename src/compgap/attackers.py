@@ -95,7 +95,7 @@ def greedy_majority_attacker(b: int) -> Attacker:
     def perturb(x, y, rng, counters):
         flipped = _majority_flip(x, y, b)
         return x if flipped is None else flipped
-    return Attacker("greedy_majority", perturb, query_budget=0)
+    return Attacker("greedy", perturb, query_budget=0)
 
 
 # ---------------------------------------------------------------------------

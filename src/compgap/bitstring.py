@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
-from .errors import LengthError
+from .errors import FormatError
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,14 +22,14 @@ class BitString:
 
     def __post_init__(self) -> None:
         if self.length < 0:
-            raise LengthError(f"negative length {self.length}")
+            raise FormatError(f"negative length {self.length}")
         if self.value < 0 or self.value >> self.length:
-            raise LengthError(f"value does not fit in {self.length} bits")
+            raise FormatError(f"value does not fit in {self.length} bits")
 
     @classmethod
     def from01(cls, s: str) -> "BitString":
         if s and any(c not in "01" for c in s):
-            raise LengthError(f"not a 01-string: {s!r}")
+            raise FormatError(f"not a 01-string: {s!r}")
         return cls(int(s, 2) if s else 0, len(s))
 
     @classmethod
@@ -82,7 +82,7 @@ class BitString:
         """The consecutive `width`-bit fields as ints, field 0 at the high
         bits; the inverse of `pack`."""
         if width < 1 or self.length % width:
-            raise LengthError(f"{self.length} bits do not split into "
+            raise FormatError(f"{self.length} bits do not split into "
                               f"{width}-bit fields")
         v, mask = self.value, (1 << width) - 1
         return [(v >> s) & mask
@@ -91,7 +91,7 @@ class BitString:
     def repeat(self, times: int) -> "BitString":
         """Concatenate `times` copies of self (doubling, cheap for large counts)."""
         if times < 0:
-            raise LengthError("negative repeat count")
+            raise FormatError("negative repeat count")
         v, n = 0, 0
         base_v, base_n = self.value, self.length
         t = times
@@ -110,7 +110,7 @@ class BitString:
 
     def to_bytes(self) -> bytes:
         if self.length % 8:
-            raise LengthError("length not a multiple of 8")
+            raise FormatError("length not a multiple of 8")
         return self.value.to_bytes(self.length // 8, "big")
 
     def __repr__(self) -> str:
@@ -132,7 +132,7 @@ def pack(values: Iterable[int], width: int) -> BitString:
     v, n = 0, 0
     for x in values:
         if x < 0 or x >> width:
-            raise LengthError(f"{x} does not fit in {width} bits")
+            raise FormatError(f"{x} does not fit in {width} bits")
         v = (v << width) | x
         n += width
     return BitString(v, n)
@@ -140,5 +140,5 @@ def pack(values: Iterable[int], width: int) -> BitString:
 
 def hamming_distance(a: BitString, b: BitString) -> int:
     if a.length != b.length:
-        raise LengthError(f"length mismatch: {a.length} vs {b.length}")
+        raise FormatError(f"length mismatch: {a.length} vs {b.length}")
     return (a.value ^ b.value).bit_count()

@@ -8,7 +8,7 @@ results.csv.
 
 Exit codes: 0 success, 2 configuration error (degenerate parameters
 included) or a bad path, 3 runtime invariant violation (including a failed
-oracle check).
+oracle check and an attacker's instance of the wrong length).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .config import ExperimentConfig, parse_config
 from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, InvariantViolation, ParseError
+from .errors import ConfigError, InvariantViolation
 from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
                    game_transcript, mix_seed)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
@@ -77,7 +77,6 @@ GAMES = {"separation": ("bounded_c1", "unbounded_c1"),
 
 
 class Game(NamedTuple):
-    name: str
     problem: Problem
     hypothesis: Hypothesis
     attacker: atk.Attacker
@@ -133,7 +132,7 @@ def _build_game(cfg: ExperimentConfig, name: str) -> Game:
         tag += f" queries={cfg.c3.query_budget}"
     else:
         a = atk.unbounded_c3_attacker(ots, ecc)
-    return Game(name, prob, h, a, budget, tag)
+    return Game(prob, h, a, budget, tag)
 
 
 def _build_games(cfg: ExperimentConfig, kind: str) -> List[Game]:
@@ -151,12 +150,12 @@ def _play_games(cfg: ExperimentConfig, kind: str, games: List[Game],
     for g in games:
         outcomes = game_transcript(g.problem, g.hypothesis, g.attacker,
                                    g.budget, cfg.trials, cfg.seed)
-        point = points[g.name] = sum(o.won for o in outcomes) / cfg.trials
+        point = points[g.attacker.name] = sum(o.won for o in outcomes) / cfg.trials
         rows.append(_csv_row(kind, g.tag, point,
                              binomial_half_width(point, cfg.trials),
                              cfg.trials, cfg.seed))
         if len(games) > 1:  # label each attacker's part of the transcript
-            transcript.append(f"# {g.name}")
+            transcript.append(f"# {g.attacker.name}")
         transcript.extend(
             f"trial={i} seed={mix_seed(cfg.seed, i)} won={int(o.won)} "
             f"reason={o.reason.value} dist={o.perturbation_used} "
@@ -237,7 +236,7 @@ def cmd_np_forge(cfg: ExperimentConfig, out_dir: Path) -> int:
         res = solve_small(bundle.formula)
         name = f"{fc.stage}_{i:04d}.cnf"
         (out_dir / name).write_text(write_dimacs(bundle.formula))
-        manifest.append(f"{name} stage={bundle.stage.value} seed={bundle.seed} "
+        manifest.append(f"{name} stage={bundle.stage.upper()} seed={bundle.seed} "
                         f"d={fc.d} b={fc.b} k={fc.k} tau={tau:.6f}")
         if res.status is Status.SAT:
             sat += 1
@@ -365,7 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg.out = args.out
         cfg.validate(args.command)
         return _COMMANDS[args.command](cfg, Path(cfg.out))
-    except (ParseError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a --config or --out path that cannot be used

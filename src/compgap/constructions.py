@@ -20,7 +20,7 @@ import random
 
 from .bitstring import BitString, concat_all
 from .ecc import EccParams, reed_solomon
-from .errors import ConfigError, DecodeFailure
+from .errors import ConfigError, DecodeFailure, FormatError
 from .game import STAR, Hypothesis, Label, Problem, mix_seed
 from .ots import (OtsParams, digest, hash_words, kgen, sign, targets,
                   verify)
@@ -50,7 +50,7 @@ class WrappedInstance:
     def from_bits(cls, bits: BitString, d: int, ots: OtsParams,
                   ecc: EccParams) -> "WrappedInstance":
         if bits.length != d + ots.sig_bits + ecc.n_bits:
-            raise ConfigError(
+            raise FormatError(
                 f"instance must be {d + ots.sig_bits + ecc.n_bits} bits")
         return cls(bits.extract(0, d),
                    bits.extract(d, ots.sig_bits),
@@ -132,7 +132,7 @@ class C3Instance:
                   ecc: EccParams) -> "C3Instance":
         total, n = c3_instance_len(ots, ecc), ecc.n_bits
         if bits.length != total:
-            raise ConfigError(f"instance must be {total} bits")
+            raise FormatError(f"instance must be {total} bits")
         return cls(bits.extract(0, n), bits.extract(n, total - 2 * n),
                    bits.extract(total - n, n))
 

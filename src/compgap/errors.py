@@ -5,16 +5,9 @@ class CompgapError(Exception):
     """Base class for all package-specific errors."""
 
 
-class LengthError(CompgapError):
-    """Two bit strings of different lengths were compared position-wise."""
-
-
 class FormatError(CompgapError):
-    """A key, signature, or codeword has the wrong shape."""
-
-
-class AttackerProtocolError(CompgapError):
-    """An attacker returned an instance of the wrong length."""
+    """A bit string, key, signature, codeword or instance has the wrong
+    shape."""
 
 
 class PreimageNotFound(CompgapError):
@@ -29,8 +22,8 @@ class ConfigError(CompgapError):
     """Parameter combination violates a module precondition."""
 
 
-class ParseError(CompgapError):
-    """Malformed config text."""
+class ParseError(ConfigError):
+    """Malformed config or DIMACS text."""
 
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
@@ -38,4 +31,5 @@ class ParseError(CompgapError):
 
 
 class InvariantViolation(CompgapError):
-    """A runtime invariant failed mid-experiment."""
+    """A runtime invariant failed mid-experiment, such as an attacker
+    returning an instance of the wrong length."""

@@ -16,17 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
 from .bitstring import BitString, hamming_distance
-from .errors import AttackerProtocolError, DecodeFailure, PreimageNotFound
+from .errors import DecodeFailure, InvariantViolation, PreimageNotFound
 
 
 class _Star:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "STAR"
 
@@ -174,7 +167,7 @@ def play_game(problem: Problem, hypothesis: Hypothesis, attacker,
     except (DecodeFailure, PreimageNotFound):
         x_prime = x
     if x_prime.length != x.length:
-        raise AttackerProtocolError(
+        raise InvariantViolation(
             f"attacker returned length {x_prime.length}, expected {x.length}")
     return winning(x, x_prime, y, hypothesis, budget, counters.queries)
 

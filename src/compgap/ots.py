@@ -17,10 +17,11 @@ fields MSB-first (`BitString.fields`).  A verification key has 2*hlen
 hlen-bit fields: field 2i+b is the digest of the secret preimage sk[2i+b],
 the one revealed when digest bit i is b.  A signature has hlen slen-bit
 fields: field i is the preimage revealed for digest bit i.  `targets` reads
-this layout into the hlen digests a signature must hit; `first_miss`,
-`verify` and `PreimageIndex.forge` take that list; digest bits and fields
-are shifted out of the ints.  Nothing here counts queries: each attacker
-charges the hashes it makes.
+this layout into the hlen digests a signature must hit; `verify` and
+`PreimageIndex.forge` take that list, and `verify` stops hashing at the
+first field that misses.  Digest bits and fields are shifted out of the
+ints.  Nothing here counts queries: each attacker charges the hashes it
+makes.
 """
 
 from __future__ import annotations
@@ -158,10 +159,9 @@ def sign(sk: Tuple[int, ...], message: BitString,
                  for i in range(hlen)), params.slen)
 
 
-def first_miss(sig: BitString, want: Sequence[int],
-               params: OtsParams) -> int:
-    """The first i whose field of sig does not hash to want[i], or hlen when
-    every field does; it hashes fields up to the miss and no further."""
+def verify(sig: BitString, want: Sequence[int], params: OtsParams) -> bool:
+    """Whether field i of sig hashes to want[i] for every i; it hashes
+    fields up to the first miss and no further."""
     if sig.length != params.sig_bits:
         raise FormatError(
             f"signature must be {params.sig_bits} bits, got {sig.length}")
@@ -171,13 +171,8 @@ def first_miss(sig: BitString, want: Sequence[int],
     bits, mask = sig.value, (1 << slen) - 1
     for i, t in enumerate(want):
         if hash_int(bits >> (hlen - 1 - i) * slen & mask, slen, hlen) != t:
-            return i
-    return hlen
-
-
-def verify(sig: BitString, want: Sequence[int], params: OtsParams) -> bool:
-    """Whether field i of sig hashes to want[i] for every i."""
-    return first_miss(sig, want, params) == params.hlen
+            return False
+    return True
 
 
 # the largest preimage space PreimageIndex enumerates (2^20 hashes)

@@ -10,7 +10,6 @@ adversarial examples and check them against the real hypothesis.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,12 +20,6 @@ from .circuits import BoolCircuit, eval_circuit
 from .cnf import CnfFormula, at_least, encode_hamming_ball, tseitin
 from .errors import ConfigError
 from .game import Problem, mix_seed
-
-
-class Stage(enum.Enum):
-    S1 = "S1"
-    S2 = "S2"
-    S = "S"
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,7 @@ class BlockInfo:
 @dataclass(frozen=True)
 class SamplerBundle:
     formula: CnfFormula
-    stage: Stage
+    stage: str  # forge.stage's word: s1, s2 or s
     seed: int
     b: int
     blocks: Tuple[BlockInfo, ...]
@@ -86,7 +79,7 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
         raise ConfigError("stage-1 compilation needs integer labels")
     f = _compile_block(x, y, tseitin(circuit), b)
     block = BlockInfo(0, f.annotations["inputs"], x, y)
-    return SamplerBundle(f, Stage.S1, seed, b, (block,))
+    return SamplerBundle(f, "s1", seed, b, (block,))
 
 
 def _merge_guarded(f: CnfFormula, sub: CnfFormula,
@@ -137,7 +130,7 @@ def _sample_s2(problem: Problem, gates: CnfFormula, b: int, k: int,
             s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
     at_least(f, selectors, math.ceil(Fraction(str(tau)) * k))
     f.annotate("selectors", selectors)
-    return SamplerBundle(f, Stage.S2, seed, b, tuple(blocks))
+    return SamplerBundle(f, "s2", seed, b, tuple(blocks))
 
 
 def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
@@ -156,7 +149,7 @@ def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
             blocks.append(BlockInfo(blk.selector + off,
                                     tuple(v + off for v in blk.input_vars),
                                     blk.x, blk.y))
-    return SamplerBundle(f, Stage.S, seed, b, tuple(blocks))
+    return SamplerBundle(f, "s", seed, b, tuple(blocks))
 
 
 def check_witness(bundle: SamplerBundle, circuit: BoolCircuit,

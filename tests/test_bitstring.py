@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString, concat_all, hamming_distance, pack
-from compgap.errors import LengthError
+from compgap.errors import FormatError
 
 bitstrings = st.integers(min_value=1, max_value=96).flatmap(
     lambda n: st.builds(BitString,
@@ -19,9 +19,9 @@ def test_indexing_is_msb_first():
 
 
 def test_value_range_enforced():
-    with pytest.raises(LengthError):
+    with pytest.raises(FormatError):
         BitString(4, 2)
-    with pytest.raises(LengthError):
+    with pytest.raises(FormatError):
         BitString(-1, 2)
 
 
@@ -40,7 +40,7 @@ def test_repeat():
 
 
 def test_hamming_distance_length_mismatch():
-    with pytest.raises(LengthError):
+    with pytest.raises(FormatError):
         hamming_distance(BitString(0, 3), BitString(0, 4))
 
 
@@ -80,9 +80,9 @@ def test_fields_pack_inverse(width, count, data):
 
 
 def test_fields_and_pack_reject_misfits():
-    with pytest.raises(LengthError):
+    with pytest.raises(FormatError):
         BitString(0, 10).fields(3)
-    with pytest.raises(LengthError):
+    with pytest.raises(FormatError):
         pack([1, 8], 3)
 
 

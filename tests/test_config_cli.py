@@ -42,6 +42,11 @@ def test_unknown_key_rejected():
         parse_config("nonsense = 3\n")
 
 
+def test_parse_error_is_a_config_error():
+    # cli.main catches ConfigError alone for both
+    assert issubclass(ParseError, ConfigError)
+
+
 # the key width 2*hlen^2 fixes a key code's k_sym and C3's d, so neither
 # is a setting; every hash runs ots.ROUNDS rounds
 @pytest.mark.parametrize("command,line", [("risk", "ecc.k_sym = 32"),
@@ -110,7 +115,7 @@ def test_build_game_rejects_unknown_attacker(name):
 
 @pytest.mark.parametrize("name", KNOWN_ATTACKERS)
 def test_build_game_builds_each_known_attacker(name):
-    assert _build_game(ExperimentConfig(), name).name == name
+    assert _build_game(ExperimentConfig(), name).attacker.name == name
 
 
 def run_cli(args):
@@ -512,6 +517,25 @@ def test_np_forge_bad_d_makes_no_out_dir(tmp_path, d):
     cfg.write_text(f"forge.count = 2\nforge.d = {d}\n")
     out = tmp_path / "o"
     assert run_cli(["np-forge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_attacker_breaking_the_length_protocol_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    # one bit short of the instance: an invariant violation, not a traceback
+    def short(x, y, rng, counters):
+        return x.extract(0, x.length - 1)
+
+    monkeypatch.setattr(cli.atk, "identity_attacker",
+                        lambda: cli.atk.Attacker("identity", short, 0))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("attacker.name = identity\n")
+    out = tmp_path / "o"
+    assert run_cli(["adv-risk", "--config", str(cfg), "--trials", "3",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invariant violation: attacker returned length 14, expected 15"]
     assert not out.exists()
 
 

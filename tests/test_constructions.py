@@ -10,7 +10,7 @@ from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
                                    classifier_c1, classifier_c3, sample_c3,
                                    wrap_sample_c1, wrapped_problem_c1)
 from compgap.ecc import EccParams, reed_solomon
-from compgap.errors import ConfigError
+from compgap.errors import ConfigError, FormatError
 from compgap.game import STAR, estimate_risk
 from compgap.ots import OtsParams, PreimageIndex, digest, targets, verify
 
@@ -29,6 +29,9 @@ def test_wrapped_layout_roundtrip():
     inst, y = wrap_sample_c1(BASE, OTS, ECC, seed=1)
     back = WrappedInstance.from_bits(inst.to_bits(), 7, OTS, ECC)
     assert back == inst
+    # a wrong instance length is a shape error, not a setting
+    with pytest.raises(FormatError, match="instance must be"):
+        WrappedInstance.from_bits(BitString(0, 6 + 32 + 96), 7, OTS, ECC)
 
 
 def test_honest_sample_classifies_like_base():
@@ -106,6 +109,9 @@ def test_c3_sample_shapes():
         slots = [inst.slots.extract(i * ell, ell) for i in range(n)]
         assert all(s == slots[0] for s in slots)
         assert C3Instance.from_bits(inst.to_bits(), C3_OTS, C3_ECC) == inst
+    with pytest.raises(FormatError, match="instance must be"):
+        C3Instance.from_bits(BitString(0, inst.to_bits().length + 1),
+                             C3_OTS, C3_ECC)
 
 
 def test_c3_classifier_recovers_label():

@@ -7,7 +7,7 @@ from compgap.attackers import greedy_majority_attacker, identity_attacker
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    majority_noise_problem)
 from compgap.bitstring import BitString
-from compgap.errors import AttackerProtocolError, PreimageNotFound
+from compgap.errors import InvariantViolation, PreimageNotFound
 from compgap.game import (STAR, Counters, Hypothesis, Reason,
                           estimate_adv_risk, estimate_risk, mix_seed,
                           play_game, splitmix64, winning)
@@ -82,7 +82,7 @@ def test_attacker_length_protocol_enforced():
         def perturb(self, x, y, rng, counters):
             return BitString(0, 3)
 
-    with pytest.raises(AttackerProtocolError):
+    with pytest.raises(InvariantViolation, match="length 3, expected 5"):
         play_game(prob, majority_hypothesis(5), Bad(), 1, seed=0)
 
 

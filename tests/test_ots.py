@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compgap import ots
 from compgap.bitstring import BitString, pack
 from compgap.errors import ConfigError, FormatError, PreimageNotFound
 from compgap.game import GOLDEN, MUL1, MUL2
 from compgap.ots import (INIT, ROUNDS, TABLE_BITS, OtsParams, PreimageIndex,
-                         _table, digest, first_miss, hash_words, kgen,
+                         _table, digest, hash_int, hash_words, kgen,
                          mix_words, sign, targets, toy_hash, verify)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,8 +200,8 @@ def test_verify_matches_preimage_ground_truth(seed, data):
 
 
 @pytest.mark.parametrize("seed", [4, 5])
-def test_first_miss_finds_the_first_field_that_misses(seed):
-    # fields 0..k-1 hit and field k misses: k; all hit: hlen
+def test_verify_stops_at_the_first_field_that_misses(seed, monkeypatch):
+    # fields 0..k-1 hit and field k misses: False after k + 1 hashes
     keys = kgen(SMALL, seed=seed)
     msg = BitString(seed, 7)
     sig, want = sign(keys.sk, msg, SMALL), want_for(keys.vk, msg)
@@ -208,26 +209,33 @@ def test_first_miss_finds_the_first_field_that_misses(seed):
     miss = next(p for p in range(1 << SMALL.slen)
                 if toy_hash(BitString(p, SMALL.slen), SMALL.hlen).value
                 not in want)
+    hashed = []
+
+    def counted(value, length, out_bits):
+        hashed.append(value)
+        return hash_int(value, length, out_bits)
+
+    monkeypatch.setattr(ots, "hash_int", counted)
     for k in range(SMALL.hlen):
         bad = pack(fields[:k] + [miss] + fields[k + 1:], SMALL.slen)
-        assert first_miss(bad, want, SMALL) == k
+        hashed.clear()
         assert not verify(bad, want, SMALL)
-    assert first_miss(sig, want, SMALL) == SMALL.hlen
+        assert hashed == fields[:k] + [miss]
+    hashed.clear()
     assert verify(sig, want, SMALL)
+    assert hashed == fields
 
 
-def _first_miss_by_fields(sig, want, params):
-    """first_miss as toy_hash of one extracted field at a time."""
-    for i, t in enumerate(want):
-        field = sig.extract(i * params.slen, params.slen)
-        if toy_hash(field, params.hlen).value != t:
-            return i
-    return params.hlen
+def _verify_by_fields(sig, want, params):
+    """verify as toy_hash of one extracted field at a time."""
+    return all(toy_hash(sig.extract(i * params.slen, params.slen),
+                        params.hlen).value == t
+               for i, t in enumerate(want))
 
 
 # slen 8 and 16 read the table, 17 and up mix
 @pytest.mark.parametrize("slen", [8, TABLE_BITS, 17, 33, 64])
-def test_first_miss_matches_field_by_field_hashing(slen):
+def test_verify_matches_field_by_field_hashing(slen):
     params = OtsParams(hlen=5, slen=slen)
     rng, ones = random.Random(slen), (1 << slen) - 1
     for fields in ([ones] * 5, [0, ones, 1, ones - 1, ones],
@@ -237,12 +245,12 @@ def test_first_miss_matches_field_by_field_hashing(slen):
         # every field hits, then a miss at each index
         for k in range(6):
             bad = want[:k] + [want[k] ^ 1] + want[k + 1:] if k < 5 else want
-            assert first_miss(sig, bad, params) == k == \
-                _first_miss_by_fields(sig, bad, params)
+            assert verify(sig, bad, params) is (k == 5) is \
+                _verify_by_fields(sig, bad, params)
     with pytest.raises(FormatError, match="signature must be"):
-        first_miss(BitString(0, 5 * slen - 1), want, params)
+        verify(BitString(0, 5 * slen - 1), want, params)
     with pytest.raises(FormatError, match="need 5 targets"):
-        first_miss(sig, want[:-1], params)
+        verify(sig, want[:-1], params)
 
 
 def test_key_and_signature_layout():

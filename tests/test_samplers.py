@@ -10,7 +10,7 @@ from compgap.circuits import circuit_of_majority, eval_circuit
 from compgap.cnf import write_dimacs
 from compgap.errors import ConfigError
 from compgap.game import binomial_half_width, mix_seed, play_game
-from compgap.samplers import (Stage, check_witness, sample_s1, sample_s2,
+from compgap.samplers import (check_witness, sample_s1, sample_s2,
                               sample_s_final)
 from compgap.solver import Status, solve_small
 
@@ -203,7 +203,7 @@ def test_s2_monotone_composition():
 
 def test_s_final_blocks_disjoint():
     bundle = sample_s_final(PROB, CIRCUIT, 2, 3, TAU, 2, 99)
-    assert bundle.stage is Stage.S
+    assert bundle.stage == "s"
     seen = set()
     for blk in bundle.blocks:
         vs = set(blk.input_vars) | {blk.selector}
