@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Record the benchmark's end-to-end metrics at several seeds in one file.
+
+    python3 scripts/bench_record.py --out BENCH_<n>.json [--seconds 10]
+        [--workloads W ...] [--seeds 1 2 3 4]
+
+Runs `perfbench/run.py --trace 0` of this checkout once per workload and
+seed, one run at a time.  The last stdout line of each run is its JSON
+result, and `.perfbench-out/<w>-<s>-trace0/record.json` holds the host's
+speed and the run's outcome digest.  The output file holds nproc, the
+Python and numpy versions and the git revision the runs report, and
+whether tracked files differed from that revision; per workload, the
+median and interquartile range of each end-to-end metric; and per run,
+its exit code, host_speed and outcome digest.  A host that ran slow shows
+in host_speed; a commit that changed what the lab computes shows in the
+digests.  The script exits 1 when any run failed a check.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("separation", "c3", "rs_decode", "np_forge")
+
+
+def spread(values):
+    """Median and interquartile range (inclusive quartiles) of the runs."""
+    q1 = q3 = values[0]
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1,
+            "runs": values}
+
+
+def uncommitted_changes():
+    """Whether tracked files differ from HEAD; None without git."""
+    try:
+        done = subprocess.run(["git", "status", "--porcelain",
+                               "--untracked-files=no"], cwd=ROOT,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+def run_one(workload, seed, seconds):
+    """One perfbench run: (exit code, its JSON result, its record.json)."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if not lines:
+        raise SystemExit(f"{workload} seed {seed} printed nothing:\n"
+                         f"{done.stderr}")
+    record = ROOT / ".perfbench-out" / f"{workload}-{seed}-trace0" / \
+        "record.json"
+    return done.returncode, json.loads(lines[-1]), \
+        json.loads(record.read_text())
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, type=Path)
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
+                    choices=WORKLOADS)
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4])
+    args = ap.parse_args(argv)
+
+    host, workloads, failed = {}, {}, False
+    for w in args.workloads:
+        runs, metrics = [], {}
+        for seed in args.seeds:
+            code, result, record = run_one(w, seed, args.seconds)
+            failed |= code != 0
+            host = {k: record[k]
+                    for k in ("nproc", "python", "numpy", "git_revision")}
+            runs.append({"seed": seed, "exit": code,
+                         "host_speed": record["host_speed"],
+                         "digest": record["digest"]})
+            for name, m in result["metrics"].items():
+                metrics.setdefault(name, (m["unit"], []))[1].append(
+                    m["value"])
+            print(f"{w} seed {seed}: exit {code}, ops_per_ref_s "
+                  f"{result['metrics']['ops_per_ref_s']['value']:.6g}",
+                  file=sys.stderr)
+        workloads[w] = {
+            "metrics": {name: {"unit": unit, **spread(values)}
+                        for name, (unit, values) in metrics.items()},
+            "runs": runs}
+    args.out.write_text(json.dumps(
+        {**host, "uncommitted_changes": uncommitted_changes(),
+         "seconds": args.seconds, "seeds": args.seeds,
+         "workloads": workloads}, indent=1) + "\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,8 @@ The file format is `key = value` with '#' comments; keys are dotted paths
 into the config groups below, values are integers, decimals, or bare words.
 Unknown keys are errors, missing keys take the defaults, and the defaults
 are the worked separation configuration, so an empty file runs everything
-out of the box.  What the key width fixes is derived, not set: a key code's
-k_sym and C3's instance length d.
+out of the box.  Derived, not set: C3's instance length d, and each key
+code, the smallest that corrects its game's budget.
 
 `validate(kind)` checks the plain settings of command `kind`: the seed,
 the trial count and `np-forge`'s settings.  A parameter object checks
@@ -40,7 +40,6 @@ class OtsConfig:
 
 @dataclass(slots=True)
 class EccConfig:
-    n_sym: int = 640
     bits_per_symbol: int = 16
 
 
@@ -52,7 +51,6 @@ class C3Config:
 
     hlen: int = 8
     slen: int = 10
-    n_sym: int = 40
     bits_per_symbol: int = 8
     query_budget: int = 1024
 
@@ -78,14 +76,15 @@ class ForgeConfig:
     stage: str = "s1"
 
 
-def _key_code(name: str, hlen: int, group: EccConfig | C3Config) -> EccParams:
-    """The code of config group `name`, whose data width is one
-    2*hlen^2-bit verification key: k_sym = 2*hlen^2 / bits_per_symbol."""
-    key_bits, width = 2 * hlen * hlen, group.bits_per_symbol
+def _key_code(name: str, hlen: int, width: int, budget: int) -> EccParams:
+    """The code of config group `name`: k_sym = 2*hlen^2 / width symbols
+    hold one verification key, and t_max is `budget`, the bits its game's
+    tamper may flip (b + sig_bits for C1, sig_bits for C3)."""
+    key_bits = 2 * hlen * hlen
     if width < 1 or key_bits % width:
         raise ConfigError(f"{name}.bits_per_symbol must divide the "
                           f"{key_bits}-bit verification key, got {width}")
-    return EccParams(key_bits // width, group.n_sym, width)
+    return EccParams(key_bits // width, key_bits // width + 2 * budget, width)
 
 
 @dataclass(slots=True)
@@ -109,13 +108,15 @@ class ExperimentConfig:
         return OtsParams(self.ots.hlen, self.ots.slen)
 
     def ecc_params(self) -> EccParams:
-        return _key_code("ecc", self.ots.hlen, self.ecc)
+        return _key_code("ecc", self.ots.hlen, self.ecc.bits_per_symbol,
+                         self.problem.b + self.ots.hlen * self.ots.slen)
 
     def c3_ots_params(self) -> OtsParams:
         return OtsParams(self.c3.hlen, self.c3.slen)
 
     def c3_ecc_params(self) -> EccParams:
-        return _key_code("c3", self.c3.hlen, self.c3)
+        return _key_code("c3", self.c3.hlen, self.c3.bits_per_symbol,
+                         self.c3.hlen * self.c3.slen)
 
     def validate(self, kind: str) -> None:
         """Check the settings command `kind` reads outside its games."""

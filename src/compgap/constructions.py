@@ -4,9 +4,11 @@ The wrapper (C1) attaches a per-sample one-time signature and an
 error-coded verification key to each base instance; its classifier rejects
 with STAR when the chain (decode vk, verify signature) fails.  The second
 family (C3) must always output a label: instances carry an error-coded
-instance, one block of n identical signature slots, and an error-coded
-key; the classifier outputs 1 iff any slot verifies.  This module owns both
-layouts; the key codeword decodes to the verification key itself.
+instance, sig_bits + 1 identical signature slots, and an error-coded key;
+the classifier outputs 1 iff any slot verifies.  A tamper of at most
+sig_bits flips (C3's budget, its code's t_max) leaves the codewords
+decodable and one slot intact, so only a forgery changes a label.  This
+module owns both layouts; the key codeword decodes to the key itself.
 
 A fresh key pair is generated for every sample; no global key exists
 anywhere, which is what makes the distributions publicly samplable.
@@ -155,7 +157,7 @@ def _check_c3_params(base: Problem, ots: OtsParams, ecc: EccParams) -> None:
 
 
 def c3_instance_len(ots: OtsParams, ecc: EccParams) -> int:
-    return (2 + ots.sig_bits) * ecc.n_bits  # two codewords, n_bits slots
+    return 2 * ecc.n_bits + (ots.sig_bits + 1) * ots.sig_bits
 
 
 def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
@@ -178,7 +180,7 @@ def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
             raise ConfigError(
                 "could not sample an invalid signature; OTS parameters are "
                 "degenerate")
-    return C3Instance(rs.encode(x), sigma.repeat(ecc.n_bits),
+    return C3Instance(rs.encode(x), sigma.repeat(ots.sig_bits + 1),
                       rs.encode(keys.vk)), y
 
 
@@ -205,7 +207,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
     and an undecodable input cannot satisfy the verification branch.
     """
     rs = reed_solomon(ecc)
-    n, ell = ecc.n_bits, ots.sig_bits
+    n, ell = ots.sig_bits + 1, ots.sig_bits
     repeat = BitString(1, ell).repeat(n).value  # sum of 2^(i*ell), i < n
 
     def classify(bits: BitString) -> Label:

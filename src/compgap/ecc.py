@@ -70,7 +70,7 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 # Most entries (nparity * n_sym) a code's syndrome exponent table may
 # have: the int64 table and one syndrome pass's temporaries then take under
-# 100 MB.  The default C1 code, RS(640,32), has 389,120.
+# 100 MB.  The decoder's stress code, RS(640,32), has 389,120.
 MAX_SYN_TABLE = 1 << 22
 
 
@@ -101,12 +101,12 @@ def _build_tables(bps: int):
 class EccParams:
     """Code geometry.  n_sym must not exceed 2^bits_per_symbol - 1.
 
-    The worked configuration for the signature wrapper uses 16-bit symbols
-    (k_sym=32, n_sym=640): the verification key is 512 bits = 32 wide
-    symbols, and the correction radius t_max=304 then exceeds the unbounded
-    attacker's b + signature-length budget, which an 8-bit-symbol block
-    cannot reach.  nparity * n_sym is capped at MAX_SYN_TABLE, so a code
-    too large to decode fails here, before any table is built.
+    The signature wrapper's default key code is RS(548,32) over 16-bit
+    symbols: the 512-bit key is 32 wide symbols, and t_max=258 is the
+    attacker's b + sig_bits budget, which no 8-bit-symbol block reaches.
+    RS(640,32) is the decoder's stress code (criterion 5, rs_decode).  A
+    code whose nparity * n_sym passes MAX_SYN_TABLE fails here, before any
+    table is built.
     """
 
     k_sym: int

@@ -40,7 +40,7 @@ D, ALPHA, B = 15, 0.05, 2
 BUDGET_C1 = B + OTS.sig_bits
 
 C3_OTS = OtsParams(hlen=8, slen=10)
-C3_ECC = EccParams(k_sym=16, n_sym=40, bits_per_symbol=8)
+C3_ECC = EccParams(k_sym=16, n_sym=176, bits_per_symbol=8)  # t_max = sig_bits
 C3_D = 128
 
 

@@ -102,13 +102,13 @@ def test_bounded_c1_at_budget_zero_never_tampers():
 
 def _small_config(query_budget):
     """Settings for every game `cli._build_game` knows at small sizes: C1 on
-    OTS(4,8) with a key code whose radius holds b + sig_bits = 34, and C3 on
-    OTS(4,8) and RS(10,4)/GF(2^8)."""
+    OTS(4,8) with the derived key code RS(72,4)/GF(2^8), whose radius is
+    b + sig_bits = 34, and C3 on OTS(4,8) and RS(68,4)/GF(2^8)."""
     cfg = ExperimentConfig()
     cfg.problem.d, cfg.problem.alpha = 7, 0.1
     cfg.ots.hlen, cfg.ots.slen = 4, 8
-    cfg.ecc.n_sym, cfg.ecc.bits_per_symbol = 72, 8
-    cfg.c3.hlen, cfg.c3.slen, cfg.c3.n_sym = 4, 8, 10
+    cfg.ecc.bits_per_symbol = 8
+    cfg.c3.hlen, cfg.c3.slen = 4, 8
     cfg.attacker.query_budget = cfg.c3.query_budget = query_budget
     return cfg
 

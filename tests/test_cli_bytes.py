@@ -26,20 +26,18 @@ TRIALS = 200
 
 # bounded_c1 at 8- and 17-bit preimages, 24 queries: it forges some flips
 # and runs out on others
-C1_SLEN8 = ("ots.hlen = 4; ots.slen = 8; ecc.n_sym = 72; "
-            "ecc.bits_per_symbol = 8; attacker.query_budget = 24")
-C1_SLEN17 = ("ots.hlen = 4; ots.slen = 17; ecc.n_sym = 144; "
-             "ecc.bits_per_symbol = 8; attacker.query_budget = 24")
+C1_SLEN8 = ("ots.hlen = 4; ots.slen = 8; ecc.bits_per_symbol = 8; "
+            "attacker.query_budget = 24")
+C1_SLEN17 = ("ots.hlen = 4; ots.slen = 17; ecc.bits_per_symbol = 8; "
+             "attacker.query_budget = 24")
 # 40-bit guesses, two words each
 C1_SLEN40 = ("attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 40; "
-             "ecc.n_sym = 330; ecc.bits_per_symbol = 16; "
-             "attacker.query_budget = 24")
+             "ecc.bits_per_symbol = 16; attacker.query_budget = 24")
 # 34-bit guesses; and 120-bit ones, whose field 0 spans three words
-C3_SLEN17 = ("c3.hlen = 2; c3.slen = 17; "
-             "c3.n_sym = 5; c3.bits_per_symbol = 8; c3.query_budget = 24")
-C3_SLEN60 = ("attacker.name = bounded_c3; c3.hlen = 2; c3.slen = 60; "
-             "c3.n_sym = 5; c3.bits_per_symbol = 8; "
+C3_SLEN17 = ("c3.hlen = 2; c3.slen = 17; c3.bits_per_symbol = 8; "
              "c3.query_budget = 24")
+C3_SLEN60 = ("attacker.name = bounded_c3; c3.hlen = 2; c3.slen = 60; "
+             "c3.bits_per_symbol = 8; c3.query_budget = 24")
 
 # (command, config lines, seed) -> {output: sha256 of its bytes}
 PINNED_BYTES = [

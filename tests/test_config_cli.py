@@ -47,11 +47,14 @@ def test_parse_error_is_a_config_error():
     assert issubclass(ParseError, ConfigError)
 
 
-# the key width 2*hlen^2 fixes a key code's k_sym and C3's d, so neither
-# is a setting; every hash runs ots.ROUNDS rounds
+# the key width 2*hlen^2 fixes a key code's k_sym and C3's d, and the
+# game's budget fixes the code's n_sym, so none is a setting; every hash
+# runs ots.ROUNDS rounds
 @pytest.mark.parametrize("command,line", [("risk", "ecc.k_sym = 32"),
                                           ("c3", "c3.k_sym = 16"),
                                           ("c3", "c3.d = 128"),
+                                          ("separation", "ecc.n_sym = 640"),
+                                          ("c3", "c3.n_sym = 40"),
                                           ("separation",
                                            "ots.hash_rounds = 2")])
 def test_derived_and_fixed_keys_are_unknown(tmp_path, capsys, command, line):
@@ -65,15 +68,24 @@ def test_derived_and_fixed_keys_are_unknown(tmp_path, capsys, command, line):
 
 def test_derived_widths():
     cfg = ExperimentConfig()
-    assert cfg.ecc_params() == EccParams(32, 640, 16)
-    assert cfg.c3_ecc_params() == EccParams(16, 40, 8)
+    # each key code corrects exactly its game's budget: b + sig_bits = 258
+    # for C1, sig_bits = 80 for C3
+    assert cfg.ecc_params() == EccParams(32, 548, 16)
+    assert cfg.c3_ecc_params() == EccParams(16, 176, 8)
+    assert cfg.ecc_params().t_max == cfg.problem.b + cfg.ots_params().sig_bits
+    assert cfg.c3_ecc_params().t_max == cfg.c3_ots_params().sig_bits
     assert cfg.c3.d == 128
     cfg.ots.hlen = cfg.c3.hlen = 4
-    assert cfg.ecc_params().k_sym == 2 and cfg.c3_ecc_params().k_sym == 4
+    assert cfg.ecc_params() == EccParams(2, 2 + 2 * (2 + 64), 16)
+    assert cfg.c3_ecc_params() == EccParams(4, 4 + 2 * 40, 8)
     assert cfg.c3.d == 32
+    cfg.problem.b = 5
+    assert cfg.ecc_params().t_max == 5 + 64
     # a config group takes no attribute it does not declare
     with pytest.raises(AttributeError):
         cfg.ecc.k_sym = 4
+    with pytest.raises(AttributeError):
+        cfg.ecc.n_sym = 640
     with pytest.raises(AttributeError):
         cfg.c3.d = 32
 
@@ -81,17 +93,6 @@ def test_derived_widths():
 def test_top_level_keys():
     cfg = parse_config("trials = 9\nseed = 77\nout = results\n")
     assert (cfg.trials, cfg.seed, cfg.out) == (9, 77, "results")
-
-
-def test_validation_catches_separation_radius():
-    cfg = ExperimentConfig()
-    cfg.ecc.n_sym = 140  # t_max 54 < b + 256
-    # building a game checks it, and the error names the game's attacker
-    with pytest.raises(ConfigError, match="bounded_c1 needs"):
-        _build_games(cfg, "separation")
-    cfg.attacker.name = "unbounded_c1"
-    with pytest.raises(ConfigError, match="unbounded_c1 needs"):
-        _build_games(cfg, "adv-risk")
 
 
 def test_validation_catches_bad_attacker():
@@ -129,14 +130,16 @@ _CAPPED_CHILD = ("import resource, sys\n"
                  "sys.exit(main(sys.argv[1:]))\n")
 
 
-def run_cli_capped(args):
+def run_cli_capped(args, err=""):
     """main(args) in a child process that may run 60 s; its exit code,
-    after checking that it printed no traceback."""
+    after checking that it printed no traceback and that its stderr holds
+    `err`."""
     src = str(Path(compgap.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *args],
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert "Traceback" not in done.stderr
+    assert err in done.stderr
     return done.returncode
 
 
@@ -358,10 +361,11 @@ def test_cli_game_commands_pinned_bytes(tmp_path, capsys, command):
 # broke.  The matrix runs these rows in a child process under a timeout and
 # an address-space limit, so a regression fails instead of hanging the
 # suite or exhausting memory.
+SYN_TABLE_PROBE = "c3.hlen = 64; c3.slen = 64; c3.bits_per_symbol = 16"
 CAP_PROBES = [
-    # a 31.7 GiB syndrome table
-    ("c3", "c3.hlen = 64; c3.slen = 20; c3.n_sym = 65535; "
-     "c3.bits_per_symbol = 16", 2),
+    # the largest code the config can derive, RS(8704,512) over GF(2^16):
+    # a syndrome table of 71.3 million entries, 570 MB as int64
+    ("c3", SYN_TABLE_PROBE, 2),
     # formulas of about 5.4 million and 13.5 million variables
     ("np-forge", "forge.stage = s; forge.reps = 1000; forge.count = 1", 2),
     ("np-forge", "forge.stage = s2; forge.k = 100000; forge.count = 1", 2),
@@ -396,13 +400,11 @@ VALIDATION_MATRIX = [
     ("separation", "ecc.bits_per_symbol = -1", 2),
     ("c3", "c3.bits_per_symbol = -3", 2),
     # degenerate OTS: no invalid signature to sample for a 0-labelled slot
-    ("c3", "c3.hlen = 1; c3.slen = 1; c3.n_sym = 3; c3.bits_per_symbol = 2",
-     2),
+    ("c3", "c3.hlen = 1; c3.slen = 1; c3.bits_per_symbol = 2", 2),
     ("adv-risk", "attacker.name = unbounded_c3; c3.hlen = 1; c3.slen = 1; "
-     "c3.n_sym = 3; c3.bits_per_symbol = 2", 2),
+     "c3.bits_per_symbol = 2", 2),
     # settings the command reads
     ("adv-risk", "attacker.name = sneaky", 2),
-    ("separation", "ecc.n_sym = 140", 2),
     # a key code's k_sym is the key width 2*hlen^2 over bits_per_symbol,
     # which must divide it
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 0),
@@ -421,15 +423,14 @@ VALIDATION_MATRIX = [
     ("adv-risk", "attacker.name = greedy; problem.b = -1", 2),
     ("separation", "problem.b = -1", 2),
     ("adv-risk", "attacker.name = bounded_c3x", 2),
-    ("adv-risk", "attacker.name = unbounded_c1; ecc.n_sym = 140", 2),
     # one-word hash bounds, and the preimage-table cap on unbounded forgers
-    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65; "
-     "ecc.n_sym = 530", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65",
+     2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 65; ots.slen = 1; "
-     "ecc.n_sym = 979; ecc.bits_per_symbol = 10", 2),
-    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.n_sym = 348", 2),
-    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8; ots.slen = 21; "
-     "ecc.n_sym = 348", 0),
+     "ecc.bits_per_symbol = 10", 2),
+    ("separation", "ots.hlen = 8; ots.slen = 21", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8; ots.slen = 21",
+     0),
     # bad paths; a "--flag value" part overrides the default flag
     ("risk", "--config {tmp}/missing.cfg", 2),
     ("risk", "--config {tmp}", 2),
@@ -449,7 +450,8 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
     argv += [word.format(tmp=tmp_path) for p in parts if p.startswith("--")
              for word in p.split()]
     if (command, text, code) in CAP_PROBES:
-        assert run_cli_capped(argv) == code
+        err = "syndrome table cap" if text == SYN_TABLE_PROBE else ""
+        assert run_cli_capped(argv, err) == code
         assert not (tmp_path / "o").exists()
     else:
         assert run_cli(argv) == code
@@ -461,8 +463,8 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
 # them; the requested work (trials, forge.count) stays at 1 and is not
 # varied.  adv-risk reads the settings of attacker.name's game.
 _C1_KEYS = ("problem.d", "problem.alpha", "problem.b", "seed")
-_OTS_KEYS = ("ots.hlen", "ots.slen", "ecc.n_sym", "ecc.bits_per_symbol")
-_C3_KEYS = ("c3.hlen", "c3.slen", "c3.n_sym", "c3.bits_per_symbol", "seed")
+_OTS_KEYS = ("ots.hlen", "ots.slen", "ecc.bits_per_symbol")
+_C3_KEYS = ("c3.hlen", "c3.slen", "c3.bits_per_symbol", "seed")
 _FORGE = "forge.count = 1\n"
 KEYS_READ = [
     ("risk", "", ("problem.d", "problem.alpha", "seed")),
@@ -483,6 +485,7 @@ KEYS_READ = [
 ]
 EXTREME_VALUES = ("0", "-1", str(1 << 31), str(1 << 63), str(10**12), "nan",
                   "inf", "1e308", "word")
+# 58 (command, key) pairs times 9 values: a grid of 522 cases
 EXTREME_CASES = [(command, base + f"{key} = {value}\n")
                  for command, base, keys in KEYS_READ for key in keys
                  for value in EXTREME_VALUES]
@@ -542,9 +545,9 @@ def test_attacker_breaking_the_length_protocol_exits_3(tmp_path, capsys,
 # a bad setting of a command's later game, and a config that builds every
 # earlier game
 @pytest.mark.parametrize("command,text", [
-    ("separation", "ots.hlen = 8; ots.slen = 21; ecc.n_sym = 348"),
+    ("separation", "ots.hlen = 8; ots.slen = 21"),
     ("c3", "c3.query_budget = -5"),
-    ("c3", "c3.hlen = 1; c3.slen = 1; c3.n_sym = 3; c3.bits_per_symbol = 2"),
+    ("c3", "c3.hlen = 1; c3.slen = 1; c3.bits_per_symbol = 2"),
 ])
 def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
                                                 command, text):

@@ -102,10 +102,13 @@ def test_c3_degenerate_ots_is_a_config_error():
 
 
 def test_c3_sample_shapes():
-    ell, n = C3_OTS.sig_bits, C3_ECC.n_bits
+    # sig_bits + 1 slots: one more than C3's budget of sig_bits flips
+    ell = C3_OTS.sig_bits
+    n = ell + 1
     for seed in (4, 5):
         inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed)
         assert inst.slots.length == n * ell
+        assert inst.to_bits().length == 2 * C3_ECC.n_bits + n * ell
         slots = [inst.slots.extract(i * ell, ell) for i in range(n)]
         assert all(s == slots[0] for s in slots)
         assert C3Instance.from_bits(inst.to_bits(), C3_OTS, C3_ECC) == inst
@@ -160,7 +163,8 @@ def test_c3_forged_slot_flips_zero_to_one():
 def test_c3_classifier_reads_every_slot():
     # 1 iff some slot verifies, wherever it sits; slots that differ are
     # all verified, and none of two alternating invalid ones does
-    n, ell = C3_ECC.n_bits, C3_OTS.sig_bits
+    ell = C3_OTS.sig_bits
+    n = ell + 1
     h = classifier_c3(C3_OTS, C3_ECC)
     rs = reed_solomon(C3_ECC)
     inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, 0)
@@ -174,23 +178,26 @@ def test_c3_classifier_reads_every_slot():
     assert h(last.to_bits()) == 1
     other = BitString(bad.value ^ 1, ell)
     assert not verify(bad, want, C3_OTS) and not verify(other, want, C3_OTS)
-    alternating = C3Instance(inst.x_code, concat_all([bad, other] * (n // 2)),
+    # n is odd when sig_bits is even: the pattern ends on `bad`
+    alternating = C3Instance(inst.x_code,
+                             concat_all(([bad, other] * n)[:n]),
                              inst.vk_code)
     assert h(alternating.to_bits()) == 0
 
 
 # sha256 of to01() of whole instances.  results.csv cannot see a reordering
 # of key or signature fields that every reader applies consistently; these
-# digests can.  Seeds cover both labels of each construction.
+# digests can.  Seeds cover both labels of each construction; a C3
+# instance carries sig_bits + 1 = 33 slots here.
 FROZEN_INSTANCES = [
     (lambda: wrap_sample_c1(BASE, OTS, ECC, 0), 1,
      "afc6212e8453d8c417b76bd338b6c3ca6df8235b0659f8cb97f15ba9aadca51a"),
     (lambda: wrap_sample_c1(BASE, OTS, ECC, 1), 0,
      "b0114527723dc80c2c3b9e9dfd66b803ed6359bf8ee5632fb314941fb5a0c5a2"),
     (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 0), 0,
-     "dbc7a103812b42815dc979fb580bf6522c5114fe63e102d7f5f450c01857e242"),
+     "2c91424c898383382287ac5bd56fe46151ebe2ec524c052732dac86b91717873"),
     (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 1), 1,
-     "8a30f9bcc6fca7e55ff61cea4aa2eab5d8e7732a9751d5051922485e24be93f1"),
+     "dcc57c30bebc172bb40e912c30a1837e2637f63937a45aa5eb7acb8ed784f896"),
 ]
 
 
