@@ -5,15 +5,19 @@
         [--workloads W ...] [--seeds 1 2 3 4]
 
 Runs `perfbench/run.py --trace 0` of this checkout once per workload and
-seed, one run at a time.  The last stdout line of each run is its JSON
-result, and `.perfbench-out/<w>-<s>-trace0/record.json` holds the host's
-speed and the run's outcome digest.  The output file holds nproc, the
-Python and numpy versions and the git revision the runs report, and
+seed, then one `--trace 1` run per workload at the first seed, one run at
+a time.  The last stdout line of each run is its JSON result, and
+`.perfbench-out/<w>-<s>-trace<t>/record.json` holds the run's outcome
+digest and, untraced, the host's speed.  The output file holds nproc,
+the Python and numpy versions and the git revision the runs report, and
 whether tracked files differed from that revision; per workload, the
-median and interquartile range of each end-to-end metric; and per run,
-its exit code, host_speed and outcome digest.  A host that ran slow shows
-in host_speed; a commit that changed what the lab computes shows in the
-digests.  The script exits 1 when any run failed a check.
+median and interquartile range of each end-to-end metric; per run, its
+exit code, host_speed and outcome digest; and under `trace`, the traced
+run's exit code, digest and per-layer metrics (such as `ecc.encode.self_s`
+and `layer.ecc.self_s`), which show where a change moved the time.  A
+host that ran slow shows in host_speed; a commit that changed what the
+lab computes shows in the digests.  The script exits 1 when any run
+failed a check.
 """
 
 import argparse
@@ -47,18 +51,18 @@ def uncommitted_changes():
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
-def run_one(workload, seed, seconds):
+def run_one(workload, seed, seconds, trace=0):
     """One perfbench run: (exit code, its JSON result, its record.json)."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", "0"],
+         "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if not lines:
-        raise SystemExit(f"{workload} seed {seed} printed nothing:\n"
-                         f"{done.stderr}")
-    record = ROOT / ".perfbench-out" / f"{workload}-{seed}-trace0" / \
+        raise SystemExit(f"{workload} seed {seed} trace {trace} printed "
+                         f"nothing:\n{done.stderr}")
+    record = ROOT / ".perfbench-out" / f"{workload}-{seed}-trace{trace}" / \
         "record.json"
     return done.returncode, json.loads(lines[-1]), \
         json.loads(record.read_text())
@@ -90,10 +94,18 @@ def main(argv=None):
             print(f"{w} seed {seed}: exit {code}, ops_per_ref_s "
                   f"{result['metrics']['ops_per_ref_s']['value']:.6g}",
                   file=sys.stderr)
+        code, result, record = run_one(w, args.seeds[0], args.seconds,
+                                       trace=1)
+        failed |= code != 0
+        print(f"{w} seed {args.seeds[0]} traced: exit {code}",
+              file=sys.stderr)
         workloads[w] = {
             "metrics": {name: {"unit": unit, **spread(values)}
                         for name, (unit, values) in metrics.items()},
-            "runs": runs}
+            "runs": runs,
+            "trace": {"seed": args.seeds[0], "exit": code,
+                      "digest": record["digest"],
+                      "metrics": result["metrics"]}}
     args.out.write_text(json.dumps(
         {**host, "uncommitted_changes": uncommitted_changes(),
          "seconds": args.seconds, "seeds": args.seeds,

@@ -8,7 +8,8 @@ out of the box.  Derived, not set: C3's instance length d, and each key
 code, the smallest that corrects its game's budget.
 
 `validate(kind)` checks the plain settings of command `kind`: the seed,
-the trial count and `np-forge`'s settings.  A parameter object checks
+the trial count (at most MAX_TRIALS, so that no command runs for days
+without a word) and `np-forge`'s settings.  A parameter object checks
 itself when a command builds it, before anything is written; a game command
 builds all its games in `cli` before its first trial.  A failed check
 raises ConfigError, which the CLI reports with exit code 2.
@@ -23,6 +24,11 @@ from .base_problems import MajorityNoiseParams
 from .ecc import EccParams
 from .errors import ConfigError, ParseError
 from .ots import OtsParams
+
+#: Most trials (`trials`, `--trials`) or np-forge bundles (`forge.count`)
+#: one command runs: 100 times the largest count the experiment scripts
+#: ask for (scripts/run_all.py's 10^5).
+MAX_TRIALS = 10_000_000
 
 
 @dataclass(slots=True)
@@ -76,15 +82,22 @@ class ForgeConfig:
     stage: str = "s1"
 
 
-def _key_code(name: str, hlen: int, width: int, budget: int) -> EccParams:
+def _key_code(name: str, hlen: int, width: int, budget: int,
+              fixed_by: str) -> EccParams:
     """The code of config group `name`: k_sym = 2*hlen^2 / width symbols
     hold one verification key, and t_max is `budget`, the bits its game's
-    tamper may flip (b + sig_bits for C1, sig_bits for C3)."""
+    tamper may flip (b + sig_bits for C1, sig_bits for C3).  `fixed_by`
+    names the settings behind these, for the error when the code is
+    rejected."""
     key_bits = 2 * hlen * hlen
     if width < 1 or key_bits % width:
         raise ConfigError(f"{name}.bits_per_symbol must divide the "
                           f"{key_bits}-bit verification key, got {width}")
-    return EccParams(key_bits // width, key_bits // width + 2 * budget, width)
+    try:
+        return EccParams(key_bits // width, key_bits // width + 2 * budget,
+                         width)
+    except ConfigError as exc:
+        raise ConfigError(f"{fixed_by} derive the key code {exc}") from None
 
 
 @dataclass(slots=True)
@@ -108,15 +121,20 @@ class ExperimentConfig:
         return OtsParams(self.ots.hlen, self.ots.slen)
 
     def ecc_params(self) -> EccParams:
-        return _key_code("ecc", self.ots.hlen, self.ecc.bits_per_symbol,
-                         self.problem.b + self.ots.hlen * self.ots.slen)
+        o, w = self.ots, self.ecc.bits_per_symbol
+        return _key_code("ecc", o.hlen, w, self.problem.b + o.hlen * o.slen,
+                         f"ots.hlen = {o.hlen}, ots.slen = {o.slen}, "
+                         f"problem.b = {self.problem.b} and "
+                         f"ecc.bits_per_symbol = {w}")
 
     def c3_ots_params(self) -> OtsParams:
         return OtsParams(self.c3.hlen, self.c3.slen)
 
     def c3_ecc_params(self) -> EccParams:
-        return _key_code("c3", self.c3.hlen, self.c3.bits_per_symbol,
-                         self.c3.hlen * self.c3.slen)
+        c = self.c3
+        return _key_code("c3", c.hlen, c.bits_per_symbol, c.hlen * c.slen,
+                         f"c3.hlen = {c.hlen}, c3.slen = {c.slen} and "
+                         f"c3.bits_per_symbol = {c.bits_per_symbol}")
 
     def validate(self, kind: str) -> None:
         """Check the settings command `kind` reads outside its games."""
@@ -131,11 +149,16 @@ class ExperimentConfig:
             if not 0 <= self.forge.tau <= 1:
                 raise ConfigError("forge.tau must be in [0, 1]")
             # forge.reps is read, and checked, by stage s alone
-            if min(self.forge.k, self.forge.count) < 1:
-                raise ConfigError("forge.k/count must be >= 1")
+            if self.forge.k < 1:
+                raise ConfigError("forge.k must be >= 1")
+            _check_count("forge.count", self.forge.count)
             return
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        _check_count("trials", self.trials)
+
+
+def _check_count(name: str, count: int) -> None:
+    if not 1 <= count <= MAX_TRIALS:
+        raise ConfigError(f"{name} must be in 1..{MAX_TRIALS}, got {count}")
 
 
 _GROUPS = ("problem", "ots", "ecc", "c3", "attacker", "forge")

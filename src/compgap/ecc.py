@@ -13,6 +13,15 @@ test ("does the parity part equal the parity of the message part?") are
 XORs of Python ints over those columns.  Only error correction (syndromes,
 Berlekamp-Massey, Chien/Forney) works on numpy symbol arrays.
 
+Each code memoises parity_of for its last PARITY_MEMO messages.  In one
+game the sampler encodes a key (for C3 also the instance), and the
+attacker and the classifier decode those codewords again, so the codeword
+test asks for the same parity two or three times; the memo computes it
+once.  It is keyed on the message and the parity part is still compared,
+so a damaged word is never vouched for.  It is sized to a game, not to the
+trial count: games differ in their keys, so a larger memo hits only when
+seeds are replayed.
+
 Error correction works on logarithms.  log[0] is the sentinel Z = 2*order,
 and exp is zero from index Z on (it has 4*order + 1 entries), so
 exp[log[a] + log[b]] is a*b for every a and b, zero included, as long as
@@ -35,7 +44,7 @@ with the same DecodeFailure as before.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import compress
 from operator import xor
 
@@ -72,6 +81,10 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 # have: the int64 table and one syndrome pass's temporaries then take under
 # 100 MB.  The decoder's stress code, RS(640,32), has 389,120.
 MAX_SYN_TABLE = 1 << 22
+
+# Messages whose parity each code remembers (see the module docstring):
+# a C3 game needs two, its instance and its key.
+PARITY_MEMO = 4
 
 
 def _build_tables(bps: int):
@@ -114,21 +127,20 @@ class EccParams:
     bits_per_symbol: int = 8
 
     def __post_init__(self) -> None:
-        if self.k_sym < 1 or self.n_sym <= self.k_sym:
-            raise ConfigError(f"need n_sym > k_sym >= 1, got n_sym "
-                              f"{self.n_sym} and k_sym {self.k_sym}")
-        if self.bits_per_symbol not in _PRIM_POLY:
+        # each message names the code RS(n,k), n = n_sym and k = k_sym
+        n, k, bps = self.n_sym, self.k_sym, self.bits_per_symbol
+        if k < 1 or n <= k:
+            raise ConfigError(f"RS({n},{k}): need n > k >= 1")
+        if bps not in _PRIM_POLY:
             raise ConfigError(
-                f"bits_per_symbol must be in 2..16, got {self.bits_per_symbol}")
-        if self.n_sym > (1 << self.bits_per_symbol) - 1:
-            raise ConfigError(
-                f"n_sym {self.n_sym} exceeds field bound "
-                f"{(1 << self.bits_per_symbol) - 1} for {self.bits_per_symbol}-bit symbols")
-        table = (self.n_sym - self.k_sym) * self.n_sym
+                f"RS({n},{k}): bits_per_symbol must be in 2..16, got {bps}")
+        if n > (1 << bps) - 1:
+            raise ConfigError(f"RS({n},{k}): n exceeds the field bound "
+                              f"{(1 << bps) - 1} for {bps}-bit symbols")
+        table = (n - k) * n
         if table > MAX_SYN_TABLE:
-            raise ConfigError(
-                f"(n_sym - k_sym) * n_sym = {table} exceeds the syndrome "
-                f"table cap {MAX_SYN_TABLE}")
+            raise ConfigError(f"RS({n},{k}): (n - k) * n = {table} exceeds "
+                              f"the syndrome table cap {MAX_SYN_TABLE}")
 
     @property
     def t_max(self) -> int:
@@ -168,6 +180,8 @@ class ReedSolomon:
         self._sym_dtype = (np.dtype(f">u{params.bits_per_symbol // 8}")
                            if params.bits_per_symbol % 8 == 0 else None)
         self._columns = self._parity_columns()
+        # per code, so one code's messages never evict another's
+        self.parity_of = lru_cache(maxsize=PARITY_MEMO)(self.parity_of)
 
     # ---- GF helpers ----------------------------------------------------
 
@@ -212,7 +226,7 @@ class ReedSolomon:
 
     def parity_of(self, message: int) -> int:
         """Parity bits of the systematic encoding: the XOR of the columns
-        of the set data bits."""
+        of the set data bits.  Memoised per code (see __init__)."""
         bits = format(message, f"0{self.params.data_bits}b")
         return reduce(xor, compress(self._columns,
                                     bits.encode().translate(_ZERO_ONE)), 0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import compgap
-from compgap import cli
+from compgap import cli, config
 from compgap.cli import _build_game, _build_games, main
 from compgap.config import ExperimentConfig, parse_config
 from compgap.ecc import EccParams
@@ -378,6 +378,9 @@ CAP_PROBES = [
     ("adv-risk", "problem.d = 1000000000001", 2),
     ("separation", "problem.d = 1000001", 2),
     ("separation", "problem.d = 10000001", 2),
+    # 10^12 trials or bundles: no output for days (config.MAX_TRIALS)
+    ("risk", "--trials 1000000000000", 2),
+    ("np-forge", "forge.count = 1000000000000", 2),
 ]
 
 # (command, config text, exit code): each command checks exactly the
@@ -457,6 +460,43 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
         assert run_cli(argv) == code
     if code:
         assert not (tmp_path / "o" / "results.csv").exists()
+
+
+# an error from a derived key code names the settings that fixed the code
+# and the code itself, not n_sym, which is no longer a setting
+@pytest.mark.parametrize("command,text,names", [
+    ("c3", SYN_TABLE_PROBE,
+     ("c3.hlen = 64", "c3.slen = 64", "c3.bits_per_symbol = 16",
+      "RS(8704,512)", "syndrome table cap")),
+    ("separation", "problem.b = 40000",
+     ("ots.hlen = 16", "ots.slen = 16", "problem.b = 40000",
+      "ecc.bits_per_symbol = 16", "RS(80544,32)", "field bound 65535")),
+])
+def test_derived_code_error_names_its_settings(tmp_path, capsys, command,
+                                               text, names):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text.replace("; ", "\n") + "\n")
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", str(cfg), "--trials", "2",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert "n_sym" not in err
+    assert not out.exists()
+
+
+def test_trial_cap_is_inclusive(tmp_path, capsys):
+    # the cap itself is a valid count (validate alone: no trial runs)
+    cfg = ExperimentConfig()
+    cfg.trials = cfg.forge.count = config.MAX_TRIALS
+    cfg.validate("risk")
+    cfg.validate("np-forge")
+    out = tmp_path / "o"
+    assert run_cli(["separation", "--trials", str(config.MAX_TRIALS + 1),
+                    "--out", str(out)]) == 2
+    assert f"trials must be in 1..{config.MAX_TRIALS}" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 # The settings each command reads, with the config lines that make it read

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString
-from compgap.ecc import EccParams, reed_solomon
+from compgap.ecc import PARITY_MEMO, EccParams, ReedSolomon, reed_solomon
 from compgap.errors import ConfigError, DecodeFailure
 
 TINY = EccParams(k_sym=2, n_sym=6, bits_per_symbol=8)
@@ -74,9 +74,15 @@ def test_beyond_radius_detected_or_wrong_never_silent_success():
         assert out != msg
 
 
-@pytest.mark.parametrize("params", [
-    TINY, EccParams(k_sym=16, n_sym=40, bits_per_symbol=8), DEFAULT,
-    EccParams(k_sym=3, n_sym=7, bits_per_symbol=4)])
+SYNDROME_CODES = [TINY, EccParams(k_sym=16, n_sym=40, bits_per_symbol=8),
+                  DEFAULT, EccParams(k_sym=3, n_sym=7, bits_per_symbol=4)]
+# those, and the two key codes the default config derives (C1, C3)
+MEMO_CODES = SYNDROME_CODES + [
+    EccParams(k_sym=32, n_sym=548, bits_per_symbol=16),
+    EccParams(k_sym=16, n_sym=176, bits_per_symbol=8)]
+
+
+@pytest.mark.parametrize("params", SYNDROME_CODES)
 def test_encode_output_has_zero_syndromes(params):
     # the syndromes are an oracle independent of the parity columns
     rs = reed_solomon(params)
@@ -87,6 +93,66 @@ def test_encode_output_has_zero_syndromes(params):
                                     params.bits_per_symbol).value
                          for i in range(params.n_sym)], dtype=np.int64)
         assert not rs._syndromes(syms).any()
+
+
+def plain_parity(rs, message):
+    """The parity of `message` with no memo: the XOR of the parity columns
+    of its set bits, MSB-first."""
+    out = 0
+    for i, column in enumerate(rs._columns):
+        if message >> (rs.params.data_bits - 1 - i) & 1:
+            out ^= column
+    return out
+
+
+@pytest.mark.parametrize("params", MEMO_CODES)
+def test_memoised_parity_is_the_plain_xor(params):
+    rs = reed_solomon(params)
+    rng = random.Random(params.n_sym)
+    msgs = [0, (1 << params.data_bits) - 1] + \
+        [rng.getrandbits(params.data_bits) for _ in range(3 * PARITY_MEMO)]
+    # hits on the last few, then each message again after its eviction
+    for m in msgs + msgs[::-1] + msgs:
+        assert rs.parity_of(m) == plain_parity(rs, m)
+
+
+@pytest.mark.parametrize("params", MEMO_CODES)
+def test_memo_answers_for_the_message_not_the_word(params):
+    # one flipped bit in either part of a codeword whose message was just
+    # encoded: the remembered parity must not vouch for the damaged word
+    rs = reed_solomon(params)
+    rng = random.Random(params.n_sym + 1)
+    for _ in range(3):
+        msg = BitString.random(rng, params.data_bits)
+        cw = rs.encode(msg)
+        assert rs.is_codeword(cw.value) and rs.decode(cw) == msg
+        for pos in (rng.randrange(params.data_bits),               # message
+                    rng.randrange(params.data_bits, params.n_bits)):  # parity
+            bad = cw.flip(pos)
+            assert not rs.is_codeword(bad.value)
+            assert rs.decode(bad) == msg
+
+
+@pytest.mark.parametrize("params", MEMO_CODES)
+def test_memo_stays_bounded(params):
+    rs = ReedSolomon(params)  # a fresh code, so the counts start at 0
+    rng = random.Random(params.n_sym + 2)
+    count = min(10**4, 1 << params.data_bits)
+    msgs = set()
+    while len(msgs) < count:
+        msgs.add(rng.getrandbits(params.data_bits))
+    for m in msgs:
+        rs.encode(BitString(m, params.data_bits))
+    info = rs.parity_of.cache_info()
+    assert info.misses == count and info.currsize <= PARITY_MEMO
+
+
+def test_only_the_parity_map_is_per_code():
+    # encode and decode stay methods of the class, where a tracer can wrap
+    # them; the memo is the one per-code attribute among them
+    rs = reed_solomon(TINY)
+    assert "parity_of" in vars(rs)
+    assert not {"encode", "decode", "is_codeword"} & set(vars(rs))
 
 
 def test_post_correction_check_rejects_wrong_magnitudes(monkeypatch):

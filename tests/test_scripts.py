@@ -59,3 +59,12 @@ def test_bench_record_summarises_a_run(tmp_path):
     run, = c3["runs"]
     assert run["seed"] == 1 and run["exit"] == 0
     assert run["host_speed"] > 0 and len(run["digest"]) == 64
+    # one traced run per workload, at the first seed, with the per-layer
+    # metrics that show where the time went
+    trace = c3["trace"]
+    assert trace["seed"] == 1 and trace["exit"] == 0
+    assert len(trace["digest"]) == 64
+    for name in ("ecc.encode.self_s", "layer.ecc.self_s",
+                 "trace.overhead"):
+        assert trace["metrics"][name]["value"] >= 0
+    assert trace["metrics"]["ecc.encode.calls"]["value"] > 0
