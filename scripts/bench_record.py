@@ -6,7 +6,8 @@
 
 Runs `perfbench/run.py --trace 0` of this checkout once per workload and
 seed, then one `--trace 1` run per workload at the first seed, one run at
-a time.  The last stdout line of each run is its JSON result, and
+a time, and then `pytest -m acceptance` once.
+The last stdout line of each run is its JSON result, and
 `.perfbench-out/<w>-<s>-trace<t>/record.json` holds the run's outcome
 digest and, untraced, the host's speed.  The output file holds nproc,
 the Python and numpy versions and the git revision the runs report, and
@@ -14,17 +15,22 @@ whether tracked files differed from that revision; per workload, the
 median and interquartile range of each end-to-end metric; per run, its
 exit code, host_speed and outcome digest; and under `trace`, the traced
 run's exit code, digest and per-layer metrics (such as `ecc.encode.self_s`
-and `layer.ecc.self_s`), which show where a change moved the time.  A
-host that ran slow shows in host_speed; a commit that changed what the
-lab computes shows in the digests.  The script exits 1 when any run
-failed a check.
+and `layer.ecc.self_s`), which show where a change moved the time; and
+under `tier1`, the acceptance run's exit code and wall time and each
+criterion's verdict, text and wall time, parsed from the "acceptance
+criteria" section that tests/conftest.py prints.  A host that ran slow shows in
+host_speed; a commit that changed what the lab computes shows in the
+digests.  The script exits 1 when any run or criterion failed.
 """
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +74,47 @@ def run_one(workload, seed, seconds, trace=0):
         json.loads(record.read_text())
 
 
+# a line of the "acceptance criteria" section: the criterion's wall time
+# (blank when it was not measured), its verdict and its verdict text, whose
+# name and measurements no separator tells apart (names hold ": " too)
+_CRITERION = re.compile(r"^\s*(?:([0-9.]+) s)?\s+\[(PASS|FAIL)\] (.*)$")
+
+
+def parse_acceptance(summary):
+    """The criteria of a pytest terminal summary, in printed order: each
+    one's verdict, verdict text and wall time in seconds (None when not
+    printed)."""
+    lines = summary.splitlines()
+    try:
+        start = next(i for i, line in enumerate(lines)
+                     if re.fullmatch(r"=+ acceptance criteria =+", line))
+    except StopIteration:
+        return []
+    criteria = []
+    for line in lines[start + 1:]:
+        if line.startswith("="):
+            break
+        m = _CRITERION.match(line)
+        if m:
+            criteria.append({"verdict": m[2], "text": m[3],
+                             "wall_s": float(m[1]) if m[1] else None})
+    return criteria
+
+
+def run_acceptance():
+    """Run the acceptance criteria once: their exit code, wall time and
+    parsed criteria."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-m",
+                           "acceptance", "-p", "no:cacheprovider"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"exit": done.returncode,
+            "wall_s": round(time.perf_counter() - t0, 1),
+            "criteria": parse_acceptance(done.stdout)}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, type=Path)
@@ -106,10 +153,16 @@ def main(argv=None):
             "trace": {"seed": args.seeds[0], "exit": code,
                       "digest": record["digest"],
                       "metrics": result["metrics"]}}
-    args.out.write_text(json.dumps(
-        {**host, "uncommitted_changes": uncommitted_changes(),
-         "seconds": args.seconds, "seeds": args.seeds,
-         "workloads": workloads}, indent=1) + "\n")
+    bench = {**host, "uncommitted_changes": uncommitted_changes(),
+             "seconds": args.seconds, "seeds": args.seeds,
+             "workloads": workloads}
+    tier1 = bench["tier1"] = run_acceptance()
+    failed |= tier1["exit"] != 0 or not tier1["criteria"] or any(
+        c["verdict"] != "PASS" for c in tier1["criteria"])
+    print(f"acceptance: exit {tier1['exit']}, "
+          f"{len(tier1['criteria'])} criteria in {tier1['wall_s']} s",
+          file=sys.stderr)
+    args.out.write_text(json.dumps(bench, indent=1) + "\n")
     return 1 if failed else 0
 
 

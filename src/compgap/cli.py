@@ -33,8 +33,8 @@ from .constructions import (c3_problem, classifier_c1, classifier_c3,
                             wrapped_problem_c1)
 from .ecc import EccParams, reed_solomon
 from .errors import ConfigError, InvariantViolation
-from .game import (Hypothesis, Problem, binomial_half_width, estimate_risk,
-                   game_transcript, mix_seed)
+from .game import (GameOutcome, Hypothesis, Problem, binomial_half_width,
+                   estimate_risk, mix_seed, play_trials)
 from .samplers import check_witness, sample_s1, sample_s2, sample_s_final
 from .solver import Status, count_projected_models, solve_small
 
@@ -138,15 +138,25 @@ def _build_games(cfg: ExperimentConfig, kind: str) -> List[Game]:
     return [_build_game(cfg, name) for name in names]
 
 
-def _play_games(cfg: ExperimentConfig, kind: str, games: List[Game],
-                rows: List[str], transcript: List[str]) -> dict:
-    """Play each game for cfg.trials trials, append its row and transcript
-    lines, and return its win rate by attacker name."""
+def _play_games(cfg: ExperimentConfig, games: List[Game]
+                ) -> List[List[GameOutcome]]:
+    """Each game's outcomes over cfg.trials trials, from one pass: a
+    command's games are built from one config, so they share a problem and
+    a hypothesis, and each trial's example is drawn once for all of them."""
+    first = games[0]
+    return play_trials(first.problem, first.hypothesis,
+                       [(g.attacker, g.budget) for g in games], cfg.trials,
+                       cfg.seed)
+
+
+def _write_games(cfg: ExperimentConfig, kind: str, games: List[Game],
+                 outcomes: List[List[GameOutcome]], rows: List[str],
+                 transcript: List[str]) -> dict:
+    """Append each game's row and transcript lines, one game after the
+    next, and return its win rate by attacker name."""
     points = {}
-    for g in games:
-        outcomes = game_transcript(g.problem, g.hypothesis, g.attacker,
-                                   g.budget, cfg.trials, cfg.seed)
-        point = points[g.attacker.name] = sum(o.won for o in outcomes) / cfg.trials
+    for g, outs in zip(games, outcomes):
+        point = points[g.attacker.name] = sum(o.won for o in outs) / cfg.trials
         rows.append(_csv_row(kind, g.tag, point,
                              binomial_half_width(point, cfg.trials),
                              cfg.trials, cfg.seed))
@@ -156,7 +166,7 @@ def _play_games(cfg: ExperimentConfig, kind: str, games: List[Game],
             f"trial={i} seed={mix_seed(cfg.seed, i)} won={int(o.won)} "
             f"reason={o.reason.value} dist={o.perturbation_used} "
             f"queries={o.queries_used}"
-            for i, o in enumerate(outcomes))
+            for i, o in enumerate(outs))
     return points
 
 
@@ -172,7 +182,8 @@ def cmd_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_adv_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
     games = _build_games(cfg, "adv-risk")
     rows, transcript = [], []
-    _play_games(cfg, "adv-risk", games, rows, transcript)
+    _write_games(cfg, "adv-risk", games, _play_games(cfg, games), rows,
+                 transcript)
     return _write_out(out_dir, rows, transcript)
 
 
@@ -184,7 +195,8 @@ def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
                      float(analytic_adv_risk(p, cfg.problem.b)), 0.0, 0,
                      cfg.seed)]
     transcript: List[str] = []
-    points = _play_games(cfg, "separation", games, rows, transcript)
+    points = _write_games(cfg, "separation", games, _play_games(cfg, games),
+                          rows, transcript)
     rows.append(_csv_row("separation-gap", params,
                          points["unbounded_c1"] - points["bounded_c1"], 0.0,
                          cfg.trials, cfg.seed))
@@ -193,14 +205,18 @@ def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_c3(cfg: ExperimentConfig, out_dir: Path) -> int:
     games = _build_games(cfg, "c3")
-    # the honest risk of the problem and classifier both games play
-    est = estimate_risk(games[0].problem, games[0].hypothesis, cfg.trials,
-                        cfg.seed)
+    # the honest risk of the problem and classifier both games play, from
+    # the same pass: on an untampered x the identity attacker wins iff
+    # h(x) != y, STAR counted as an error, which is estimate_risk's test
+    honest, *outcomes = _play_games(
+        cfg, [games[0]._replace(attacker=atk.identity_attacker())] + games)
+    risk = sum(o.won for o in honest) / cfg.trials
     c3 = cfg.c3
     rows = [_csv_row("c3-risk", f"d={c3.d} hlen={c3.hlen} slen={c3.slen}",
-                     est.point, est.half_width, cfg.trials, cfg.seed)]
-    transcript = [f"c3 honest risk point={est.point:.6f}"]
-    _play_games(cfg, "c3", games, rows, transcript)
+                     risk, binomial_half_width(risk, cfg.trials), cfg.trials,
+                     cfg.seed)]
+    transcript = [f"c3 honest risk point={risk:.6f}"]
+    _write_games(cfg, "c3", games, outcomes, rows, transcript)
     return _write_out(out_dir, rows, transcript)
 
 

@@ -5,6 +5,11 @@ seeds from a master seed with a splitmix-style mixer (`mix_seed`), so running
 the plain-risk estimator and the adversarial estimator on the same master
 seed draws identical test examples trial by trial.  This makes the
 identity-attacker equivalence an exact, not statistical, property.
+
+A game command walks its trials once (`play_trials`): it draws each
+trial's example once, and all of its attackers, plus c3's honest trial,
+play that example.  That gives the outcomes a pass per attacker would give,
+since a game reads only its seed and its example.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .bitstring import BitString, hamming_distance
 from .errors import DecodeFailure, InvariantViolation, PreimageNotFound
@@ -151,15 +156,19 @@ def winning(x: BitString, x_prime: BitString, y: Label, h: Hypothesis,
 
 
 def play_game(problem: Problem, hypothesis: Hypothesis, attacker,
-              budget: int, seed: int) -> GameOutcome:
+              budget: int, seed: int,
+              example: Optional[Tuple[BitString, Label]] = None
+              ) -> GameOutcome:
     """One round of the game: sample, let the attacker perturb, judge.
 
     The attacker gets the challenge (x, y), an rng of its own and a
     transcript-local counter that enforces its `query_budget`.  The attacker
     charges the hashes it computes, and the outcome reports the total.  When
     the attacker gives up (DecodeFailure, PreimageNotFound) the game plays x.
+    `example`, when given, is the (x, y) that problem.sample(seed) returns,
+    and the game does not sample.
     """
-    x, y = problem.sample(seed)
+    x, y = problem.sample(seed) if example is None else example
     counters = Counters(attacker.query_budget)
     rng = random.Random(mix_seed(seed, 0x41747461))
     try:
@@ -192,8 +201,21 @@ def estimate_adv_risk(problem: Problem, h: Hypothesis, attacker, budget: int,
     return RiskEstimate(point, trials, binomial_half_width(point, trials), seed)
 
 
+def play_trials(problem: Problem, h: Hypothesis, games: Sequence[tuple],
+                trials: int, seed: int) -> list[list[GameOutcome]]:
+    """Each (attacker, budget) game's outcomes over the trials, from one
+    pass: trial i draws its example at mix_seed(seed, i) once, and every
+    game plays that example, in the order given."""
+    outcomes: list[list[GameOutcome]] = [[] for _ in games]
+    for i in range(trials):
+        s = mix_seed(seed, i)
+        example = problem.sample(s)
+        for (attacker, budget), out in zip(games, outcomes):
+            out.append(play_game(problem, h, attacker, budget, s, example))
+    return outcomes
+
+
 def game_transcript(problem: Problem, h: Hypothesis, attacker, budget: int,
                     trials: int, seed: int) -> list[GameOutcome]:
     """Per-game outcomes for audit logs; same seed schedule as the estimators."""
-    return [play_game(problem, h, attacker, budget, mix_seed(seed, i))
-            for i in range(trials)]
+    return play_trials(problem, h, [(attacker, budget)], trials, seed)[0]

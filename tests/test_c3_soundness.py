@@ -8,7 +8,13 @@ breaker below makes no query: it flips one bit in each of the first
 min(t_max + 1, budget) symbols of the instance codeword.  It wins nothing
 against the derived code, and it wins every label-1 game against a code
 whose radius is smaller than the budget.
+
+A label-0 game is won only by a forgery: each such win is replayed and
+shown to carry a verifying slot that the attacker wrote, for a message and
+key that decode unchanged.
 """
+
+import random
 
 import pytest
 
@@ -16,9 +22,11 @@ from compgap.attackers import Attacker
 from compgap.base_problems import uniform_balanced_problem
 from compgap.cli import _build_game
 from compgap.config import ExperimentConfig, parse_config
-from compgap.constructions import c3_problem, classifier_c3
-from compgap.ecc import EccParams
-from compgap.game import Reason, game_transcript
+from compgap.constructions import (_KGEN_STREAM, C3Instance, c3_problem,
+                                   classifier_c3)
+from compgap.ecc import EccParams, reed_solomon
+from compgap.game import Counters, Reason, game_transcript, mix_seed, winning
+from compgap.ots import digest, kgen, targets, verify
 from test_cli_bytes import C3_SLEN17, C3_SLEN60
 
 
@@ -94,3 +102,46 @@ def test_code_breaker_wins_every_label_one_game_below_the_budget():
     ones = [o for y, o in played if y == 1]
     assert ones and all(o.reason is Reason.TAMPER_WIN for o in ones)
     assert not any(o.won for y, o in played if y == 0)
+
+
+def _verifying_slots(inst: C3Instance, want, ots) -> list:
+    ell = ots.sig_bits
+    return [i for i in range(ots.sig_bits + 1)
+            if verify(inst.slots.extract(i * ell, ell), want, ots)]
+
+
+@pytest.mark.parametrize("name", ["worked", "slen17"])
+def test_every_label_zero_win_is_a_signature_the_attacker_wrote(name):
+    text, forgers = C3_SETS[name]
+    cfg = _config(text)
+    ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
+    rs, base = reed_solomon(ecc), uniform_balanced_problem(cfg.c3.d)
+    seed = 42
+    for forger in forgers:
+        g = _build_game(cfg, forger)
+        played = play(g.problem, g.hypothesis, g.attacker, g.budget, 200,
+                      seed)
+        zeros = [i for i, (y, _) in enumerate(played) if y == 0]
+        wins = [i for i in zeros if played[i][1].reason is Reason.TAMPER_WIN]
+        if forger == "unbounded_c3":  # so the check below is not vacuous
+            assert wins == zeros and zeros
+        for i in wins:
+            # replay the game as play_game plays it
+            s = mix_seed(seed, i)
+            x, y = g.problem.sample(s)
+            counters = Counters(g.attacker.query_budget)
+            rng = random.Random(mix_seed(s, 0x41747461))
+            x_prime = g.attacker.perturb(x, y, rng, counters)
+            assert winning(x, x_prime, y, g.hypothesis, g.budget,
+                           counters.queries) == played[i][1]
+            # the codewords decode to the challenge's instance and key
+            message = base.sample(s)[0]
+            vk = kgen(ots, mix_seed(s, _KGEN_STREAM)).vk
+            tampered = C3Instance.from_bits(x_prime, ots, ecc)
+            assert rs.decode(tampered.x_code) == message
+            assert rs.decode(tampered.vk_code) == vk
+            # a slot of x' verifies, and none of x did
+            want = targets(vk, digest(message, ots), ots)
+            assert _verifying_slots(tampered, want, ots), (forger, i)
+            assert not _verifying_slots(
+                C3Instance.from_bits(x, ots, ecc), want, ots), (forger, i)

@@ -594,7 +594,7 @@ def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran before every game was built")
 
-    monkeypatch.setattr(cli, "game_transcript", no_trials)
+    monkeypatch.setattr(cli, "play_trials", no_trials)
     monkeypatch.setattr(cli, "estimate_risk", no_trials)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("".join(p + "\n" for p in text.split("; ")))

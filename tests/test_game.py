@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from compgap import constructions
 from compgap.attackers import greedy_majority_attacker, identity_attacker
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    majority_noise_problem)
 from compgap.bitstring import BitString
+from compgap.cli import GAMES, _build_game, _build_games, main
+from compgap.config import ExperimentConfig, parse_config
 from compgap.errors import InvariantViolation, PreimageNotFound
 from compgap.game import (STAR, Counters, Hypothesis, Reason,
                           estimate_adv_risk, estimate_risk, mix_seed,
-                          play_game, splitmix64, winning)
+                          play_game, play_trials, splitmix64, winning)
+from test_cli_bytes import C1_SLEN8, C3_SLEN17
 
 
 def h_const(label, n=4):
@@ -73,17 +77,23 @@ def test_mix_seed_streams_distinct(master, i, j):
         assert mix_seed(master, i) != mix_seed(master, j)
 
 
+class _Bad:
+    """Returns an instance 3 bits long, whatever the challenge."""
+
+    query_budget = None
+
+    def perturb(self, x, y, rng, counters):
+        return BitString(0, 3)
+
+
 def test_attacker_length_protocol_enforced():
     prob = majority_noise_problem(MajorityNoiseParams(5, 0.0))
-
-    class Bad:
-        query_budget = None
-
-        def perturb(self, x, y, rng, counters):
-            return BitString(0, 3)
-
     with pytest.raises(InvariantViolation, match="length 3, expected 5"):
-        play_game(prob, majority_hypothesis(5), Bad(), 1, seed=0)
+        play_game(prob, majority_hypothesis(5), _Bad(), 1, seed=0)
+    # on the paired path too, after an attacker that plays by the protocol
+    with pytest.raises(InvariantViolation, match="length 3, expected 5"):
+        play_trials(prob, majority_hypothesis(5),
+                    [(identity_attacker(), 1), (_Bad(), 1)], 2, seed=0)
 
 
 def test_identity_equivalence_is_exact_not_statistical():
@@ -123,3 +133,86 @@ def test_counters_stop_at_the_budget():
     with pytest.raises(PreimageNotFound):
         c.charge(4)  # a charge that would pass the budget stops at it
     assert c.queries == 5
+
+
+def _config(text: str) -> ExperimentConfig:
+    return parse_config(text.replace("; ", "\n"))
+
+
+# attackers that play one problem, each group with the config it is built
+# from; identity rides along on the wrapped problems, as c3's honest trial
+ONE_PASS_GROUPS = {
+    "base": ("", ("identity", "greedy")),
+    "c1": (C1_SLEN8, ("bounded_c1", "unbounded_c1", "identity")),
+    "c3": (C3_SLEN17, ("unbounded_c3", "bounded_c3", "identity")),
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("trials", [1, 2, 30])
+@pytest.mark.parametrize("group", sorted(ONE_PASS_GROUPS))
+def test_one_pass_equals_a_pass_per_attacker(group, trials, seed):
+    text, names = ONE_PASS_GROUPS[group]
+    cfg = _config(text)
+    first = _build_game(cfg, names[0])
+    games = [(first.attacker, first.budget)]
+    for name in names[1:]:
+        if name == "identity":
+            games.append((identity_attacker(), first.budget))
+        else:
+            g = _build_game(cfg, name)
+            games.append((g.attacker, g.budget))
+    p, h = first.problem, first.hypothesis
+    got = play_trials(p, h, games, trials, seed)
+    assert got == [[play_game(p, h, a, b, mix_seed(seed, i))
+                    for i in range(trials)] for a, b in games]
+
+
+@pytest.mark.parametrize("group", sorted(ONE_PASS_GROUPS))
+def test_a_given_example_is_the_sampled_one(group):
+    text, names = ONE_PASS_GROUPS[group]
+    cfg = _config(text)
+    for name in names[:-1]:
+        g = _build_game(cfg, name)
+        for i in range(20):
+            s = mix_seed(3, i)
+            assert play_game(g.problem, g.hypothesis, g.attacker, g.budget,
+                             s, example=g.problem.sample(s)) == \
+                play_game(g.problem, g.hypothesis, g.attacker, g.budget, s)
+
+
+@pytest.mark.parametrize("kind", sorted(GAMES))
+def test_the_games_of_a_command_draw_one_example(kind):
+    for cfg in (ExperimentConfig(), _config(C1_SLEN8), _config(C3_SLEN17)):
+        games = _build_games(cfg, kind)
+        assert len(games) == len(GAMES[kind]) > 1
+        for i in range(10):
+            s = mix_seed(cfg.seed, i)
+            x, y = games[0].problem.sample(s)
+            for g in games[1:]:
+                assert g.problem.instance_len == games[0].problem.instance_len
+                assert g.problem.sample(s) == (x, y)
+                assert g.hypothesis(x) == games[0].hypothesis(x)
+
+
+@pytest.mark.parametrize("command,trials", [("separation", 1),
+                                            ("separation", 7),
+                                            ("c3", 1), ("c3", 7)])
+def test_a_game_command_draws_each_trial_once(tmp_path, monkeypatch,
+                                              capsys, command, trials):
+    # one pass: every attacker, and c3's honest trial, plays each drawn
+    # example; a pass per attacker draws 2 or 3 examples a trial
+    draws = []
+    for name in ("wrap_sample_c1", "sample_c3"):
+        orig = getattr(constructions, name)
+
+        def counted(*args, orig=orig):
+            draws.append(args[-1])
+            return orig(*args)
+
+        monkeypatch.setattr(constructions, name, counted)
+    assert main([command, "--trials", str(trials), "--out",
+                 str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert draws == [mix_seed(ExperimentConfig().seed, i)
+                     for i in range(trials)]
