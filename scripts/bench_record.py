@@ -37,13 +37,18 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("separation", "c3", "rs_decode", "np_forge")
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile), inclusive quartiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
 def spread(values):
-    """Median and interquartile range (inclusive quartiles) of the runs."""
-    q1 = q3 = values[0]
-    if len(values) > 1:
-        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "iqr": q3 - q1,
-            "runs": values}
+    """Median and interquartile range of the runs."""
+    q1, median, q3 = quartiles(values)
+    return {"median": median, "iqr": q3 - q1, "runs": values}
 
 
 def uncommitted_changes():
@@ -57,19 +62,21 @@ def uncommitted_changes():
     return bool(done.stdout.strip()) if done.returncode == 0 else None
 
 
-def run_one(workload, seed, seconds, trace=0):
-    """One perfbench run: (exit code, its JSON result, its record.json)."""
+def run_one(workload, seed, seconds=None, trace=0, checkout=ROOT):
+    """One perfbench run of `checkout`, for perfbench's default length
+    when seconds is None: (exit code, its JSON result, its record.json)."""
+    length = [] if seconds is None else ["--seconds", str(seconds)]
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds),
+        [sys.executable, str(checkout / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed), *length,
          "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if not lines:
-        raise SystemExit(f"{workload} seed {seed} trace {trace} printed "
-                         f"nothing:\n{done.stderr}")
-    record = ROOT / ".perfbench-out" / f"{workload}-{seed}-trace{trace}" / \
-        "record.json"
+        raise SystemExit(f"{checkout}: {workload} seed {seed} trace {trace} "
+                         f"printed nothing:\n{done.stderr}")
+    record = checkout / ".perfbench-out" / \
+        f"{workload}-{seed}-trace{trace}" / "record.json"
     return done.returncode, json.loads(lines[-1]), \
         json.loads(record.read_text())
 

@@ -8,8 +8,9 @@ structure that a naive variable order explores exponentially.
 
 A formula owns its limits: `new_vars` raises ConfigError before it passes
 MAX_VARS variables, so an oversized formula stops while it is built, and
-`add_clause` drops repeated literals, keeping order.  Tautologies stay:
-DIMACS allows them, and one of their two watched literals is always true.
+`add_clause` refuses a literal that is not an int and drops repeated
+literals, keeping order.  Tautologies stay: DIMACS allows them, and one of
+their two watched literals is always true.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ class CnfFormula:
         if not clause:
             raise FormatError("refusing to emit an empty clause")
         for lit in clause:
+            # a bool or float would print as an int under write_dimacs' %d
+            if type(lit) is not int:
+                raise FormatError(f"literal {lit!r} is not an int")
             if lit == 0 or abs(lit) > self.num_vars:
                 raise FormatError(f"literal {lit} out of range")
         self.clauses.append(clause)
@@ -150,17 +154,34 @@ def encode_hamming_ball(f: CnfFormula, center: BitString,
     """
     if center.length != len(input_vars):
         raise ConfigError("center length does not match input variables")
+    start = len(f.clauses)
     flips = f.new_vars(center.length)
-    for i, (fv, xv) in enumerate(zip(flips, input_vars)):
-        if center[i] == 0:
-            f.add_clause([-fv, xv])
-            f.add_clause([fv, -xv])
-        else:
-            f.add_clause([-fv, -xv])
-            f.add_clause([fv, xv])
+    for fv, xv in zip(flips, input_vars):
+        f.add_clause([-fv, xv])
+        f.add_clause([fv, -xv])
+    recentre_ball(f.clauses, start, center)
     at_most(f, flips, b)
     f.annotate("flips", flips)
     return flips
+
+
+def recentre_ball(clauses: List[List[int]], start: int,
+                  center: BitString) -> None:
+    """Move a ball's channel clauses from the all-zero center onto center,
+    in place.
+
+    clauses[start:] begin with encode_hamming_ball's channel clauses: two
+    per bit in bit order, [-f_i, x_i] and [f_i, -x_i] around zero, each
+    ending in its input literal (whatever literals a caller put in front).
+    Each 1 bit of center negates the input literal of its two clauses.
+    """
+    v = center.value
+    while v:
+        low = v & -v
+        i = start + 2 * (center.length - low.bit_length())
+        clauses[i][-1] = -clauses[i][-1]
+        clauses[i + 1][-1] = -clauses[i + 1][-1]
+        v ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +189,17 @@ def encode_hamming_ball(f: CnfFormula, center: BitString,
 # ---------------------------------------------------------------------------
 
 _CHUNK = 20
+
+
+class _ClauseFormats(dict):
+    """Clause length n -> "%d " * n + "0", made once per length."""
+
+    def __missing__(self, n: int) -> str:
+        fmt = self[n] = "%d " * n + "0"
+        return fmt
+
+
+_CLAUSE_FORMATS = _ClauseFormats()
 
 
 def write_dimacs(f: CnfFormula) -> str:
@@ -183,8 +215,8 @@ def write_dimacs(f: CnfFormula) -> str:
         lines.append("c prefer " +
                      " ".join(map(str, f.prefer_true[start:start + _CHUNK])))
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    for clause in f.clauses:
-        lines.append(" ".join(map(str, clause)) + " 0")
+    fmt = _CLAUSE_FORMATS
+    lines += [fmt[len(clause)] % tuple(clause) for clause in f.clauses]
     return "\n".join(lines) + "\n"
 
 
@@ -233,7 +265,10 @@ def read_dimacs(text: str) -> CnfFormula:
             raise ParseError("clause not terminated by 0", line_no)
         if 0 in lits[:-1]:
             raise ParseError("stray 0 inside clause", line_no)
-        f.add_clause(lits[:-1])
+        try:
+            f.add_clause(lits[:-1])
+        except FormatError as e:  # an empty clause or a literal past the header
+            raise ParseError(str(e), line_no)
     if not header_seen:
         raise ParseError("missing problem line", 0)
     if len(f.clauses) != expected_clauses:

@@ -2,9 +2,11 @@
 
 Stage 1 compiles one drawn example into "there is an adversarial example in
 the Hamming ball".  Stage 2 conjoins k independent stage-1 formulas behind
-selector variables and requires a tau fraction of selectors.  The final
-stage conjoins several disjoint stage-2 formulas.  Bundles keep enough
-provenance to decode any satisfying assignment back into concrete
+selector variables and requires a tau fraction of selectors.  It compiles
+one block and makes each of the k from it: the examples change only the
+signs of their input bits' channel literals and of the label unit.  The
+final stage conjoins several disjoint stage-2 formulas.  Bundles keep
+enough provenance to decode any satisfying assignment back into concrete
 adversarial examples and check them against the real hypothesis.
 """
 
@@ -17,7 +19,8 @@ from typing import List, Optional, Tuple
 
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
-from .cnf import CnfFormula, at_least, encode_hamming_ball, tseitin
+from .cnf import (CnfFormula, at_least, encode_hamming_ball, recentre_ball,
+                  tseitin)
 from .errors import ConfigError
 from .game import Problem, mix_seed
 
@@ -53,9 +56,8 @@ class SamplerBundle:
 def _compile_block(x: BitString, y: int, gates: CnfFormula,
                    b: int) -> CnfFormula:
     """CNF for: exists x' with HD(x,x') <= b and h(x') != y, where gates is
-    the circuit's Tseitin formula and h its output bit.  Each block extends
-    its own copy of the clause list, so one transform serves every block of
-    a bundle."""
+    the circuit's Tseitin formula and h its output bit.  It extends its own
+    copy of the gates' clause list, so gates can be compiled again."""
     f = CnfFormula(gates.num_vars, list(gates.clauses),
                    dict(gates.annotations))
     flips = encode_hamming_ball(f, x, f.annotations["inputs"], b)
@@ -88,13 +90,31 @@ def _merge_guarded(f: CnfFormula, sub: CnfFormula,
     selector when one is given.  Returns the variable offset used.  sub's
     clauses are already checked and the selector is older than every
     shifted variable, so they are copied without a second check."""
-    off = f.num_vars
-    f.new_vars(sub.num_vars)
-    guard = [] if selector is None else [-selector]
-    f.clauses.extend(guard + [l + off if l > 0 else l - off for l in clause]
-                     for clause in sub.clauses)
-    f.branch_order.extend(v + off for v in sub.branch_order)
-    f.prefer_true.extend(v + off for v in sub.prefer_true)
+    off, n = f.num_vars, sub.num_vars
+    f.new_vars(n)
+    # shift[lit] is sub's literal lit on f's fresh variables; by
+    # negative indexing, -v reads slot 2n+1-v
+    shift = list(range(off, off + n + 1)) + list(range(-off - n, -off))
+    get = shift.__getitem__
+    guard = () if selector is None else (-selector,)
+    f.clauses.extend([*guard, *map(get, clause)] for clause in sub.clauses)
+    f.branch_order.extend(map(get, sub.branch_order))
+    f.prefer_true.extend(map(get, sub.prefer_true))
+    return off
+
+
+def _merge_block(f: CnfFormula, template: CnfFormula, first_channel: int,
+                 x: BitString, y: int, selector: int) -> int:
+    """_merge_guarded(f, _compile_block(x, y, gates, b), selector), made
+    from template = _compile_block(all zeros, 0, gates, b), whose ball
+    channel clauses start at index first_channel (len(gates.clauses)).
+    Only the example's signs differ between the two: the ball's center,
+    and the label unit, the block's last clause, where y = 1."""
+    start = len(f.clauses)
+    off = _merge_guarded(f, template, selector)
+    recentre_ball(f.clauses, start + first_channel, x)
+    if y:
+        f.clauses[-1][-1] = -f.clauses[-1][-1]
     return off
 
 
@@ -113,21 +133,22 @@ def _sample_s2(problem: Problem, gates: CnfFormula, b: int, k: int,
         raise ConfigError("k must be >= 1")
     if not 0 < tau <= 1:
         raise ConfigError("tau must be in (0, 1]")
+    # one compiled block; each block of the bundle patches its signs
+    template = _compile_block(BitString(0, problem.instance_len), 0, gates, b)
     f = CnfFormula()
     selectors: List[int] = []
     blocks: List[BlockInfo] = []
     for j in range(k):
         x, y = problem.sample(mix_seed(seed, j))
-        sub = _compile_block(x, y, gates, b)
         s = f.new_var()
         selectors.append(s)
         # decide each selector right before its block's variables; a set
         # selector is then refuted or satisfied locally before moving on
         f.branch_order.append(s)
         f.prefer_true.append(s)
-        off = _merge_guarded(f, sub, s)
+        off = _merge_block(f, template, len(gates.clauses), x, y, s)
         blocks.append(BlockInfo(
-            s, tuple(v + off for v in sub.annotations["inputs"]), x, y))
+            s, tuple(v + off for v in template.annotations["inputs"]), x, y))
     at_least(f, selectors, math.ceil(Fraction(str(tau)) * k))
     f.annotate("selectors", selectors)
     return SamplerBundle(f, "s2", seed, b, tuple(blocks))

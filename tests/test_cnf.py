@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compgap.base_problems import MajorityNoiseParams, majority_noise_problem
 from compgap.bitstring import BitString
-from compgap.circuits import CircuitBuilder, eval_batch
+from compgap.circuits import CircuitBuilder, circuit_of_majority, eval_batch
 from compgap.cnf import (CnfFormula, at_least, at_most, encode_hamming_ball,
                          read_dimacs, tseitin, write_dimacs)
 from compgap.errors import FormatError, ParseError
+from compgap.samplers import sample_s1, sample_s2, sample_s_final
 from compgap.solver import Status, count_projected_models, solve_small
 
 
@@ -69,12 +71,34 @@ def test_out_of_range_literal_refused():
         f.add_clause([2])
 
 
+@pytest.mark.parametrize("lits", [[1.5], [1.0, 2], [2, 1.0], ["1"], [True],
+                                  [1, False]],
+                         ids=["float", "integral-float", "float-last", "str",
+                              "true", "false"])
+def test_non_integer_literal_refused(lits):
+    # write_dimacs prints each literal with %d, which would print 1.5 as 1
+    f = CnfFormula()
+    f.new_vars(2)
+    with pytest.raises(FormatError, match="not an int"):
+        f.add_clause(lits)
+    assert f.clauses == []
+
+
 def test_ball_b0_forces_center():
     f = CnfFormula()
     iv = f.new_vars(5)
     encode_hamming_ball(f, BitString.from01("10110"), iv, 0)
     r = solve_small(f)
     assert [int(r.assignment[v]) for v in iv] == [1, 0, 1, 1, 0]
+    # every center at 5 bits: the re-centred channels point at it
+    for v in range(32):
+        f = CnfFormula()
+        iv = f.new_vars(5)
+        center = BitString(v, 5)
+        encode_hamming_ball(f, center, iv, 0)
+        r = solve_small(f)
+        assert "".join(str(int(r.assignment[u])) for u in iv) == \
+            center.to01()
 
 
 @pytest.mark.parametrize("n,b", [(6, 2), (5, 0), (5, 5), (8, 3)])
@@ -166,7 +190,10 @@ def test_dimacs_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         read_dimacs("p cnf 2 2\n1 0\n")  # clause count mismatch
     for text, line_no in [("p cnf -3 0\n", 1), ("p cnf 2 -1\n", 1),
-                          ("p cnf 2 1\np cnf 3 1\n1 3 0\n", 2)]:
+                          ("p cnf 2 1\np cnf 3 1\n1 3 0\n", 2),
+                          ("p cnf 2 1\n0\n", 2),  # an empty clause
+                          ("p cnf 2 1\n1 5 0\n", 2),  # no variable 5
+                          ("p cnf 2 2\n1 0\n\n-2 -3 0\n", 4)]:
         with pytest.raises(ParseError) as e:
             read_dimacs(text)
         assert e.value.line_no == line_no
@@ -186,3 +213,46 @@ def test_dimacs_rejects_malformed_hint_comments(text, error, line_no):
         read_dimacs(text)
     if line_no is not None:
         assert e.value.line_no == line_no
+
+
+def join_writer(f):
+    """write_dimacs as it was: one join over map(str, ...) per line."""
+    lines = []
+    for role in sorted(f.annotations):
+        vs = f.annotations[role]
+        lines.append("c anno " + role + " " + " ".join(map(str, vs)))
+    for start in range(0, len(f.branch_order), 20):
+        lines.append("c branch " +
+                     " ".join(map(str, f.branch_order[start:start + 20])))
+    for start in range(0, len(f.prefer_true), 20):
+        lines.append("c prefer " +
+                     " ".join(map(str, f.prefer_true[start:start + 20])))
+    lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
+    for clause in f.clauses:
+        lines.append(" ".join(map(str, clause)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def test_dimacs_bytes_match_the_join_writer_at_every_clause_length():
+    rng = random.Random(64)
+    f = CnfFormula()
+    f.new_vars(500)
+    for width in [*range(1, 65), *(rng.randrange(1, 65) for _ in range(200))]:
+        f.add_clause([rng.choice([1, -1]) * v
+                      for v in rng.sample(range(1, 501), width)])
+    f.annotate("inputs", range(1, 30))
+    f.branch_order = rng.sample(range(1, 501), 45)
+    assert {len(c) for c in f.clauses} == set(range(1, 65))
+    assert write_dimacs(f) == join_writer(f)
+
+
+def test_dimacs_bytes_match_the_join_writer_on_every_stage():
+    p = MajorityNoiseParams(11, 0.05)
+    prob, circuit = majority_noise_problem(p), circuit_of_majority(11)
+    for seed in range(3):
+        for bundle in (sample_s1(prob, circuit, 2, seed),
+                       sample_s2(prob, circuit, 2, 40, 0.4, seed),
+                       sample_s_final(prob, circuit, 2, 6, 0.5, 2, seed)):
+            text = write_dimacs(bundle.formula)
+            assert text == join_writer(bundle.formula)
+            assert read_dimacs(text) == bundle.formula

@@ -7,10 +7,11 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_hypothesis, majority_noise_problem)
 from compgap.bitstring import BitString, hamming_distance
 from compgap.circuits import circuit_of_majority, eval_circuit
-from compgap.cnf import write_dimacs
+from compgap.cnf import CnfFormula, tseitin, write_dimacs
 from compgap.errors import ConfigError
 from compgap.game import binomial_half_width, mix_seed, play_game
-from compgap.samplers import (check_witness, sample_s1, sample_s2,
+from compgap.samplers import (_compile_block, _merge_block, _merge_guarded,
+                              check_witness, sample_s1, sample_s2,
                               sample_s_final)
 from compgap.solver import Status, solve_small
 
@@ -228,3 +229,22 @@ def test_param_validation():
         sample_s2(PROB, CIRCUIT, 2, 3, 1.5, 1)
     with pytest.raises(ConfigError):
         sample_s_final(PROB, CIRCUIT, 2, 3, TAU, 0, 1)
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_a_block_from_the_template_is_the_compiled_block(d):
+    # every x at d bits, both labels and budgets 0, 1, 2 and d (no bound),
+    # each behind selector 1
+    gates = tseitin(circuit_of_majority(d))
+    for b in (0, 1, 2, d):
+        template = _compile_block(BitString(0, d), 0, gates, b)
+        for v in range(1 << d):
+            x = BitString(v, d)
+            for y in (0, 1):
+                want, got = CnfFormula(1), CnfFormula(1)
+                off = _merge_guarded(want, _compile_block(x, y, gates, b), 1)
+                assert _merge_block(got, template, len(gates.clauses), x, y,
+                                    1) == off
+                assert got == want, (b, x, y)
+        # patching a block leaves the template as it was compiled
+        assert template == _compile_block(BitString(0, d), 0, gates, b)

@@ -3,8 +3,14 @@ import random
 import pytest
 
 from compgap import cnf, solver
+from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
+                                   majority_noise_problem)
+from compgap.circuits import circuit_of_majority
+from compgap.cli import main
 from compgap.cnf import CnfFormula
 from compgap.errors import ConfigError
+from compgap.game import mix_seed
+from compgap.samplers import sample_s2
 from compgap.solver import (Status, count_projected_models, solve_enumerate,
                             solve_small)
 
@@ -229,3 +235,54 @@ def test_projected_count_refuses_an_undecided_solve(monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_CONFLICT_BUDGET", 0)
     with pytest.raises(ConfigError, match="conflict budget"):
         count_projected_models(pigeonhole(3), [1, 2])
+
+
+def test_s2_search_is_pinned_on_criterion_6s_first_draws(monkeypatch):
+    """Criterion 6's first 20 S2 draws (d = 11, alpha = 0.05, b = 2,
+    k = 40) take exactly these conflicts and decisions.  A change to the
+    formulas or to the solver's set-up that reorders a watch list shows
+    here as a count, not as a timing."""
+    p = MajorityNoiseParams(11, 0.05)
+    prob, circuit = majority_noise_problem(p), circuit_of_majority(11)
+    tau = (p.alpha + float(analytic_adv_risk(p, 2))) / 2
+    log = record_learning(monkeypatch)
+    decisions = 0
+    decide = solver._Cdcl.decide
+
+    def counted(self):
+        nonlocal decisions
+        opened = decide(self)
+        decisions += opened
+        return opened
+
+    monkeypatch.setattr(solver._Cdcl, "decide", counted)
+    statuses = [solve_small(sample_s2(prob, circuit, 2, 40, tau,
+                                      mix_seed(607, i)).formula).status
+                for i in range(20)]
+    assert statuses == [Status.SAT] * 20
+    assert (len(log), decisions) == (6921, 50273)
+
+
+def test_no_np_forge_bench_bundle_is_undecided(tmp_path):
+    """The np-forge runs of the benchmark's np_forge workload, batches 0-3
+    at seeds 1-4: each batch runs 4 S1 and then 1 S2 bundle, seeded from
+    random.Random("np_forge:<seed>:<batch>").  None may return unknown,
+    which the benchmark's check would count as verified when the greedy
+    oracle says UNSAT."""
+    statuses = []
+    for seed in range(1, 5):
+        for batch in range(4):
+            rng = random.Random(f"np_forge:{seed}:{batch}")
+            for stage, count in (("s1", 4), ("s2", 1)):
+                cfg = tmp_path / f"{stage}.cfg"
+                cfg.write_text(f"forge.stage = {stage}\n"
+                               f"forge.count = {count}\n")
+                out = tmp_path / f"{seed}-{batch}-{stage}"
+                assert main(["np-forge", "--config", str(cfg), "--seed",
+                             str(rng.getrandbits(63)), "--out",
+                             str(out)]) == 0
+                statuses += [line.split("status=")[1] for line in
+                             (out / "transcript.log").read_text().split()
+                             if line.startswith("status=")]
+    assert len(statuses) == 4 * 4 * 5
+    assert "unknown" not in statuses and "sat" in statuses
