@@ -5,7 +5,8 @@ into the config groups below, values are integers, decimals, or bare words.
 Unknown keys are errors, missing keys take the defaults, and the defaults
 are the worked separation configuration, so an empty file runs everything
 out of the box.  Derived, not set: C3's instance length d, and each key
-code, the smallest that corrects its game's budget.
+code, the smallest that corrects its game's budget, over the narrowest
+symbols that hold it.
 
 `validate(kind)` checks the plain settings of command `kind`: the seed,
 the trial count (at most MAX_TRIALS, so that no command runs for days
@@ -45,11 +46,6 @@ class OtsConfig:
 
 
 @dataclass(slots=True)
-class EccConfig:
-    bits_per_symbol: int = 16
-
-
-@dataclass(slots=True)
 class C3Config:
     """Parameters of the no-detection construction.  One code carries both
     the base instance and the verification key, so the instance length d
@@ -57,7 +53,6 @@ class C3Config:
 
     hlen: int = 8
     slen: int = 10
-    bits_per_symbol: int = 8
     query_budget: int = 1024
 
     @property
@@ -82,29 +77,27 @@ class ForgeConfig:
     stage: str = "s1"
 
 
-def _key_code(name: str, hlen: int, width: int, budget: int,
-              fixed_by: str) -> EccParams:
-    """The code of config group `name`: k_sym = 2*hlen^2 / width symbols
-    hold one verification key, and t_max is `budget`, the bits its game's
-    tamper may flip (b + sig_bits for C1, sig_bits for C3).  `fixed_by`
-    names the settings behind these, for the error when the code is
-    rejected."""
+def _key_code(hlen: int, budget: int, fixed_by: str) -> EccParams:
+    """The key code of a game: the narrowest symbols, of 2..16 bits, that
+    divide the 2*hlen^2-bit verification key into k_sym symbols and hold a
+    code whose t_max is `budget`, the bits its game's tamper may flip
+    (b + sig_bits for C1, sig_bits for C3).  `fixed_by` names the settings
+    behind these, for the error when no width holds the code."""
     key_bits = 2 * hlen * hlen
-    if width < 1 or key_bits % width:
-        raise ConfigError(f"{name}.bits_per_symbol must divide the "
-                          f"{key_bits}-bit verification key, got {width}")
-    try:
-        return EccParams(key_bits // width, key_bits // width + 2 * budget,
-                         width)
-    except ConfigError as exc:
-        raise ConfigError(f"{fixed_by} derive the key code {exc}") from None
+    for width in range(2, 17):
+        if key_bits % width == 0:  # 2 always does
+            k = key_bits // width
+            try:
+                return EccParams(k, k + 2 * budget, width)
+            except ConfigError as exc:
+                error = exc
+    raise ConfigError(f"{fixed_by} derive the key code {error}")
 
 
 @dataclass(slots=True)
 class ExperimentConfig:
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     ots: OtsConfig = field(default_factory=OtsConfig)
-    ecc: EccConfig = field(default_factory=EccConfig)
     c3: C3Config = field(default_factory=C3Config)
     attacker: AttackerConfig = field(default_factory=AttackerConfig)
     forge: ForgeConfig = field(default_factory=ForgeConfig)
@@ -121,20 +114,18 @@ class ExperimentConfig:
         return OtsParams(self.ots.hlen, self.ots.slen)
 
     def ecc_params(self) -> EccParams:
-        o, w = self.ots, self.ecc.bits_per_symbol
-        return _key_code("ecc", o.hlen, w, self.problem.b + o.hlen * o.slen,
-                         f"ots.hlen = {o.hlen}, ots.slen = {o.slen}, "
-                         f"problem.b = {self.problem.b} and "
-                         f"ecc.bits_per_symbol = {w}")
+        o = self.ots
+        return _key_code(o.hlen, self.problem.b + o.hlen * o.slen,
+                         f"ots.hlen = {o.hlen}, ots.slen = {o.slen} and "
+                         f"problem.b = {self.problem.b}")
 
     def c3_ots_params(self) -> OtsParams:
         return OtsParams(self.c3.hlen, self.c3.slen)
 
     def c3_ecc_params(self) -> EccParams:
         c = self.c3
-        return _key_code("c3", c.hlen, c.bits_per_symbol, c.hlen * c.slen,
-                         f"c3.hlen = {c.hlen}, c3.slen = {c.slen} and "
-                         f"c3.bits_per_symbol = {c.bits_per_symbol}")
+        return _key_code(c.hlen, c.hlen * c.slen,
+                         f"c3.hlen = {c.hlen} and c3.slen = {c.slen}")
 
     def validate(self, kind: str) -> None:
         """Check the settings command `kind` reads outside its games."""
@@ -161,8 +152,11 @@ def _check_count(name: str, count: int) -> None:
         raise ConfigError(f"{name} must be in 1..{MAX_TRIALS}, got {count}")
 
 
-_GROUPS = ("problem", "ots", "ecc", "c3", "attacker", "forge")
-_TOP_FIELDS = ("trials", "seed", "out")
+# every settable key: a top-level field, or "<group>.<field>"
+_KEYS = frozenset(("trials", "seed", "out")).union(
+    f"{group}.{f.name}"
+    for group in ("problem", "ots", "c3", "attacker", "forge")
+    for f in dataclasses.fields(getattr(ExperimentConfig(), group)))
 
 
 def _coerce(value: str, target_type: type, key: str, line_no: int):
@@ -189,19 +183,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if not value:
             raise ParseError(f"missing value for {key!r}", line_no)
-        if "." in key:
-            group_name, field_name = key.split(".", 1)
-            if group_name not in _GROUPS:
-                raise ParseError(f"unknown config group {group_name!r}", line_no)
-            group = getattr(cfg, group_name)
-            if field_name not in {f.name for f in dataclasses.fields(group)}:
-                raise ParseError(f"unknown key {key!r}", line_no)
-            setattr(group, field_name,
-                    _coerce(value, type(getattr(group, field_name)),
-                            key, line_no))
-        elif key in _TOP_FIELDS:
-            setattr(cfg, key,
-                    _coerce(value, type(getattr(cfg, key)), key, line_no))
-        else:
+        if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", line_no)
+        group_name, _, name = key.rpartition(".")
+        group = getattr(cfg, group_name) if group_name else cfg
+        setattr(group, name,
+                _coerce(value, type(getattr(group, name)), key, line_no))
     return cfg

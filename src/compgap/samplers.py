@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .bitstring import BitString, hamming_distance
 from .circuits import BoolCircuit, eval_circuit
@@ -58,6 +58,8 @@ def _compile_block(x: BitString, y: int, gates: CnfFormula,
     """CNF for: exists x' with HD(x,x') <= b and h(x') != y, where gates is
     the circuit's Tseitin formula and h its output bit.  It extends its own
     copy of the gates' clause list, so gates can be compiled again."""
+    if x.length != len(gates.annotations["inputs"]):
+        raise ConfigError("circuit does not match the problem's instance length")
     f = CnfFormula(gates.num_vars, list(gates.clauses),
                    dict(gates.annotations))
     flips = encode_hamming_ball(f, x, f.annotations["inputs"], b)
@@ -74,8 +76,6 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
     """One drawn example compiled to a formula, SAT iff the example admits
     an in-ball adversarial perturbation (the untampered x counts when it is
     already misclassified)."""
-    if circuit.n_inputs != problem.instance_len:
-        raise ConfigError("circuit does not match the problem's instance length")
     x, y = problem.sample(seed)
     if not isinstance(y, int):
         raise ConfigError("stage-1 compilation needs integer labels")
@@ -84,20 +84,22 @@ def sample_s1(problem: Problem, circuit: BoolCircuit, b: int,
     return SamplerBundle(f, "s1", seed, b, (block,))
 
 
-def _merge_guarded(f: CnfFormula, sub: CnfFormula,
-                   selector: Optional[int]) -> int:
-    """Append sub's clauses on fresh variables; guard them behind the
-    selector when one is given.  Returns the variable offset used.  sub's
-    clauses are already checked and the selector is older than every
-    shifted variable, so they are copied without a second check."""
+def _merge_guarded(f: CnfFormula, sub: CnfFormula, selector: int) -> int:
+    """Append sub's clauses on fresh variables, each guarded behind the
+    selector.  Returns the variable offset used.  sub's clauses are
+    already checked and the selector is older than every shifted
+    variable, so they are copied without a second check."""
     off, n = f.num_vars, sub.num_vars
     f.new_vars(n)
     # shift[lit] is sub's literal lit on f's fresh variables; by
     # negative indexing, -v reads slot 2n+1-v
     shift = list(range(off, off + n + 1)) + list(range(-off - n, -off))
     get = shift.__getitem__
-    guard = () if selector is None else (-selector,)
-    f.clauses.extend([*guard, *map(get, clause)] for clause in sub.clauses)
+    # one int object for the guard, shared by every clause of the block;
+    # -selector in the display would make one per clause (about 1 MB of
+    # the np_forge benchmark's peak RSS)
+    guard = -selector
+    f.clauses.extend([guard, *map(get, clause)] for clause in sub.clauses)
     f.branch_order.extend(map(get, sub.branch_order))
     f.prefer_true.extend(map(get, sub.prefer_true))
     return off
@@ -124,24 +126,25 @@ def sample_s2(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     least ceil(tau*k) must hold, chosen by selector variables.  The ceiling
     is taken on tau's decimal repr (0.28 of 25 is 7), not on its binary
     value."""
-    return _sample_s2(problem, tseitin(circuit), b, k, tau, seed)
+    f = CnfFormula()
+    blocks = _append_s2(f, problem, tseitin(circuit), b, k, tau, seed)
+    f.annotate("selectors", [blk.selector for blk in blocks])
+    return SamplerBundle(f, "s2", seed, b, tuple(blocks))
 
 
-def _sample_s2(problem: Problem, gates: CnfFormula, b: int, k: int,
-               tau: float, seed: int) -> SamplerBundle:
+def _append_s2(f: CnfFormula, problem: Problem, gates: CnfFormula, b: int,
+               k: int, tau: float, seed: int) -> List[BlockInfo]:
+    """Append sample_s2's formula to f on fresh variables; its blocks."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     if not 0 < tau <= 1:
         raise ConfigError("tau must be in (0, 1]")
     # one compiled block; each block of the bundle patches its signs
     template = _compile_block(BitString(0, problem.instance_len), 0, gates, b)
-    f = CnfFormula()
-    selectors: List[int] = []
     blocks: List[BlockInfo] = []
     for j in range(k):
         x, y = problem.sample(mix_seed(seed, j))
         s = f.new_var()
-        selectors.append(s)
         # decide each selector right before its block's variables; a set
         # selector is then refuted or satisfied locally before moving on
         f.branch_order.append(s)
@@ -149,9 +152,9 @@ def _sample_s2(problem: Problem, gates: CnfFormula, b: int, k: int,
         off = _merge_block(f, template, len(gates.clauses), x, y, s)
         blocks.append(BlockInfo(
             s, tuple(v + off for v in template.annotations["inputs"]), x, y))
-    at_least(f, selectors, math.ceil(Fraction(str(tau)) * k))
-    f.annotate("selectors", selectors)
-    return SamplerBundle(f, "s2", seed, b, tuple(blocks))
+    at_least(f, [blk.selector for blk in blocks],
+             math.ceil(Fraction(str(tau)) * k))
+    return blocks
 
 
 def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
@@ -163,13 +166,8 @@ def sample_s_final(problem: Problem, circuit: BoolCircuit, b: int, k: int,
     f = CnfFormula()
     blocks: List[BlockInfo] = []
     for r in range(reps):
-        sub_bundle = _sample_s2(problem, gates, b, k, tau,
-                                mix_seed(seed, 0x5346 + r))
-        off = _merge_guarded(f, sub_bundle.formula, None)
-        for blk in sub_bundle.blocks:
-            blocks.append(BlockInfo(blk.selector + off,
-                                    tuple(v + off for v in blk.input_vars),
-                                    blk.x, blk.y))
+        blocks += _append_s2(f, problem, gates, b, k, tau,
+                             mix_seed(seed, 0x5346 + r))
     return SamplerBundle(f, "s", seed, b, tuple(blocks))
 
 

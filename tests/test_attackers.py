@@ -107,7 +107,6 @@ def _small_config(query_budget):
     cfg = ExperimentConfig()
     cfg.problem.d, cfg.problem.alpha = 7, 0.1
     cfg.ots.hlen, cfg.ots.slen = 4, 8
-    cfg.ecc.bits_per_symbol = 8
     cfg.c3.hlen, cfg.c3.slen = 4, 8
     cfg.attacker.query_budget = cfg.c3.query_budget = query_budget
     return cfg

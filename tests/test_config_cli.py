@@ -47,14 +47,17 @@ def test_parse_error_is_a_config_error():
     assert issubclass(ParseError, ConfigError)
 
 
-# the key width 2*hlen^2 fixes a key code's k_sym and C3's d, and the
-# game's budget fixes the code's n_sym, so none is a setting; every hash
-# runs ots.ROUNDS rounds
+# the key width 2*hlen^2 fixes C3's d, and with the game's budget it fixes
+# each key code's symbol width, k_sym and n_sym, so none is a setting; every
+# hash runs ots.ROUNDS rounds
 @pytest.mark.parametrize("command,line", [("risk", "ecc.k_sym = 32"),
                                           ("c3", "c3.k_sym = 16"),
                                           ("c3", "c3.d = 128"),
                                           ("separation", "ecc.n_sym = 640"),
                                           ("c3", "c3.n_sym = 40"),
+                                          ("separation",
+                                           "ecc.bits_per_symbol = 16"),
+                                          ("c3", "c3.bits_per_symbol = 8"),
                                           ("separation",
                                            "ots.hash_rounds = 2")])
 def test_derived_and_fixed_keys_are_unknown(tmp_path, capsys, command, line):
@@ -76,18 +79,52 @@ def test_derived_widths():
     assert cfg.c3_ecc_params().t_max == cfg.c3_ots_params().sig_bits
     assert cfg.c3.d == 128
     cfg.ots.hlen = cfg.c3.hlen = 4
-    assert cfg.ecc_params() == EccParams(2, 2 + 2 * (2 + 64), 16)
+    assert cfg.ecc_params() == EccParams(4, 4 + 2 * (2 + 64), 8)
     assert cfg.c3_ecc_params() == EccParams(4, 4 + 2 * 40, 8)
     assert cfg.c3.d == 32
     cfg.problem.b = 5
     assert cfg.ecc_params().t_max == 5 + 64
-    # a config group takes no attribute it does not declare
+    # a config takes no attribute it does not declare
     with pytest.raises(AttributeError):
-        cfg.ecc.k_sym = 4
+        cfg.ecc = EccParams(32, 548, 16)
     with pytest.raises(AttributeError):
-        cfg.ecc.n_sym = 640
+        cfg.c3.bits_per_symbol = 8
     with pytest.raises(AttributeError):
         cfg.c3.d = 32
+
+
+def _accepts(k_sym, n_sym, width):
+    try:
+        EccParams(k_sym, n_sym, width)
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("hlen", range(1, 9))
+def test_each_key_code_has_the_narrowest_width_that_holds_it(hlen):
+    # C1's budget is b + sig_bits, C3's sig_bits; where no width holds the
+    # code, deriving it is an error
+    cfg = ExperimentConfig()
+    cfg.ots.hlen = cfg.c3.hlen = hlen
+    key_bits = 2 * hlen * hlen
+    for slen in range(1, 21):
+        cfg.ots.slen = cfg.c3.slen = slen
+        for b in range(4):
+            cfg.problem.b = b
+            for derive, budget in ((cfg.ecc_params, b + hlen * slen),
+                                   (cfg.c3_ecc_params, hlen * slen)):
+                widths = [w for w in range(2, 17) if key_bits % w == 0
+                          and _accepts(key_bits // w,
+                                       key_bits // w + 2 * budget, w)]
+                if not widths:
+                    with pytest.raises(ConfigError):
+                        derive()
+                    continue
+                code = derive()
+                assert code.bits_per_symbol == widths[0]
+                assert code.data_bits == key_bits
+                assert code.t_max == budget
 
 
 def test_top_level_keys():
@@ -361,9 +398,10 @@ def test_cli_game_commands_pinned_bytes(tmp_path, capsys, command):
 # broke.  The matrix runs these rows in a child process under a timeout and
 # an address-space limit, so a regression fails instead of hanging the
 # suite or exhausting memory.
-SYN_TABLE_PROBE = "c3.hlen = 64; c3.slen = 64; c3.bits_per_symbol = 16"
+SYN_TABLE_PROBE = "c3.hlen = 64; c3.slen = 64"
 CAP_PROBES = [
-    # the largest code the config can derive, RS(8704,512) over GF(2^16):
+    # the largest code the config can derive, RS(8704,512) over GF(2^16),
+    # the widest that divides its key and the first whose field holds it:
     # a syndrome table of 71.3 million entries, 570 MB as int64
     ("c3", SYN_TABLE_PROBE, 2),
     # formulas of about 5.4 million and 13.5 million variables
@@ -400,20 +438,21 @@ VALIDATION_MATRIX = [
     # parameter errors deep in a module
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 0", 2),
     ("c3", "c3.slen = 0", 2),
-    ("separation", "ecc.bits_per_symbol = -1", 2),
-    ("c3", "c3.bits_per_symbol = -3", 2),
     # degenerate OTS: no invalid signature to sample for a 0-labelled slot
-    ("c3", "c3.hlen = 1; c3.slen = 1; c3.bits_per_symbol = 2", 2),
-    ("adv-risk", "attacker.name = unbounded_c3; c3.hlen = 1; c3.slen = 1; "
-     "c3.bits_per_symbol = 2", 2),
+    # (its key code is RS(3,1) over GF(2^2))
+    ("c3", "c3.hlen = 1; c3.slen = 1", 2),
+    ("adv-risk", "attacker.name = unbounded_c3; c3.hlen = 1; c3.slen = 1",
+     2),
     # settings the command reads
     ("adv-risk", "attacker.name = sneaky", 2),
-    # a key code's k_sym is the key width 2*hlen^2 over bits_per_symbol,
-    # which must divide it
+    # a key code's symbols are the narrowest that divide the key width
+    # 2*hlen^2 and whose field holds the code: RS(268,8)/GF(2^16) here,
+    # RS(63,3)/GF(2^6) for an 18-bit key; a 2-bit key has only GF(2^2),
+    # whose 3 symbols correct one flip
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8", 0),
-    ("adv-risk", "attacker.name = bounded_c3; c3.bits_per_symbol = 3", 2),
-    ("adv-risk", "attacker.name = bounded_c1; ecc.bits_per_symbol = 12", 2),
-    ("c3", "c3.bits_per_symbol = 0", 2),
+    ("adv-risk", "attacker.name = bounded_c3; c3.hlen = 3", 0),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 1", 2),
+    ("c3", "c3.hlen = 1; c3.slen = 2", 2),
     ("risk", "problem.d = 14", 2),
     ("np-forge", "forge.reps = 0; forge.count = 2; forge.d = 9; "
      "forge.stage = s", 2),
@@ -429,8 +468,8 @@ VALIDATION_MATRIX = [
     # one-word hash bounds, and the preimage-table cap on unbounded forgers
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 4; ots.slen = 65",
      2),
-    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 65; ots.slen = 1; "
-     "ecc.bits_per_symbol = 10", 2),
+    ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 65; ots.slen = 1",
+     2),
     ("separation", "ots.hlen = 8; ots.slen = 21", 2),
     ("adv-risk", "attacker.name = bounded_c1; ots.hlen = 8; ots.slen = 21",
      0),
@@ -466,11 +505,10 @@ def test_cli_validates_exactly_what_it_reads(tmp_path, command, text, code):
 # and the code itself, not n_sym, which is no longer a setting
 @pytest.mark.parametrize("command,text,names", [
     ("c3", SYN_TABLE_PROBE,
-     ("c3.hlen = 64", "c3.slen = 64", "c3.bits_per_symbol = 16",
-      "RS(8704,512)", "syndrome table cap")),
+     ("c3.hlen = 64", "c3.slen = 64", "RS(8704,512)", "syndrome table cap")),
     ("separation", "problem.b = 40000",
      ("ots.hlen = 16", "ots.slen = 16", "problem.b = 40000",
-      "ecc.bits_per_symbol = 16", "RS(80544,32)", "field bound 65535")),
+      "RS(80544,32)", "field bound 65535")),
 ])
 def test_derived_code_error_names_its_settings(tmp_path, capsys, command,
                                                text, names):
@@ -503,8 +541,8 @@ def test_trial_cap_is_inclusive(tmp_path, capsys):
 # them; the requested work (trials, forge.count) stays at 1 and is not
 # varied.  adv-risk reads the settings of attacker.name's game.
 _C1_KEYS = ("problem.d", "problem.alpha", "problem.b", "seed")
-_OTS_KEYS = ("ots.hlen", "ots.slen", "ecc.bits_per_symbol")
-_C3_KEYS = ("c3.hlen", "c3.slen", "c3.bits_per_symbol", "seed")
+_OTS_KEYS = ("ots.hlen", "ots.slen")
+_C3_KEYS = ("c3.hlen", "c3.slen", "seed")
 _FORGE = "forge.count = 1\n"
 KEYS_READ = [
     ("risk", "", ("problem.d", "problem.alpha", "seed")),
@@ -525,7 +563,7 @@ KEYS_READ = [
 ]
 EXTREME_VALUES = ("0", "-1", str(1 << 31), str(1 << 63), str(10**12), "nan",
                   "inf", "1e308", "word")
-# 58 (command, key) pairs times 9 values: a grid of 522 cases
+# 52 (command, key) pairs times 9 values: a grid of 468 cases
 EXTREME_CASES = [(command, base + f"{key} = {value}\n")
                  for command, base, keys in KEYS_READ for key in keys
                  for value in EXTREME_VALUES]
@@ -587,7 +625,7 @@ def test_attacker_breaking_the_length_protocol_exits_3(tmp_path, capsys,
 @pytest.mark.parametrize("command,text", [
     ("separation", "ots.hlen = 8; ots.slen = 21"),
     ("c3", "c3.query_budget = -5"),
-    ("c3", "c3.hlen = 1; c3.slen = 1; c3.bits_per_symbol = 2"),
+    ("c3", "c3.hlen = 1; c3.slen = 1"),
 ])
 def test_cli_builds_every_game_before_any_trial(tmp_path, monkeypatch,
                                                 command, text):

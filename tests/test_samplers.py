@@ -220,6 +220,13 @@ def test_s_final_reps1_equals_s2_verdict():
         assert res.status in (Status.SAT, Status.UNSAT)
         if res.status is Status.SAT:
             assert check_witness(one, CIRCUIT, res.assignment)
+        # one rep is the stage-2 formula of the rep's seed, without the
+        # selectors annotation
+        s2 = sample_s2(PROB, CIRCUIT, 2, 3, TAU, mix_seed(seed, 0x5346))
+        assert one.blocks == s2.blocks
+        assert one.formula.annotations == {}
+        one.formula.annotate("selectors", s2.formula.annotations["selectors"])
+        assert one.formula == s2.formula
 
 
 def test_param_validation():
@@ -229,6 +236,19 @@ def test_param_validation():
         sample_s2(PROB, CIRCUIT, 2, 3, 1.5, 1)
     with pytest.raises(ConfigError):
         sample_s_final(PROB, CIRCUIT, 2, 3, TAU, 0, 1)
+
+
+@pytest.mark.parametrize("prob,circuit", [(PROB11, CIRCUIT),
+                                          (PROB, CIRCUIT11)])
+def test_every_stage_rejects_a_circuit_of_another_length(prob, circuit):
+    # every stage compiles its blocks through _compile_block, which checks
+    for build in (lambda: sample_s1(prob, circuit, 2, 1),
+                  lambda: sample_s2(prob, circuit, 2, 3, TAU, 1),
+                  lambda: sample_s_final(prob, circuit, 2, 3, TAU, 2, 1)):
+        with pytest.raises(ConfigError) as e:
+            build()
+        assert str(e.value) == \
+            "circuit does not match the problem's instance length"
 
 
 @pytest.mark.parametrize("d", [5, 7])
