@@ -142,21 +142,6 @@ class CircuitBuilder:
     def xnor(self, a: Ref, b: Ref) -> Ref:
         return self.not_(self.xor(a, b))
 
-    def mux(self, sel: Ref, if0: Ref, if1: Ref) -> Ref:
-        return self.xor(if0, self.and_(sel, self.xor(if0, if1)))
-
-    def and_all(self, refs: Sequence[Ref]) -> Ref:
-        acc: Ref = True
-        for r in refs:
-            acc = self.and_(acc, r)
-        return acc
-
-    def xor_all(self, refs: Sequence[Ref]) -> Ref:
-        acc: Ref = False
-        for r in refs:
-            acc = self.xor(acc, r)
-        return acc
-
     def materialize(self, ref: Ref) -> int:
         """Turn a folded constant into a real wire (the output must be a
         wire)."""

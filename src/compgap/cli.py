@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from pathlib import Path
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from . import attackers as atk
 from .base_problems import (MajorityNoiseParams, analytic_adv_risk,
@@ -76,92 +76,84 @@ GAMES = {"separation": ("bounded_c1", "unbounded_c1"),
          "c3": ("unbounded_c3", "bounded_c3")}
 
 
-class Game(NamedTuple):
+class Games(NamedTuple):
+    """One construction and the attackers a command plays on it."""
     problem: Problem
     hypothesis: Hypothesis
-    attacker: atk.Attacker
     budget: int
-    tag: str  # the params column of the game's results.csv row
+    attackers: List[atk.Attacker]  # in playing order
+    tags: List[str]  # each attacker's params column in results.csv
 
 
-def _build_game(cfg: ExperimentConfig, name: str) -> Game:
-    """The game attacker `name` plays, built from exactly the settings it
-    reads.  Building is checking: the parameter objects, constructions and
-    attackers raise ConfigError on a bad value, and this function checks
-    problem.b.  Each key code's t_max is its game's budget (config)."""
-    b = cfg.problem.b
-    if name in ("identity", "greedy", "bounded_c1", "unbounded_c1"):
+def _build_games(cfg: ExperimentConfig, names: Sequence[str]) -> Games:
+    """The construction attackers `names` play, built once from exactly the
+    settings it reads, and the attackers, all before the first trial so
+    that a bad setting exits 2 with nothing run or written.  Building is
+    checking: the parameter objects, constructions and attackers raise
+    ConfigError on a bad value, and this function checks problem.b.  Each
+    key code's t_max is the games' budget (config)."""
+    b, first, tail = cfg.problem.b, names[0], ""
+    if first in ("identity", "greedy", "bounded_c1", "unbounded_c1"):
         if b < 0:
             raise ConfigError("problem.b must be >= 0")
         p = cfg.problem_params()
         prob, h = majority_noise_problem(p), majority_hypothesis(p.d)
-        budget, tag = b, f"d={p.d} alpha={p.alpha} b={b} attacker={name}"
-    elif name in ("bounded_c3", "unbounded_c3"):
+        budget, head = b, f"d={p.d} alpha={p.alpha} b={b}"
+    if first in ("identity", "greedy"):
+        make = {"identity": atk.identity_attacker,
+                "greedy": lambda: atk.greedy_majority_attacker(b)}
+    elif first in ("bounded_c1", "unbounded_c1"):
+        ots, ecc = cfg.ots_params(), cfg.ecc_params()
+        prob = wrapped_problem_c1(prob, ots, ecc)
+        h, budget = classifier_c1(h, ots, ecc), b + ots.sig_bits
+        tail = f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
+        make = {"bounded_c1": lambda: atk.bounded_c1_attacker(
+                    p.d, b, ots, ecc, cfg.attacker.query_budget),
+                "unbounded_c1": lambda: atk.unbounded_c1_attacker(
+                    p.d, b, ots, ecc)}
+    elif first in ("bounded_c3", "unbounded_c3"):
         ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
         prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
-        h = classifier_c3(ots, ecc)
-        budget = ots.sig_bits
-        tag = (f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} "
-               f"budget={budget} attacker={name}")
+        h, budget = classifier_c3(ots, ecc), ots.sig_bits
+        head = f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} budget={budget}"
+        make = {"bounded_c3": lambda: atk.bounded_c3_attacker(
+                    ots, ecc, cfg.c3.query_budget),
+                "unbounded_c3": lambda: atk.unbounded_c3_attacker(ots, ecc)}
     else:
         raise ConfigError(
             "attacker.name must be one of identity, greedy, bounded_c1, "
-            f"unbounded_c1, bounded_c3, unbounded_c3; got {name!r}")
-    if name == "identity":
-        a = atk.identity_attacker()
-    elif name == "greedy":
-        a = atk.greedy_majority_attacker(b)
-    elif name in ("bounded_c1", "unbounded_c1"):
-        ots, ecc = cfg.ots_params(), cfg.ecc_params()
-        prob = wrapped_problem_c1(prob, ots, ecc)
-        h = classifier_c1(h, ots, ecc)
-        budget = b + ots.sig_bits
-        tag += f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
-        if name == "bounded_c1":
-            a = atk.bounded_c1_attacker(p.d, b, ots, ecc,
-                                        cfg.attacker.query_budget)
-            tag += f" queries={cfg.attacker.query_budget}"
-        else:
-            a = atk.unbounded_c1_attacker(p.d, b, ots, ecc)
-    elif name == "bounded_c3":
-        a = atk.bounded_c3_attacker(ots, ecc, cfg.c3.query_budget)
-        tag += f" queries={cfg.c3.query_budget}"
-    else:
-        a = atk.unbounded_c3_attacker(ots, ecc)
-    return Game(prob, h, a, budget, tag)
+            f"unbounded_c1, bounded_c3, unbounded_c3; got {first!r}")
+    attackers = [make[name]() for name in names]
+    # the bounded forgers' rows also carry their query budget
+    return Games(prob, h, budget, attackers,
+                 [f"{head} attacker={a.name}{tail}"
+                  + (f" queries={a.query_budget}"
+                     if a.name.startswith("bounded") else "")
+                  for a in attackers])
 
 
-def _build_games(cfg: ExperimentConfig, kind: str) -> List[Game]:
-    """Every game command `kind` plays, built before the first trial so that
-    a bad setting of any of them exits 2 with nothing run or written."""
-    names = (cfg.attacker.name,) if kind == "adv-risk" else GAMES[kind]
-    return [_build_game(cfg, name) for name in names]
-
-
-def _play_games(cfg: ExperimentConfig, games: List[Game]
-                ) -> List[List[GameOutcome]]:
-    """Each game's outcomes over cfg.trials trials, from one pass: a
-    command's games are built from one config, so they share a problem and
-    a hypothesis, and each trial's example is drawn once for all of them."""
-    first = games[0]
-    return play_trials(first.problem, first.hypothesis,
-                       [(g.attacker, g.budget) for g in games], cfg.trials,
+def _play_games(cfg: ExperimentConfig, games: Games,
+                attackers: List[atk.Attacker]) -> List[List[GameOutcome]]:
+    """Each attacker's outcomes on the games' construction over cfg.trials
+    trials, from one pass: each trial's example is drawn once for all."""
+    return play_trials(games.problem, games.hypothesis,
+                       [(a, games.budget) for a in attackers], cfg.trials,
                        cfg.seed)
 
 
-def _write_games(cfg: ExperimentConfig, kind: str, games: List[Game],
+def _write_games(cfg: ExperimentConfig, kind: str, games: Games,
                  outcomes: List[List[GameOutcome]], rows: List[str],
                  transcript: List[str]) -> dict:
-    """Append each game's row and transcript lines, one game after the
-    next, and return its win rate by attacker name."""
+    """Append each attacker's row and transcript lines, one attacker after
+    the next, and return its win rate by attacker name."""
     points = {}
-    for g, outs in zip(games, outcomes):
-        point = points[g.attacker.name] = sum(o.won for o in outs) / cfg.trials
-        rows.append(_csv_row(kind, g.tag, point,
+    for a, tag, outs in zip(games.attackers, games.tags, outcomes):
+        point = points[a.name] = sum(o.won for o in outs) / cfg.trials
+        rows.append(_csv_row(kind, tag, point,
                              binomial_half_width(point, cfg.trials),
                              cfg.trials, cfg.seed))
-        if len(games) > 1:  # label each attacker's part of the transcript
-            transcript.append(f"# {g.attacker.name}")
+        if len(outcomes) > 1:  # label each attacker's part of the transcript
+            transcript.append(f"# {a.name}")
         transcript.extend(
             f"trial={i} seed={mix_seed(cfg.seed, i)} won={int(o.won)} "
             f"reason={o.reason.value} dist={o.perturbation_used} "
@@ -180,23 +172,24 @@ def cmd_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_adv_risk(cfg: ExperimentConfig, out_dir: Path) -> int:
-    games = _build_games(cfg, "adv-risk")
+    games = _build_games(cfg, (cfg.attacker.name,))
     rows, transcript = [], []
-    _write_games(cfg, "adv-risk", games, _play_games(cfg, games), rows,
-                 transcript)
+    _write_games(cfg, "adv-risk", games,
+                 _play_games(cfg, games, games.attackers), rows, transcript)
     return _write_out(out_dir, rows, transcript)
 
 
 def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
-    games = _build_games(cfg, "separation")
+    games = _build_games(cfg, GAMES["separation"])
     p = cfg.problem_params()
     params = f"d={p.d} alpha={p.alpha} b={cfg.problem.b}"
     rows = [_csv_row("separation-oracle", params,
                      float(analytic_adv_risk(p, cfg.problem.b)), 0.0, 0,
                      cfg.seed)]
     transcript: List[str] = []
-    points = _write_games(cfg, "separation", games, _play_games(cfg, games),
-                          rows, transcript)
+    points = _write_games(cfg, "separation", games,
+                          _play_games(cfg, games, games.attackers), rows,
+                          transcript)
     rows.append(_csv_row("separation-gap", params,
                          points["unbounded_c1"] - points["bounded_c1"], 0.0,
                          cfg.trials, cfg.seed))
@@ -204,12 +197,12 @@ def cmd_separation(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_c3(cfg: ExperimentConfig, out_dir: Path) -> int:
-    games = _build_games(cfg, "c3")
-    # the honest risk of the problem and classifier both games play, from
-    # the same pass: on an untampered x the identity attacker wins iff
+    games = _build_games(cfg, GAMES["c3"])
+    # the honest risk of the construction both attackers play, from the
+    # same pass: on an untampered x the identity attacker wins iff
     # h(x) != y, STAR counted as an error, which is estimate_risk's test
     honest, *outcomes = _play_games(
-        cfg, [games[0]._replace(attacker=atk.identity_attacker())] + games)
+        cfg, games, [atk.identity_attacker()] + games.attackers)
     risk = sum(o.won for o in honest) / cfg.trials
     c3 = cfg.c3
     rows = [_csv_row("c3-risk", f"d={c3.d} hlen={c3.hlen} slen={c3.slen}",

@@ -12,8 +12,8 @@ symbols that hold it.
 the trial count (at most MAX_TRIALS, so that no command runs for days
 without a word) and `np-forge`'s settings.  A parameter object checks
 itself when a command builds it, before anything is written; a game command
-builds all its games in `cli` before its first trial.  A failed check
-raises ConfigError, which the CLI reports with exit code 2.
+builds its construction and attackers in `cli` before its first trial.  A
+failed check raises ConfigError, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations

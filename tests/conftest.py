@@ -23,6 +23,14 @@ def pytest_sessionstart(session):
     VERDICT_FILE.unlink(missing_ok=True)
 
 
+def pytest_collection_modifyitems(config, items):
+    # the fast loop first, so that a unit-test failure shows before the
+    # acceptance criteria's minute; the sort is stable, so each part keeps
+    # its order
+    items.sort(key=lambda item: item.get_closest_marker("acceptance")
+               is not None)
+
+
 def pytest_runtest_logreport(report):
     module = report.location[0]
     _pending_s[module] = _pending_s.get(module, 0.0) + report.duration

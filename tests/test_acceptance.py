@@ -22,26 +22,31 @@ from compgap.bitstring import BitString
 from compgap.circuits import (CircuitBuilder, circuit_of_majority,
                               eval_batch)
 from compgap.cnf import CnfFormula, read_dimacs, tseitin, write_dimacs
+from compgap.config import ExperimentConfig
 from compgap.constructions import (c3_problem, classifier_c1, classifier_c3,
                                    wrapped_problem_c1)
 from compgap.ecc import EccParams, reed_solomon
 from compgap.game import (STAR, Hypothesis, binomial_half_width,
                           estimate_adv_risk, estimate_risk, game_transcript,
                           mix_seed, winning)
-from compgap.ots import OtsParams
 from compgap.samplers import check_witness, sample_s1, sample_s2
 from compgap.solver import Status, solve_enumerate, solve_small
+from circuit_gates import and_all, mux, xor_all
 
 pytestmark = pytest.mark.acceptance
 
-OTS = OtsParams(hlen=16, slen=16)
-ECC = EccParams(k_sym=32, n_sym=640, bits_per_symbol=16)
-D, ALPHA, B = 15, 0.05, 2
+# criteria 1-4 run the worked configuration, the defaults the CLI builds
+CFG = ExperimentConfig()
+OTS, ECC = CFG.ots_params(), CFG.ecc_params()
+D, ALPHA, B = CFG.problem.d, CFG.problem.alpha, CFG.problem.b
 BUDGET_C1 = B + OTS.sig_bits
 
-C3_OTS = OtsParams(hlen=8, slen=10)
-C3_ECC = EccParams(k_sym=16, n_sym=176, bits_per_symbol=8)  # t_max = sig_bits
-C3_D = 128
+C3_OTS, C3_ECC = CFG.c3_ots_params(), CFG.c3_ecc_params()
+C3_D = CFG.c3.d
+
+# criterion 5's stress code corrects more errors (t_max = 304) than
+# either derived code
+STRESS_ECC = EccParams(k_sym=32, n_sym=640, bits_per_symbol=16)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -122,14 +127,15 @@ def test_criterion_4_no_detection_construction():
 
 
 def test_criterion_5_ecc_guarantee():
-    rs = reed_solomon(ECC)
+    rs = reed_solomon(STRESS_ECC)
     rng = random.Random(505)
     ok = True
     for _ in range(10_000):
-        msg = BitString(rng.getrandbits(ECC.data_bits), ECC.data_bits)
+        msg = BitString(rng.getrandbits(STRESS_ECC.data_bits),
+                        STRESS_ECC.data_bits)
         cw = rs.encode(msg)
-        t = rng.randrange(ECC.t_max + 1)
-        syms = rng.sample(range(ECC.n_sym), t)
+        t = rng.randrange(STRESS_ECC.t_max + 1)
+        syms = rng.sample(range(STRESS_ECC.n_sym), t)
         flips = [s * 16 + rng.randrange(16) for s in syms]
         if rs.decode(cw.flip(*flips) if flips else cw) != msg:
             ok = False
@@ -182,11 +188,11 @@ def _generator_suite():
     for d in (1, 3, 5, 7, 9, 11):
         suite.append(circuit_of_majority(d))
     b = CircuitBuilder(8)
-    suite.append(b.build(b.xor_all([b.input(i) for i in range(8)])))
+    suite.append(b.build(xor_all(b, [b.input(i) for i in range(8)])))
     b = CircuitBuilder(6)
-    suite.append(b.build(b.and_all([b.input(i) for i in range(6)])))
+    suite.append(b.build(and_all(b, [b.input(i) for i in range(6)])))
     b = CircuitBuilder(3)
-    suite.append(b.build(b.mux(b.input(0), b.input(1), b.input(2))))
+    suite.append(b.build(mux(b, b.input(0), b.input(1), b.input(2))))
     b = CircuitBuilder(1)
     suite.append(b.build(b.not_(b.input(0))))
     rng = random.Random(707)

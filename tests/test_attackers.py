@@ -12,7 +12,7 @@ from compgap.base_problems import (MajorityNoiseParams, analytic_adv_risk,
                                    majority_noise_problem,
                                    uniform_balanced_problem)
 from compgap.bitstring import BitString, pack
-from compgap.cli import _build_game
+from compgap.cli import _build_games
 from compgap.config import ExperimentConfig
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
                                    classifier_c1, classifier_c3, sample_c3,
@@ -101,7 +101,7 @@ def test_bounded_c1_at_budget_zero_never_tampers():
 
 
 def _small_config(query_budget):
-    """Settings for every game `cli._build_game` knows at small sizes: C1 on
+    """Settings for every game `cli._build_games` knows at small sizes: C1 on
     OTS(4,8) with the derived key code RS(72,4)/GF(2^8), whose radius is
     b + sig_bits = 34, and C3 on OTS(4,8) and RS(68,4)/GF(2^8)."""
     cfg = ExperimentConfig()
@@ -117,12 +117,12 @@ def _small_config(query_budget):
                                   "unbounded_c3"])
 def test_no_game_ends_above_its_query_budget(name):
     for query_budget in (0, 1, 4, 64):  # 4 is hlen
-        g = _build_game(_small_config(query_budget), name)
-        outs = game_transcript(g.problem, g.hypothesis, g.attacker, g.budget,
-                               150, seed=query_budget)
-        if g.attacker.query_budget is not None:
-            assert all(o.queries_used <= g.attacker.query_budget
-                       for o in outs)
+        g = _build_games(_small_config(query_budget), (name,))
+        (a,) = g.attackers
+        outs = game_transcript(g.problem, g.hypothesis, a, g.budget, 150,
+                               seed=query_budget)
+        if a.query_budget is not None:
+            assert all(o.queries_used <= a.query_budget for o in outs)
 
 
 def test_unbounded_budget_monotonicity():

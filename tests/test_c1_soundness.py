@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from compgap.base_problems import majority_hypothesis
-from compgap.cli import _build_game
+from compgap.cli import _build_games
 from compgap.config import parse_config
 from compgap.constructions import _KGEN_STREAM, WrappedInstance
 from compgap.ecc import reed_solomon
@@ -64,10 +64,10 @@ def test_every_c1_tamper_win_falls_in_one_class(name):
     p, ots, ecc = cfg.problem_params(), cfg.ots_params(), cfg.ecc_params()
     rs, base_h = reed_solomon(ecc), majority_hypothesis(p.d)
     classes = {}  # forger -> {class: wins}
-    for forger in want:
-        g = _build_game(cfg, forger)
-        outcomes = game_transcript(g.problem, g.hypothesis, g.attacker,
-                                   g.budget, TRIALS, SEED)
+    g = _build_games(cfg, tuple(want))
+    for forger, a in zip(want, g.attackers):
+        outcomes = game_transcript(g.problem, g.hypothesis, a, g.budget,
+                                   TRIALS, SEED)
         counts = Counter()
         for i, o in enumerate(outcomes):
             if o.reason is not Reason.TAMPER_WIN:
@@ -75,9 +75,9 @@ def test_every_c1_tamper_win_falls_in_one_class(name):
             # replay the game as play_game plays it
             s = mix_seed(SEED, i)
             x, y = g.problem.sample(s)
-            counters = Counters(g.attacker.query_budget)
+            counters = Counters(a.query_budget)
             rng = random.Random(mix_seed(s, 0x41747461))
-            x_prime = g.attacker.perturb(x, y, rng, counters)
+            x_prime = a.perturb(x, y, rng, counters)
             assert winning(x, x_prime, y, g.hypothesis, g.budget,
                            counters.queries) == o
             vk = kgen(ots, mix_seed(s, _KGEN_STREAM)).vk

@@ -20,7 +20,7 @@ import pytest
 
 from compgap.attackers import Attacker
 from compgap.base_problems import uniform_balanced_problem
-from compgap.cli import _build_game
+from compgap.cli import _build_games
 from compgap.config import ExperimentConfig, parse_config
 from compgap.constructions import (_KGEN_STREAM, C3Instance, c3_problem,
                                    classifier_c3)
@@ -70,20 +70,17 @@ C3_SETS = {"worked": ("", ("unbounded_c3", "bounded_c3")),
 def test_no_label_one_game_is_ever_a_tamper_win(name):
     text, forgers = C3_SETS[name]
     cfg = _config(text)
-    games = [_build_game(cfg, a) for a in forgers]
-    games.append(games[0]._replace(
-        attacker=code_breaker(cfg.c3_ecc_params(), games[0].budget)))
-    for g in games:
-        played = play(g.problem, g.hypothesis, g.attacker, g.budget, 200, 42)
+    g = _build_games(cfg, forgers)
+    for a in g.attackers + [code_breaker(cfg.c3_ecc_params(), g.budget)]:
+        played = play(g.problem, g.hypothesis, a, g.budget, 200, 42)
         assert {y for y, _ in played} == {0, 1}
         assert not [o for y, o in played
-                    if y == 1 and o.reason is Reason.TAMPER_WIN], \
-            g.attacker.name
+                    if y == 1 and o.reason is Reason.TAMPER_WIN], a.name
 
 
 def test_code_breaker_wins_nothing_against_the_derived_code():
     cfg = ExperimentConfig()
-    g, ecc = _build_game(cfg, "unbounded_c3"), cfg.c3_ecc_params()
+    g, ecc = _build_games(cfg, ("unbounded_c3",)), cfg.c3_ecc_params()
     played = play(g.problem, g.hypothesis, code_breaker(ecc, g.budget),
                   g.budget, 400, 42)
     assert sum(o.won for _, o in played) == 0
@@ -117,10 +114,9 @@ def test_every_label_zero_win_is_a_signature_the_attacker_wrote(name):
     ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
     rs, base = reed_solomon(ecc), uniform_balanced_problem(cfg.c3.d)
     seed = 42
-    for forger in forgers:
-        g = _build_game(cfg, forger)
-        played = play(g.problem, g.hypothesis, g.attacker, g.budget, 200,
-                      seed)
+    g = _build_games(cfg, forgers)
+    for forger, a in zip(forgers, g.attackers):
+        played = play(g.problem, g.hypothesis, a, g.budget, 200, seed)
         zeros = [i for i, (y, _) in enumerate(played) if y == 0]
         wins = [i for i in zeros if played[i][1].reason is Reason.TAMPER_WIN]
         if forger == "unbounded_c3":  # so the check below is not vacuous
@@ -129,9 +125,9 @@ def test_every_label_zero_win_is_a_signature_the_attacker_wrote(name):
             # replay the game as play_game plays it
             s = mix_seed(seed, i)
             x, y = g.problem.sample(s)
-            counters = Counters(g.attacker.query_budget)
+            counters = Counters(a.query_budget)
             rng = random.Random(mix_seed(s, 0x41747461))
-            x_prime = g.attacker.perturb(x, y, rng, counters)
+            x_prime = a.perturb(x, y, rng, counters)
             assert winning(x, x_prime, y, g.hypothesis, g.budget,
                            counters.queries) == played[i][1]
             # the codewords decode to the challenge's instance and key

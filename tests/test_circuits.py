@@ -5,6 +5,7 @@ from compgap.bitstring import BitString
 from compgap.circuits import (BoolCircuit, CircuitBuilder, circuit_of_majority,
                               eval_batch, eval_circuit)
 from compgap.errors import ConfigError, FormatError
+from circuit_gates import xor_all
 
 
 def test_not_gate_sanity():
@@ -16,7 +17,7 @@ def test_not_gate_sanity():
 
 def test_xor_chain_is_parity():
     b = CircuitBuilder(8)
-    c = b.build(b.xor_all([b.input(i) for i in range(8)]))
+    c = b.build(xor_all(b, [b.input(i) for i in range(8)]))
     for v in range(256):
         x = BitString(v, 8)
         assert eval_circuit(c, x) == x.ones() % 2

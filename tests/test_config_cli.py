@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import compgap
 from compgap import cli, config
-from compgap.cli import _build_game, _build_games, main
+from compgap.base_problems import analytic_adv_risk
+from compgap.cli import _build_games, main
 from compgap.config import ExperimentConfig, parse_config
 from compgap.ecc import EccParams
 from compgap.errors import ConfigError, ParseError
@@ -67,6 +68,28 @@ def test_derived_and_fixed_keys_are_unknown(tmp_path, capsys, command, line):
                     "--out", str(tmp_path / "o")]) == 2
     assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_the_defaults_are_the_worked_configuration():
+    # README's "Worked configuration", which acceptance criteria 1-4 run
+    cfg = ExperimentConfig()
+    p, ots, c3 = cfg.problem_params(), cfg.ots_params(), cfg.c3_ots_params()
+    assert (p.d, p.alpha, cfg.problem.b) == (15, 0.05, 2)
+    assert float(analytic_adv_risk(p, cfg.problem.b)) == 0.713330078125
+    assert (ots.hlen, ots.slen, ots.sig_bits, ots.vk_bits) == \
+        (16, 16, 256, 512)
+    assert cfg.attacker.query_budget == cfg.c3.query_budget == 1 << 10
+    assert (c3.hlen, c3.slen, c3.sig_bits, cfg.c3.d) == (8, 10, 80, 128)
+    f = cfg.forge
+    assert (f.d, f.b, f.k, f.tau) == (11, 2, 40, 0.0)
+    ecc, c3_ecc = cfg.ecc_params(), cfg.c3_ecc_params()
+    assert (ecc.t_max, (ecc.n_sym - ecc.k_sym) * ecc.n_sym) == (258, 282_768)
+    assert c3_ecc.t_max == 80
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    worked = readme.split("## Worked configuration")[1].split("\n## ")[0]
+    for code in (ecc, c3_ecc):
+        assert (f"RS({code.n_sym},{code.k_sym}) over "
+                f"GF(2^{code.bits_per_symbol})") in worked
 
 
 def test_derived_widths():
@@ -136,7 +159,7 @@ def test_validation_catches_bad_attacker():
     cfg = ExperimentConfig()
     cfg.attacker.name = "sneaky"
     with pytest.raises(ConfigError):
-        _build_games(cfg, "adv-risk")
+        _build_games(cfg, (cfg.attacker.name,))
 
 
 KNOWN_ATTACKERS = ("identity", "greedy", "bounded_c1", "unbounded_c1",
@@ -144,16 +167,17 @@ KNOWN_ATTACKERS = ("identity", "greedy", "bounded_c1", "unbounded_c1",
 
 
 @pytest.mark.parametrize("name", ["sneaky", "bounded_c3x"])
-def test_build_game_rejects_unknown_attacker(name):
+def test_build_games_rejects_unknown_attacker(name):
     # no name falls through to another attacker's game
     with pytest.raises(ConfigError) as e:
-        _build_game(ExperimentConfig(), name)
+        _build_games(ExperimentConfig(), (name,))
     assert all(known in str(e.value) for known in KNOWN_ATTACKERS)
 
 
 @pytest.mark.parametrize("name", KNOWN_ATTACKERS)
-def test_build_game_builds_each_known_attacker(name):
-    assert _build_game(ExperimentConfig(), name).attacker.name == name
+def test_build_games_builds_each_known_attacker(name):
+    (a,) = _build_games(ExperimentConfig(), (name,)).attackers
+    assert a.name == name
 
 
 def run_cli(args):
@@ -529,6 +553,11 @@ def test_trial_cap_is_inclusive(tmp_path, capsys):
     cfg.trials = cfg.forge.count = config.MAX_TRIALS
     cfg.validate("risk")
     cfg.validate("np-forge")
+    # one past it is refused before the CLI below could run it
+    cfg.trials = cfg.forge.count = config.MAX_TRIALS + 1
+    for kind in ("separation", "np-forge"):
+        with pytest.raises(ConfigError, match=f"in 1..{config.MAX_TRIALS},"):
+            cfg.validate(kind)
     out = tmp_path / "o"
     assert run_cli(["separation", "--trials", str(config.MAX_TRIALS + 1),
                     "--out", str(out)]) == 2

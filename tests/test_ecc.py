@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compgap.bitstring import BitString
+from compgap.config import ExperimentConfig
 from compgap.ecc import PARITY_MEMO, EccParams, ReedSolomon, reed_solomon
 from compgap.errors import ConfigError, DecodeFailure
 
@@ -202,6 +203,24 @@ def test_default_parameters_full_radius():
     flips = [s * 16 + rng.randrange(16) for s in syms]
     with pytest.raises(DecodeFailure):
         rs.decode(cw.flip(*flips))
+
+
+@pytest.mark.parametrize("derive", [ExperimentConfig.ecc_params,
+                                    ExperimentConfig.c3_ecc_params])
+def test_each_derived_key_code_corrects_t_max_errors(derive):
+    # the key codes the CLI builds at the defaults, RS(548,32)/GF(2^16)
+    # for C1 and RS(176,16)/GF(2^8) for C3, each at its full radius with
+    # a random nonzero error in each of t_max symbols
+    params = derive(ExperimentConfig())
+    rs, rng = reed_solomon(params), random.Random(13)
+    w = params.bits_per_symbol
+    for _ in range(200):
+        msg = BitString(rng.getrandbits(params.data_bits), params.data_bits)
+        flips = [s * w + j
+                 for s in rng.sample(range(params.n_sym), params.t_max)
+                 for e in [rng.randrange(1, 1 << w)]
+                 for j in range(w) if e >> j & 1]
+        assert rs.decode(rs.encode(msg).flip(*flips)) == msg
 
 
 @pytest.mark.parametrize("params", [

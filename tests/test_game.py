@@ -8,7 +8,7 @@ from compgap.attackers import greedy_majority_attacker, identity_attacker
 from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    majority_noise_problem)
 from compgap.bitstring import BitString
-from compgap.cli import GAMES, _build_game, _build_games, main
+from compgap.cli import GAMES, _build_games, main
 from compgap.config import ExperimentConfig, parse_config
 from compgap.errors import InvariantViolation, PreimageNotFound
 from compgap.game import (STAR, Counters, Hypothesis, Reason,
@@ -143,8 +143,8 @@ def _config(text: str) -> ExperimentConfig:
 # from; identity rides along on the wrapped problems, as c3's honest trial
 ONE_PASS_GROUPS = {
     "base": ("", ("identity", "greedy")),
-    "c1": (C1_SLEN8, ("bounded_c1", "unbounded_c1", "identity")),
-    "c3": (C3_SLEN17, ("unbounded_c3", "bounded_c3", "identity")),
+    "c1": (C1_SLEN8, ("bounded_c1", "unbounded_c1")),
+    "c3": (C3_SLEN17, ("unbounded_c3", "bounded_c3")),
 }
 
 
@@ -153,16 +153,10 @@ ONE_PASS_GROUPS = {
 @pytest.mark.parametrize("group", sorted(ONE_PASS_GROUPS))
 def test_one_pass_equals_a_pass_per_attacker(group, trials, seed):
     text, names = ONE_PASS_GROUPS[group]
-    cfg = _config(text)
-    first = _build_game(cfg, names[0])
-    games = [(first.attacker, first.budget)]
-    for name in names[1:]:
-        if name == "identity":
-            games.append((identity_attacker(), first.budget))
-        else:
-            g = _build_game(cfg, name)
-            games.append((g.attacker, g.budget))
-    p, h = first.problem, first.hypothesis
+    g = _build_games(_config(text), names)
+    riders = [] if group == "base" else [identity_attacker()]
+    games = [(a, g.budget) for a in g.attackers + riders]
+    p, h = g.problem, g.hypothesis
     got = play_trials(p, h, games, trials, seed)
     assert got == [[play_game(p, h, a, b, mix_seed(seed, i))
                     for i in range(trials)] for a, b in games]
@@ -171,28 +165,23 @@ def test_one_pass_equals_a_pass_per_attacker(group, trials, seed):
 @pytest.mark.parametrize("group", sorted(ONE_PASS_GROUPS))
 def test_a_given_example_is_the_sampled_one(group):
     text, names = ONE_PASS_GROUPS[group]
-    cfg = _config(text)
-    for name in names[:-1]:
-        g = _build_game(cfg, name)
+    g = _build_games(_config(text), names)
+    for a in g.attackers:
         for i in range(20):
             s = mix_seed(3, i)
-            assert play_game(g.problem, g.hypothesis, g.attacker, g.budget,
-                             s, example=g.problem.sample(s)) == \
-                play_game(g.problem, g.hypothesis, g.attacker, g.budget, s)
+            assert play_game(g.problem, g.hypothesis, a, g.budget, s,
+                             example=g.problem.sample(s)) == \
+                play_game(g.problem, g.hypothesis, a, g.budget, s)
 
 
 @pytest.mark.parametrize("kind", sorted(GAMES))
-def test_the_games_of_a_command_draw_one_example(kind):
+def test_a_game_command_builds_one_construction(kind):
+    # its attackers share the construction, so each trial's example is
+    # drawn once for all of them
     for cfg in (ExperimentConfig(), _config(C1_SLEN8), _config(C3_SLEN17)):
-        games = _build_games(cfg, kind)
-        assert len(games) == len(GAMES[kind]) > 1
-        for i in range(10):
-            s = mix_seed(cfg.seed, i)
-            x, y = games[0].problem.sample(s)
-            for g in games[1:]:
-                assert g.problem.instance_len == games[0].problem.instance_len
-                assert g.problem.sample(s) == (x, y)
-                assert g.hypothesis(x) == games[0].hypothesis(x)
+        g = _build_games(cfg, GAMES[kind])
+        assert [a.name for a in g.attackers] == list(GAMES[kind])
+        assert len(g.tags) == len(GAMES[kind]) > 1
 
 
 @pytest.mark.parametrize("command,trials", [("separation", 1),

@@ -195,6 +195,21 @@ def test_pigeonhole_is_refuted_by_learning(holes, monkeypatch):
     assert solve_small(f).status is Status.UNKNOWN
 
 
+def test_the_budget_counts_the_conflicts_a_refutation_analyzes(
+        monkeypatch):
+    # the final level-0 conflict is not analyzed, so a budget of exactly
+    # the analyzed count refutes the formula and one less gives up
+    f = pigeonhole(3)
+    log = record_learning(monkeypatch)
+    assert solve_small(f).status is Status.UNSAT
+    conflicts = len(log)
+    assert conflicts > 1
+    monkeypatch.setattr(solver, "DEFAULT_CONFLICT_BUDGET", conflicts)
+    assert solve_small(f).status is Status.UNSAT
+    monkeypatch.setattr(solver, "DEFAULT_CONFLICT_BUDGET", conflicts - 1)
+    assert solve_small(f).status is Status.UNKNOWN
+
+
 def test_budget_does_not_limit_a_formula_decided_without_conflicts(
         monkeypatch):
     monkeypatch.setattr(solver, "DEFAULT_CONFLICT_BUDGET", 0)
