@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List
+from typing import Iterable, List
 
 from .errors import FormatError
 
@@ -45,17 +45,10 @@ class BitString:
     def random(cls, rng: random.Random, n: int) -> "BitString":
         return cls(rng.getrandbits(n) if n else 0, n)
 
-    def __len__(self) -> int:
-        return self.length
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(i)
         return (self.value >> (self.length - 1 - i)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        for i in range(self.length):
-            yield (self.value >> (self.length - 1 - i)) & 1
 
     def ones(self) -> int:
         return self.value.bit_count()

@@ -12,24 +12,39 @@ or an int wire index; emitted circuits contain no constant wires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .bitstring import BitString
 from .errors import ConfigError, FormatError
 
 Ref = Union[bool, int]
 
-_NOT = "NOT"
-_AND = "AND"
-_OR = "OR"
-_XOR = "XOR"
 
-GATE_OPS = (_NOT, _AND, _OR, _XOR)
+class Gate(NamedTuple):
+    """A gate op's meaning: `lanes(a, b, mask)` computes it on bit-lane
+    ints, and `clauses` are the Tseitin clauses of g = op(a, b), DIMACS
+    style over the positions 1 = g, 2 = a, 3 = b.  A unary op's clauses
+    name no b, and its lanes ignore b."""
+
+    lanes: Callable[[int, int, int], int]
+    clauses: Tuple[Tuple[int, ...], ...]
+
+
+GATES: Dict[str, Gate] = {  # the one statement of gate semantics
+    "NOT": Gate(lambda a, b, mask: ~a & mask, ((-1, -2), (1, 2))),
+    "AND": Gate(lambda a, b, mask: a & b, ((-1, 2), (-1, 3), (1, -2, -3))),
+    "OR": Gate(lambda a, b, mask: a | b, ((1, -2), (1, -3), (-1, 2, 3))),
+    "XOR": Gate(lambda a, b, mask: a ^ b,
+                ((-1, 2, 3), (-1, -2, -3), (1, -2, 3), (1, 2, -3))),
+}
+_UNARY = frozenset(op for op, g in GATES.items()  # clauses that name no b
+                   if all(abs(p) < 3 for c in g.clauses for p in c))
 
 
 @dataclass(frozen=True)
 class BoolCircuit:
-    """Topologically ordered gate list over {AND, OR, NOT, XOR}.
+    """Topologically ordered gate list over the ops of GATES.
 
     Wires 0..n_inputs-1 are the inputs; gate i drives wire n_inputs+i.
     `output` is the wire carrying the label bit.
@@ -42,11 +57,11 @@ class BoolCircuit:
     def __post_init__(self) -> None:
         for gi, (op, a, b) in enumerate(self.gates):
             wire = self.n_inputs + gi
-            if op not in GATE_OPS:
+            if op not in GATES:
                 raise FormatError(f"unknown gate op {op!r}")
             if not 0 <= a < wire or (b is not None and not 0 <= b < wire):
                 raise FormatError(f"gate {gi} reads a later wire")
-            if (b is None) != (op == _NOT):
+            if (b is None) != (op in _UNARY):
                 raise FormatError(f"gate {gi} has wrong arity for {op}")
         if not 0 <= self.output < self.n_inputs + len(self.gates):
             raise FormatError(f"output wire {self.output} out of range")
@@ -70,15 +85,8 @@ def eval_batch(circuit: BoolCircuit, xs: Sequence[BitString]) -> List[int]:
         for t, x in enumerate(xs):
             v |= x[i] << t
         wires.append(v)
-    for op, a, b in circuit.gates:
-        if op == _NOT:
-            wires.append(~wires[a] & mask)
-        elif op == _AND:
-            wires.append(wires[a] & wires[b])
-        elif op == _OR:
-            wires.append(wires[a] | wires[b])
-        else:
-            wires.append(wires[a] ^ wires[b])
+    for op, a, b in circuit.gates:  # a unary gate's b is None: read wire 0
+        wires.append(GATES[op].lanes(wires[a], wires[b or 0], mask))
     out = wires[circuit.output]
     return [(out >> t) & 1 for t in range(len(xs))]
 
@@ -102,15 +110,15 @@ class CircuitBuilder:
         return i
 
     def _emit(self, op: str, a: int, b: Optional[int]) -> int:
-        if b is not None and op != _NOT and a > b:
-            a, b = b, a  # commutative ops: canonical operand order
+        if b is not None and a > b:
+            a, b = b, a  # every binary op commutes: canonical order
         self.gates.append((op, a, b))
         return self.n_inputs + len(self.gates) - 1
 
     def not_(self, a: Ref) -> Ref:
         if isinstance(a, bool):
             return not a
-        return self._emit(_NOT, a, None)
+        return self._emit("NOT", a, None)
 
     def and_(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, bool):
@@ -119,7 +127,7 @@ class CircuitBuilder:
             return a if b else False
         if a == b:
             return a
-        return self._emit(_AND, a, b)
+        return self._emit("AND", a, b)
 
     def or_(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, bool):
@@ -128,7 +136,7 @@ class CircuitBuilder:
             return True if b else a
         if a == b:
             return a
-        return self._emit(_OR, a, b)
+        return self._emit("OR", a, b)
 
     def xor(self, a: Ref, b: Ref) -> Ref:
         if isinstance(a, bool):
@@ -137,22 +145,13 @@ class CircuitBuilder:
             return self.not_(a) if b else a
         if a == b:
             return False
-        return self._emit(_XOR, a, b)
-
-    def xnor(self, a: Ref, b: Ref) -> Ref:
-        return self.not_(self.xor(a, b))
-
-    def materialize(self, ref: Ref) -> int:
-        """Turn a folded constant into a real wire (the output must be a
-        wire)."""
-        if not isinstance(ref, bool):
-            return ref
-        t = self._emit(_OR, 0, self._emit(_NOT, 0, None))
-        return t if ref else self._emit(_NOT, t, None)
+        return self._emit("XOR", a, b)
 
     def build(self, output: Ref) -> BoolCircuit:
-        wire = self.materialize(output)  # may emit gates
-        return BoolCircuit(self.n_inputs, tuple(self.gates), wire)
+        if isinstance(output, bool):  # a folded constant: make it a wire
+            t = self._emit("OR", 0, self._emit("NOT", 0, None))
+            output = t if output else self._emit("NOT", t, None)
+        return BoolCircuit(self.n_inputs, tuple(self.gates), output)
 
 
 # ---------------------------------------------------------------------------
@@ -202,5 +201,5 @@ def circuit_of_majority(d: int) -> BoolCircuit:
         tb = (t >> j) & 1
         if tb == 0:
             gt = b.or_(gt, b.and_(eq, total[j]))
-        eq = b.and_(eq, b.xnor(total[j], bool(tb)))
+        eq = b.and_(eq, b.not_(b.xor(total[j], bool(tb))))
     return b.build(b.or_(gt, eq))

@@ -90,8 +90,8 @@ def _build_games(cfg: ExperimentConfig, names: Sequence[str]) -> Games:
     settings it reads, and the attackers, all before the first trial so
     that a bad setting exits 2 with nothing run or written.  Building is
     checking: the parameter objects, constructions and attackers raise
-    ConfigError on a bad value, and this function checks problem.b.  Each
-    key code's t_max is the games' budget (config)."""
+    ConfigError on a bad value, and this function checks problem.b.  A C1 or
+    C3 game's budget is its key code's t_max, which config derives."""
     b, first, tail = cfg.problem.b, names[0], ""
     if first in ("identity", "greedy", "bounded_c1", "unbounded_c1"):
         if b < 0:
@@ -105,7 +105,7 @@ def _build_games(cfg: ExperimentConfig, names: Sequence[str]) -> Games:
     elif first in ("bounded_c1", "unbounded_c1"):
         ots, ecc = cfg.ots_params(), cfg.ecc_params()
         prob = wrapped_problem_c1(prob, ots, ecc)
-        h, budget = classifier_c1(h, ots, ecc), b + ots.sig_bits
+        h, budget = classifier_c1(h, ots, ecc), ecc.t_max
         tail = f" hlen={ots.hlen} slen={ots.slen} budget={budget}"
         make = {"bounded_c1": lambda: atk.bounded_c1_attacker(
                     p.d, b, ots, ecc, cfg.attacker.query_budget),
@@ -114,7 +114,7 @@ def _build_games(cfg: ExperimentConfig, names: Sequence[str]) -> Games:
     elif first in ("bounded_c3", "unbounded_c3"):
         ots, ecc = cfg.c3_ots_params(), cfg.c3_ecc_params()
         prob = c3_problem(uniform_balanced_problem(cfg.c3.d), ots, ecc)
-        h, budget = classifier_c3(ots, ecc), ots.sig_bits
+        h, budget = classifier_c3(ots, ecc), ecc.t_max
         head = f"d={cfg.c3.d} hlen={ots.hlen} slen={ots.slen} budget={budget}"
         make = {"bounded_c3": lambda: atk.bounded_c3_attacker(
                     ots, ecc, cfg.c3.query_budget),

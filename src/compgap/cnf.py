@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .bitstring import BitString
-from .circuits import BoolCircuit
+from .circuits import GATES, BoolCircuit
 from .errors import ConfigError, FormatError, ParseError
 
 MAX_VARS = 10_000
@@ -73,26 +73,10 @@ def tseitin(circuit: BoolCircuit) -> CnfFormula:
     f = CnfFormula()
     f.new_vars(circuit.n_inputs + circuit.n_gates)
     for gi, (op, a, b) in enumerate(circuit.gates):
-        g = circuit.n_inputs + gi + 1
-        va = a + 1
-        if op == "NOT":
-            f.add_clause([-g, -va])
-            f.add_clause([g, va])
-            continue
-        vb = b + 1
-        if op == "AND":
-            f.add_clause([-g, va])
-            f.add_clause([-g, vb])
-            f.add_clause([g, -va, -vb])
-        elif op == "OR":
-            f.add_clause([g, -va])
-            f.add_clause([g, -vb])
-            f.add_clause([-g, va, vb])
-        else:  # XOR
-            f.add_clause([-g, va, vb])
-            f.add_clause([-g, -va, -vb])
-            f.add_clause([g, -va, vb])
-            f.add_clause([g, va, -vb])
+        g, va, vb = circuit.n_inputs + gi + 1, a + 1, (b or 0) + 1
+        lit = (0, g, va, vb, -vb, -va, -g)  # lit[p] for GATES' position p
+        for clause in GATES[op].clauses:
+            f.add_clause(map(lit.__getitem__, clause))
     f.annotate("inputs", [i + 1 for i in range(circuit.n_inputs)])
     f.annotate("outputs", [circuit.output + 1])
     return f

@@ -159,19 +159,6 @@ _KEYS = frozenset(("trials", "seed", "out")).union(
     for f in dataclasses.fields(getattr(ExperimentConfig(), group)))
 
 
-def _coerce(value: str, target_type: type, key: str, line_no: int):
-    try:
-        if target_type is int:
-            return int(value)
-        if target_type is float:
-            return float(value)
-        return value
-    except ValueError:
-        raise ParseError(
-            f"value {value!r} for {key} is not a {target_type.__name__}",
-            line_no)
-
-
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -187,6 +174,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"unknown key {key!r}", line_no)
         group_name, _, name = key.rpartition(".")
         group = getattr(cfg, group_name) if group_name else cfg
-        setattr(group, name,
-                _coerce(value, type(getattr(group, name)), key, line_no))
+        kind = type(getattr(group, name))  # int, float or str
+        try:
+            setattr(group, name, kind(value))
+        except ValueError:
+            raise ParseError(
+                f"value {value!r} for {key} is not a {kind.__name__}", line_no)
     return cfg

@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compgap import base_problems
 from compgap.base_problems import (MAX_D, MajorityNoiseParams,
                                    analytic_adv_risk,
                                    brute_force_adv_risk, majority,
@@ -89,6 +92,24 @@ def test_sampling_matches_noise_rate():
     est = estimate_risk(majority_noise_problem(p), majority_hypothesis(15),
                         4000, seed=11)
     assert abs(est.point - 0.2) <= 3 * est.half_width
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+def test_noise_flips_the_label_iff_the_draw_is_below_alpha(monkeypatch,
+                                                          alpha):
+    """The label flips at a draw just below alpha and stays the majority
+    bit at a draw of exactly alpha, so the flip rate is alpha itself."""
+    class FixedDraw(random.Random):  # draws x as usual, then `draw`
+        def random(self):
+            return draw
+
+    monkeypatch.setattr(base_problems, "random",
+                        SimpleNamespace(Random=FixedDraw))
+    p = MajorityNoiseParams(9, alpha)
+    for seed in range(5):
+        for draw, flip in ((alpha, 0), (math.nextafter(alpha, 0), 1)):
+            x, y = sample_majority_noise(p, seed)
+            assert y == majority(x) ^ flip, (seed, draw)
 
 
 def test_sample_deterministic_in_seed():

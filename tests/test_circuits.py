@@ -2,8 +2,8 @@ import pytest
 
 from compgap.base_problems import majority
 from compgap.bitstring import BitString
-from compgap.circuits import (BoolCircuit, CircuitBuilder, circuit_of_majority,
-                              eval_batch, eval_circuit)
+from compgap.circuits import (_UNARY, GATES, BoolCircuit, CircuitBuilder,
+                              circuit_of_majority, eval_batch, eval_circuit)
 from compgap.errors import ConfigError, FormatError
 from circuit_gates import xor_all
 
@@ -31,6 +31,22 @@ def test_majority_circuit_exhaustive(d):
         assert label == majority(x)
 
 
+@pytest.mark.parametrize("op", sorted(GATES))
+def test_gate_clauses_hold_exactly_at_the_gates_function(op):
+    """On every input row, a GATES row's Tseitin clauses all hold at
+    g = op(a, b), and at least one fails at the other g."""
+    gate = GATES[op]
+    for a in (0, 1):
+        for b in ((0,) if op in _UNARY else (0, 1)):
+            g = gate.lanes(a, b, 1)
+            assert g in (0, 1)
+            for value, want in ((g, True), (g ^ 1, False)):
+                bits = (None, value, a, b)  # GATES' positions 1, 2, 3
+                holds = [any(bits[abs(p)] == (p > 0) for p in clause)
+                         for clause in gate.clauses]
+                assert all(holds) is want, (op, a, b, value)
+
+
 def test_majority_rejects_bad_d():
     with pytest.raises(ConfigError):
         circuit_of_majority(4)
@@ -41,6 +57,9 @@ def test_gate_validation():
         BoolCircuit(2, (("AND", 0, 5),), 0)
     with pytest.raises(FormatError):
         BoolCircuit(2, (("NAND", 0, 1),), 0)
+    for gate in (("NOT", 0, 1), ("AND", 0, None)):  # wrong arity
+        with pytest.raises(FormatError, match="arity"):
+            BoolCircuit(2, (gate,), 2)
     with pytest.raises(FormatError):
         BoolCircuit(2, (("AND", 0, 1),), 3)  # wires are 0..2
     with pytest.raises(FormatError):

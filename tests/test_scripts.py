@@ -8,6 +8,7 @@ bench_record.py runs the benchmark of this checkout once, briefly, in
 process, with its acceptance run replaced by a canned result; its summary
 parser is checked on a canned summary.  bench_pairs.py runs on canned
 perfbench results, so no test starts a benchmark run of a second checkout.
+No test runs mutants.py's mutants; one checks that each edit's site exists.
 """
 
 import json
@@ -218,3 +219,18 @@ def test_bench_pairs_reads_the_metric_direction(capsys):
         code=int(checkout == ROOT))
     assert main(["--parent", "/elsewhere", "--workload", "c3", "--seeds",
                  "1"]) == 1
+
+
+def test_each_mutant_edits_one_site_that_exists():
+    """mutants.py's list cannot go stale unnoticed: each old string occurs
+    exactly once in its file, and each edit changes it.  The script's runs
+    deselect this test by its node id."""
+    script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
+    assert script["_SITES_TEST"] == (
+        "tests/test_scripts.py::test_each_mutant_edits_one_site_that_exists")
+    mutants = script["MUTANTS"]
+    assert mutants
+    for file, old, new in mutants:
+        text = (ROOT / "src" / "compgap" / file).read_text()
+        assert text.count(old) == 1, (file, old)
+        assert old != new
