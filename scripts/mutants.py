@@ -80,6 +80,11 @@ MUTANTS = [
     # GATES: OR's lane function swapped for XOR's
     ("circuits.py", '"OR": Gate(lambda a, b, mask: a | b',
      '"OR": Gate(lambda a, b, mask: a ^ b'),
+    # C3's repunit: sig_bits + 1 slots, not sig_bits
+    ("constructions.py", "(1 << (ell + 1) * ell)", "(1 << ell * ell)"),
+    # C1's classifier: STAR when the signature does not verify
+    ("constructions.py", "            return STAR\n        return base_h",
+     "            return base_h(inst.x)\n        return base_h"),
 ]
 
 # fails on every mutant, whose old string is gone from the copy's file

@@ -33,15 +33,6 @@ class BitString:
         return cls(int(s, 2) if s else 0, len(s))
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitString":
-        v = 0
-        n = 0
-        for b in bits:
-            v = (v << 1) | (b & 1)
-            n += 1
-        return cls(v, n)
-
-    @classmethod
     def random(cls, rng: random.Random, n: int) -> "BitString":
         return cls(rng.getrandbits(n) if n else 0, n)
 
@@ -61,10 +52,6 @@ class BitString:
             v ^= 1 << (self.length - 1 - i)
         return BitString(v, self.length)
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString((self.value << other.length) | other.value,
-                         self.length + other.length)
-
     def extract(self, start: int, n: int) -> "BitString":
         if start < 0 or n < 0 or start + n > self.length:
             raise IndexError((start, n))
@@ -80,23 +67,6 @@ class BitString:
         v, mask = self.value, (1 << width) - 1
         return [(v >> s) & mask
                 for s in range(self.length - width, -1, -width)]
-
-    def repeat(self, times: int) -> "BitString":
-        """Concatenate `times` copies of self (doubling, cheap for large counts)."""
-        if times < 0:
-            raise FormatError("negative repeat count")
-        v, n = 0, 0
-        base_v, base_n = self.value, self.length
-        t = times
-        while t:
-            if t & 1:
-                v = (v << base_n) | base_v
-                n += base_n
-            t >>= 1
-            if t:
-                base_v = (base_v << base_n) | base_v
-                base_n *= 2
-        return BitString(v, n)
 
     def to01(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""

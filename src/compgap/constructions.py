@@ -66,30 +66,26 @@ def _check_c1_params(ots: OtsParams, ecc: EccParams) -> None:
             f"{ots.vk_bits}")
 
 
-def wrap_sample_c1(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
-    """Sample ((x, sigma, Encode(vk)), y) with a fresh key pair.
+def wrapped_problem_c1(base: Problem, ots: OtsParams,
+                       ecc: EccParams) -> Problem:
+    """Samples ((x, sigma, Encode(vk)), y) with a fresh key pair.
 
     Draws the base example with the caller's seed unchanged, so risk
     estimates on the wrapped problem share base examples trial-for-trial
     with estimates on the base problem.  The signing key is discarded.
     """
     _check_c1_params(ots, ecc)
-    x, y = base.sample(seed)
-    keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
-    sigma = sign(keys.sk, x, ots)
-    vk_code = reed_solomon(ecc).encode(keys.vk)
-    return WrappedInstance(x, sigma, vk_code), y
+    rs = reed_solomon(ecc)
 
+    def sampler(seed: int):
+        x, y = base.sample(seed)
+        keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
+        return WrappedInstance(x, sign(keys.sk, x, ots),
+                               rs.encode(keys.vk)).to_bits(), y
 
-def wrapped_problem_c1(base: Problem, ots: OtsParams,
-                       ecc: EccParams) -> Problem:
-    _check_c1_params(ots, ecc)
     return Problem(
         instance_len=base.instance_len + ots.sig_bits + ecc.n_bits,
-        sampler=lambda seed: (
-            lambda inst_y: (inst_y[0].to_bits(), inst_y[1])
-        )(wrap_sample_c1(base, ots, ecc, seed)),
-    )
+        sampler=sampler)
 
 
 def classifier_c1(base_h: Hypothesis, ots: OtsParams,
@@ -141,10 +137,23 @@ class C3Instance:
     def with_slot0(self, sigma: BitString) -> "C3Instance":
         rest = self.slots.extract(sigma.length,
                                   self.slots.length - sigma.length)
-        return C3Instance(self.x_code, sigma.concat(rest), self.vk_code)
+        return C3Instance(self.x_code, concat_all([sigma, rest]),
+                          self.vk_code)
 
 
-def _check_c3_params(base: Problem, ots: OtsParams, ecc: EccParams) -> None:
+def c3_instance_len(ots: OtsParams, ecc: EccParams) -> int:
+    return 2 * ecc.n_bits + (ots.sig_bits + 1) * ots.sig_bits
+
+
+def _repunit(ell: int) -> int:
+    """The sum of 2^(i*ell) over i < ell + 1: an ell-bit value times it is
+    ell + 1 copies of that value (fields cannot carry)."""
+    return ((1 << (ell + 1) * ell) - 1) // ((1 << ell) - 1)
+
+
+def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
+    """Honest samples: y=1 carries a valid signature in every slot, y=0 an
+    invalid one (rejection-sampled uniform) in every slot."""
     if ecc.data_bits != base.instance_len:
         raise ConfigError(
             f"code data width {ecc.data_bits} != base instance length "
@@ -154,50 +163,36 @@ def _check_c3_params(base: Problem, ots: OtsParams, ecc: EccParams) -> None:
             "no-detection construction shares one code for instance and key; "
             f"need base length == vk width, got {base.instance_len} vs "
             f"{ots.vk_bits}")
-
-
-def c3_instance_len(ots: OtsParams, ecc: EccParams) -> int:
-    return 2 * ecc.n_bits + (ots.sig_bits + 1) * ots.sig_bits
-
-
-def sample_c3(base: Problem, ots: OtsParams, ecc: EccParams, seed: int):
-    """Honest sample: y=1 carries a valid signature in every slot, y=0 an
-    invalid one (rejection-sampled uniform) in every slot."""
-    _check_c3_params(base, ots, ecc)
-    rs = reed_solomon(ecc)
-    x, y = base.sample(seed)
-    keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
-    if y == 1:
-        sigma = sign(keys.sk, x, ots)
-    else:
-        rng = random.Random(mix_seed(seed, _SIGMA_STREAM))
-        want = targets(keys.vk, digest(x, ots), ots)
-        for _ in range(C3_REJECTION_CAP):
-            sigma = BitString.random(rng, ots.sig_bits)
-            if not verify(sigma, want, ots):
-                break
-        else:
-            raise ConfigError(
-                "could not sample an invalid signature; OTS parameters are "
-                "degenerate")
-    return C3Instance(rs.encode(x), sigma.repeat(ots.sig_bits + 1),
-                      rs.encode(keys.vk)), y
-
-
-def c3_problem(base: Problem, ots: OtsParams, ecc: EccParams) -> Problem:
-    _check_c3_params(base, ots, ecc)
     # an invalid signature, which every 0-labelled sample carries, exists
     # iff the hash is not constant on the slen-bit preimages
     h = hash_words(range(1 << min(ots.slen, 16)), ots.slen, ots.hlen)
     if (h == h[0]).all():
         raise ConfigError("degenerate C3 parameters: every preimage hashes "
                           "to one digest, so no signature is invalid")
-    return Problem(
-        instance_len=c3_instance_len(ots, ecc),
-        sampler=lambda seed: (
-            lambda inst_y: (inst_y[0].to_bits(), inst_y[1])
-        )(sample_c3(base, ots, ecc, seed)),
-    )
+    rs = reed_solomon(ecc)
+    ell, rep = ots.sig_bits, _repunit(ots.sig_bits)
+
+    def sampler(seed: int):
+        x, y = base.sample(seed)
+        keys = kgen(ots, mix_seed(seed, _KGEN_STREAM))
+        if y == 1:
+            sigma = sign(keys.sk, x, ots)
+        else:
+            rng = random.Random(mix_seed(seed, _SIGMA_STREAM))
+            want = targets(keys.vk, digest(x, ots), ots)
+            for _ in range(C3_REJECTION_CAP):
+                sigma = BitString.random(rng, ell)
+                if not verify(sigma, want, ots):
+                    break
+            else:
+                raise ConfigError(
+                    "could not sample an invalid signature; OTS parameters "
+                    "are degenerate")
+        return C3Instance(rs.encode(x),
+                          BitString(sigma.value * rep, (ell + 1) * ell),
+                          rs.encode(keys.vk)).to_bits(), y
+
+    return Problem(instance_len=c3_instance_len(ots, ecc), sampler=sampler)
 
 
 def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
@@ -208,7 +203,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
     """
     rs = reed_solomon(ecc)
     n, ell = ots.sig_bits + 1, ots.sig_bits
-    repeat = BitString(1, ell).repeat(n).value  # sum of 2^(i*ell), i < n
+    rep = _repunit(ell)
 
     def classify(bits: BitString) -> Label:
         inst = C3Instance.from_bits(bits, ots, ecc)
@@ -220,7 +215,7 @@ def classifier_c3(ots: OtsParams, ecc: EccParams) -> Hypothesis:
         want = targets(vk, digest(x, ots), ots)
         raw = inst.slots.value
         # n copies of slot 0 (fields cannot carry): verify slot 0 alone
-        count = 1 if raw == (raw >> ((n - 1) * ell)) * repeat else n
+        count = 1 if raw == (raw >> ((n - 1) * ell)) * rep else n
         for i in range(count):
             v = (raw >> ((n - 1 - i) * ell)) & ((1 << ell) - 1)
             if verify(BitString(v, ell), want, ots):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .bitstring import BitString, hamming_distance
+from .bitstring import BitString, hamming_distance, pack
 from .circuits import BoolCircuit, eval_circuit
 from .cnf import (CnfFormula, at_least, encode_hamming_ball, recentre_ball,
                   tseitin)
@@ -47,8 +47,7 @@ class SamplerBundle:
     def witness_decoder(self, assignment: dict) -> List[Tuple[int, BitString]]:
         """(block index, perturbed x) of each block the assignment selects;
         a block with selector 0 always counts."""
-        return [(j, BitString.from_bits(int(assignment[v])
-                                        for v in blk.input_vars))
+        return [(j, pack([int(assignment[v]) for v in blk.input_vars], 1))
                 for j, blk in enumerate(self.blocks)
                 if not blk.selector or assignment[blk.selector]]
 

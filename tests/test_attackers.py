@@ -15,8 +15,8 @@ from compgap.bitstring import BitString, pack
 from compgap.cli import _build_games
 from compgap.config import ExperimentConfig
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
-                                   classifier_c1, classifier_c3, sample_c3,
-                                   wrap_sample_c1, wrapped_problem_c1)
+                                   classifier_c1, classifier_c3,
+                                   wrapped_problem_c1)
 from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import DecodeFailure, PreimageNotFound
 from compgap.game import (Counters, binomial_half_width, estimate_adv_risk,
@@ -248,9 +248,11 @@ def test_forging_attackers_pinned_outcomes(run, expected):
 
 def test_forging_attackers_fall_back_when_the_key_does_not_open():
     rng = random.Random(0)
-    c1, _ = wrap_sample_c1(BASE7, OTS, ECC, seed=3)
+    c1 = WrappedInstance.from_bits(
+        wrapped_problem_c1(BASE7, OTS, ECC).sample(3)[0], 7, OTS, ECC)
     c1 = WrappedInstance(c1.x, c1.sigma, BitString.random(rng, ECC.n_bits))
-    c3, _ = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed=3)
+    c3 = C3Instance.from_bits(
+        c3_problem(C3_BASE, C3_OTS, C3_ECC).sample(3)[0], C3_OTS, C3_ECC)
     c3 = C3Instance(c3.x_code, c3.slots, BitString.random(rng, C3_ECC.n_bits))
     for atk, inst, ots, ecc in [
             (bounded_c1_attacker(7, 2, OTS, ECC, 256), c1, OTS, ECC),
@@ -335,14 +337,12 @@ def _reference_bounded_c3(ots, ecc, budget, log):
 
 
 def _c1_challenge(ots, ecc, seed):
-    inst, y = wrap_sample_c1(BASE7, ots, ecc, seed)
-    return inst.to_bits(), y
+    return wrapped_problem_c1(BASE7, ots, ecc).sample(seed)
 
 
 def _c3_challenge(ots, ecc, seed):
-    inst, y = sample_c3(uniform_balanced_problem(ecc.data_bits), ots, ecc,
-                        seed)
-    return inst.to_bits(), y
+    return c3_problem(uniform_balanced_problem(ecc.data_bits), ots,
+                      ecc).sample(seed)
 
 
 # name: (the bounded forger, its one-at-a-time reference, a challenge for a

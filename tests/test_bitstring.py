@@ -26,17 +26,14 @@ def test_value_range_enforced():
 
 
 def test_concat_places_left_operand_high():
-    assert BitString.from01("10").concat(BitString.from01("01")).to01() == "1001"
+    assert concat_all([BitString.from01("10"),
+                       BitString.from01("01")]).to01() == "1001"
 
 
 def test_extract_and_flip():
     x = BitString.from01("110010")
     assert x.extract(1, 3).to01() == "100"
     assert x.flip(0, 5).to01() == "010011"
-
-
-def test_repeat():
-    assert BitString.from01("10").repeat(3).to01() == "101010"
 
 
 def test_hamming_distance_length_mismatch():
@@ -62,7 +59,7 @@ def test_bytes_roundtrip_preserves_value(x):
 
 @given(bitstrings, bitstrings)
 def test_concat_extract_inverse(a, b):
-    c = a.concat(b)
+    c = concat_all([a, b])
     assert c.extract(0, a.length) == a
     assert c.extract(a.length, b.length) == b
 

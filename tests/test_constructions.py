@@ -7,8 +7,8 @@ from compgap.base_problems import (MajorityNoiseParams, majority_hypothesis,
                                    uniform_balanced_problem)
 from compgap.bitstring import BitString, concat_all
 from compgap.constructions import (C3Instance, WrappedInstance, c3_problem,
-                                   classifier_c1, classifier_c3, sample_c3,
-                                   wrap_sample_c1, wrapped_problem_c1)
+                                   classifier_c1, classifier_c3,
+                                   wrapped_problem_c1)
 from compgap.ecc import EccParams, reed_solomon
 from compgap.errors import ConfigError, FormatError
 from compgap.game import STAR, estimate_risk
@@ -25,10 +25,22 @@ C3_BASE = uniform_balanced_problem(32)
 C3_ECC = EccParams(k_sym=4, n_sym=10, bits_per_symbol=8)  # data 32, n 80
 
 
+def wrap_sample(seed):
+    """A C1 sample, parsed into its fields."""
+    bits, y = wrapped_problem_c1(BASE, OTS, ECC).sample(seed)
+    return WrappedInstance.from_bits(bits, 7, OTS, ECC), y
+
+
+def c3_sample(seed, base=C3_BASE, ots=C3_OTS, ecc=C3_ECC):
+    """A C3 sample, parsed into its fields."""
+    bits, y = c3_problem(base, ots, ecc).sample(seed)
+    return C3Instance.from_bits(bits, ots, ecc), y
+
+
 def test_wrapped_layout_roundtrip():
-    inst, y = wrap_sample_c1(BASE, OTS, ECC, seed=1)
-    back = WrappedInstance.from_bits(inst.to_bits(), 7, OTS, ECC)
-    assert back == inst
+    bits, y = wrapped_problem_c1(BASE, OTS, ECC).sample(1)
+    inst = WrappedInstance.from_bits(bits, 7, OTS, ECC)
+    assert inst.to_bits() == bits
     # a wrong instance length is a shape error, not a setting
     with pytest.raises(FormatError, match="instance must be"):
         WrappedInstance.from_bits(BitString(0, 6 + 32 + 96), 7, OTS, ECC)
@@ -37,7 +49,7 @@ def test_wrapped_layout_roundtrip():
 def test_honest_sample_classifies_like_base():
     h = classifier_c1(BASE_H, OTS, ECC)
     for seed in range(30):
-        inst, y = wrap_sample_c1(BASE, OTS, ECC, seed)
+        inst, y = wrap_sample(seed)
         assert h(inst.to_bits()) == BASE_H(inst.x)
 
 
@@ -51,7 +63,7 @@ def test_risk_preserved_exactly_per_trial():
 
 def test_signature_tamper_yields_star():
     h = classifier_c1(BASE_H, OTS, ECC)
-    inst, _ = wrap_sample_c1(BASE, OTS, ECC, seed=2)
+    inst, _ = wrap_sample(2)
     bits = inst.to_bits()
     hit_star = False
     for pos in range(7, 7 + OTS.sig_bits):
@@ -64,7 +76,7 @@ def test_signature_tamper_yields_star():
 def test_instance_tamper_without_new_signature_yields_star():
     h = classifier_c1(BASE_H, OTS, ECC)
     for seed in range(20):
-        inst, _ = wrap_sample_c1(BASE, OTS, ECC, seed)
+        inst, _ = wrap_sample(seed)
         out = h(inst.to_bits().flip(0))
         vk = reed_solomon(ECC).decode(inst.vk_code)
         want = targets(vk, digest(inst.x.flip(0), OTS), OTS)
@@ -74,7 +86,7 @@ def test_instance_tamper_without_new_signature_yields_star():
 
 def test_codeword_corruption_within_radius_is_transparent():
     h = classifier_c1(BASE_H, OTS, ECC)
-    inst, _ = wrap_sample_c1(BASE, OTS, ECC, seed=3)
+    inst, _ = wrap_sample(3)
     bits = inst.to_bits()
     off = 7 + OTS.sig_bits
     # flip t_max bits in distinct symbols of the key codeword
@@ -97,31 +109,43 @@ def test_c3_degenerate_ots_is_a_config_error():
     # both 1-bit preimages hash to 1, so a 0-labelled sample has no invalid
     # signature to carry
     with pytest.raises(ConfigError):
-        sample_c3(uniform_balanced_problem(2), OtsParams(1, 1),
-                  EccParams(1, 3, 2), 0)
+        c3_problem(uniform_balanced_problem(2), OtsParams(1, 1),
+                   EccParams(1, 3, 2))
 
 
-def test_c3_sample_shapes():
+# (base, ots, ecc): 32-bit slots, and 15-bit ones, not whole bytes
+C3_SHAPES = {
+    "slot32": (C3_BASE, C3_OTS, C3_ECC),
+    "slot15": (uniform_balanced_problem(18), OtsParams(3, 5),
+               EccParams(3, 9, 6)),
+}
+
+
+@pytest.mark.parametrize("shape", C3_SHAPES)
+def test_c3_sample_shapes(shape):
     # sig_bits + 1 slots: one more than C3's budget of sig_bits flips
-    ell = C3_OTS.sig_bits
+    base, ots, ecc = C3_SHAPES[shape]
+    ell = ots.sig_bits
     n = ell + 1
-    for seed in (4, 5):
-        inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed)
+    h = classifier_c3(ots, ecc)
+    for seed in range(20):
+        inst, y = c3_sample(seed, base, ots, ecc)
         assert inst.slots.length == n * ell
-        assert inst.to_bits().length == 2 * C3_ECC.n_bits + n * ell
+        assert inst.to_bits().length == 2 * ecc.n_bits + n * ell
         slots = [inst.slots.extract(i * ell, ell) for i in range(n)]
         assert all(s == slots[0] for s in slots)
-        assert C3Instance.from_bits(inst.to_bits(), C3_OTS, C3_ECC) == inst
+        assert C3Instance.from_bits(inst.to_bits(), ots, ecc) == inst
+        assert h(inst.to_bits()) == y
     with pytest.raises(FormatError, match="instance must be"):
         C3Instance.from_bits(BitString(0, inst.to_bits().length + 1),
-                             C3_OTS, C3_ECC)
+                             ots, ecc)
 
 
 def test_c3_classifier_recovers_label():
     h = classifier_c3(C3_OTS, C3_ECC)
     seen = set()
     for seed in range(60):
-        inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed)
+        inst, y = c3_sample(seed)
         assert h(inst.to_bits()) == y
         seen.add(y)
     assert seen == {0, 1}
@@ -144,7 +168,7 @@ def test_c3_forged_slot_flips_zero_to_one():
     index = PreimageIndex(C3_OTS)
     found = False
     for seed in range(40):
-        inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, seed)
+        inst, y = c3_sample(seed)
         if y != 0:
             continue
         found = True
@@ -167,14 +191,15 @@ def test_c3_classifier_reads_every_slot():
     n = ell + 1
     h = classifier_c3(C3_OTS, C3_ECC)
     rs = reed_solomon(C3_ECC)
-    inst, y = sample_c3(C3_BASE, C3_OTS, C3_ECC, 0)
+    inst, y = c3_sample(0)
     assert y == 0
     want = targets(rs.decode(inst.vk_code), digest(rs.decode(inst.x_code),
                                                     C3_OTS), C3_OTS)
     bad = inst.slots.extract(0, ell)
     forged = PreimageIndex(C3_OTS).forge(want)
-    last = C3Instance(inst.x_code, inst.slots.extract(0, (n - 1) * ell)
-                      .concat(forged), inst.vk_code)
+    last = C3Instance(inst.x_code,
+                      concat_all([inst.slots.extract(0, (n - 1) * ell),
+                                  forged]), inst.vk_code)
     assert h(last.to_bits()) == 1
     other = BitString(bad.value ^ 1, ell)
     assert not verify(bad, want, C3_OTS) and not verify(other, want, C3_OTS)
@@ -190,13 +215,13 @@ def test_c3_classifier_reads_every_slot():
 # digests can.  Seeds cover both labels of each construction; a C3
 # instance carries sig_bits + 1 = 33 slots here.
 FROZEN_INSTANCES = [
-    (lambda: wrap_sample_c1(BASE, OTS, ECC, 0), 1,
+    (lambda: wrapped_problem_c1(BASE, OTS, ECC).sample(0), 1,
      "afc6212e8453d8c417b76bd338b6c3ca6df8235b0659f8cb97f15ba9aadca51a"),
-    (lambda: wrap_sample_c1(BASE, OTS, ECC, 1), 0,
+    (lambda: wrapped_problem_c1(BASE, OTS, ECC).sample(1), 0,
      "b0114527723dc80c2c3b9e9dfd66b803ed6359bf8ee5632fb314941fb5a0c5a2"),
-    (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 0), 0,
+    (lambda: c3_problem(C3_BASE, C3_OTS, C3_ECC).sample(0), 0,
      "2c91424c898383382287ac5bd56fe46151ebe2ec524c052732dac86b91717873"),
-    (lambda: sample_c3(C3_BASE, C3_OTS, C3_ECC, 1), 1,
+    (lambda: c3_problem(C3_BASE, C3_OTS, C3_ECC).sample(1), 1,
      "dcc57c30bebc172bb40e912c30a1837e2637f63937a45aa5eb7acb8ed784f896"),
 ]
 
@@ -204,6 +229,6 @@ FROZEN_INSTANCES = [
 @pytest.mark.parametrize("sample,label,sha", FROZEN_INSTANCES,
                          ids=["c1-seed0", "c1-seed1", "c3-seed0", "c3-seed1"])
 def test_instance_layout_frozen(sample, label, sha):
-    inst, y = sample()
+    bits, y = sample()
     assert y == label
-    assert hashlib.sha256(inst.to_bits().to01().encode()).hexdigest() == sha
+    assert hashlib.sha256(bits.to01().encode()).hexdigest() == sha

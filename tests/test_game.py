@@ -190,18 +190,19 @@ def test_a_game_command_builds_one_construction(kind):
 def test_a_game_command_draws_each_trial_once(tmp_path, monkeypatch,
                                               capsys, command, trials):
     # one pass: every attacker, and c3's honest trial, plays each drawn
-    # example; a pass per attacker draws 2 or 3 examples a trial
+    # example; a pass per attacker draws 2 or 3 examples a trial.  Each
+    # sample makes one key pair, and nothing else makes one
     draws = []
-    for name in ("wrap_sample_c1", "sample_c3"):
-        orig = getattr(constructions, name)
+    orig = constructions.kgen
 
-        def counted(*args, orig=orig):
-            draws.append(args[-1])
-            return orig(*args)
+    def counted(*args):
+        draws.append(args[-1])
+        return orig(*args)
 
-        monkeypatch.setattr(constructions, name, counted)
+    monkeypatch.setattr(constructions, "kgen", counted)
     assert main([command, "--trials", str(trials), "--out",
                  str(tmp_path / "o")]) == 0
     capsys.readouterr()
-    assert draws == [mix_seed(ExperimentConfig().seed, i)
+    assert draws == [mix_seed(mix_seed(ExperimentConfig().seed, i),
+                              constructions._KGEN_STREAM)
                      for i in range(trials)]

@@ -63,4 +63,6 @@ def test_tracer_counts_c3_verify_and_forge_calls(spans):
         tracer.uninstall()
     calls = tracer.report(1.0)["calls"]
     assert calls["game.play"] == 12
+    # one span per game's draw, through c3_problem's sampler closure
+    assert calls["constructions.sample"] == 12
     assert calls["ots.verify"] > 0 and calls["ots.forge"] > 0
