@@ -45,13 +45,11 @@ MUTANTS = [
      "if not 1 <= count <= MAX_TRIALS + 1:"),
     # Berlekamp-Massey's early try at L = t_max
     ("ecc.py", "tried < L <= t_max:", "tried < L < t_max:"),
-    # the zero-magnitude check ahead of is_codeword
-    ("ecc.py", '        if np.any(magnitudes == 0):\n'
-     '            raise DecodeFailure("zero error magnitude")\n', ""),
-    # Chien's root count must equal the locator's degree
-    ("ecc.py", "if len(positions) != n_err:", "if len(positions) > n_err:"),
-    # the radius check ahead of Chien
-    ("ecc.py", "if n_err > p.t_max:", "if n_err >= p.t_max:"),
+    # the acceptance check: a codeword exactly t_max symbols away is kept
+    ("ecc.py", "!= recv) > p.t_max:", "!= recv) >= p.t_max:"),
+    # Chien searches every message symbol, the last one too
+    ("ecc.py", ":len(locator) - 1, :self.params.k_sym]",
+     ":len(locator) - 1, :self.params.k_sym - 1]"),
     # the query-bounded forgers' last affordable guess
     ("attackers.py", "(cost > counters.budget - counters.queries)",
      "(cost >= counters.budget - counters.queries)"),

@@ -32,13 +32,15 @@ Forney alike.
 
 A decode does work in proportion to the errors it finds: Berlekamp-Massey
 stops early.  At a zero discrepancy at step n >= 2L with 1 <= L <= t_max
-it hands its locator to the usual finish (Chien, Forney, the magnitude
-check, is_codeword), at most once per L, and resumes if any check fails.
-An accepted word is a codeword exactly L <= t_max symbols from the received
-word.  The minimum distance nparity + 1 exceeds 2 t_max, so that codeword
-is the only one within t_max and the one the full run returns.  A word
-with no codeword within t_max fails every early try, so its full run ends
-with the same DecodeFailure as before.
+it hands its locator to the finish, at most once per L, and resumes if the
+try fails.  The finish corrects only the message (Chien and Forney at the
+k_sym message symbols), and a try is accepted iff the corrected message,
+re-encoded, differs from the received word in at most t_max symbols.  The
+minimum distance nparity + 1 exceeds 2 t_max, so that codeword is the only
+one within t_max, and the full run's locator leads to it whenever it
+exists: a decode is accepted iff a codeword lies within t_max of the
+received word.  A word with none fails every try, and its full run ends in
+DecodeFailure.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from itertools import compress
 from operator import xor
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitstring import BitString, pack
 from .errors import ConfigError, DecodeFailure, FormatError
@@ -248,7 +249,7 @@ class ReedSolomon:
     def _syndromes(self, recv: np.ndarray) -> np.ndarray:
         """S_j, the received polynomial at alpha^j, for j = 1..nparity."""
         return np.bitwise_xor.reduce(
-            self.exp[self.log[recv] + self._syn_exp], axis=1)
+            self.exp.take(self.log[recv] + self._syn_exp), axis=1)
 
     def decode(self, codeword: BitString) -> BitString:
         p = self.params
@@ -258,10 +259,8 @@ class ReedSolomon:
         if self.is_codeword(codeword.value):
             return BitString(codeword.value >> self.parity_bits, p.data_bits)
         recv = self._bits_to_symbols(codeword)
-        # syndrome logs, last first, then t_max zeros (Z) for Forney's
-        # windows that run past S_1
-        srev = np.concatenate((self.log[self._syndromes(recv)[::-1]],
-                               np.full(p.t_max, 2 * self.order)))
+        # syndrome logs, last first
+        srev = self.log[self._syndromes(recv)[::-1]]
         # the first locator that corrects recv wins; the last one tried is
         # the full run's, and its failure is the decode's
         for locator in self._berlekamp_massey(srev):
@@ -273,24 +272,20 @@ class ReedSolomon:
 
     def _correct(self, recv: np.ndarray, srev: np.ndarray,
                  locator: np.ndarray) -> BitString:
-        """The message of the codeword that `locator` says recv is near;
-        DecodeFailure unless that codeword lies within t_max symbols."""
+        """recv's message symbols corrected at the locator's roots among
+        them, accepted iff re-encoded they lie within t_max symbols of recv
+        (see the module docstring); else DecodeFailure."""
         p = self.params
-        n_err = len(locator) - 1
-        if n_err > p.t_max:
-            raise DecodeFailure(f"{n_err} errors exceed correction radius {p.t_max}")
         positions = self._chien(locator)
-        if len(positions) != n_err:
-            raise DecodeFailure("error locator does not split over the field")
-        corrected = recv.copy()
-        magnitudes = self._forney(srev, locator, positions)
-        if np.any(magnitudes == 0):
-            raise DecodeFailure("zero error magnitude")
-        corrected[positions] ^= magnitudes
-        word = self._symbols_to_bits(corrected).value
-        if not self.is_codeword(word):
-            raise DecodeFailure("correction did not reach a codeword")
-        return BitString(word >> self.parity_bits, p.data_bits)
+        msg = recv[:p.k_sym].copy()
+        msg[positions] ^= self._forney(srev, locator, positions)
+        message = self._symbols_to_bits(msg).value
+        word = BitString((message << self.parity_bits)
+                         | self.parity_of(message), p.n_bits)
+        if np.count_nonzero(self._bits_to_symbols(word) != recv) > p.t_max:
+            raise DecodeFailure(
+                f"no codeword within correction radius {p.t_max}")
+        return BitString(message, p.data_bits)
 
     def _berlekamp_massey(self, srev: np.ndarray):
         """Candidate error locators, low-degree-first coefficients; the
@@ -307,11 +302,11 @@ class ReedSolomon:
         error to locate).  With t <= t_max errors C is final once 2t
         syndromes are in, so it is tried at step 2t, or yielded last when
         2t = nparity.  The caller accepts a candidate only if it gives a
-        codeword exactly L <= t_max symbols from the received word; the
-        minimum distance nparity + 1 exceeds 2 t_max, so that codeword is
-        the only one within t_max, the one the full run finds.  A word
-        with no codeword within t_max fails every early try.  Each yield is
-        a view of C, valid until the generator resumes.
+        codeword within t_max symbols of the received word; the minimum
+        distance nparity + 1 exceeds 2 t_max, so that codeword is the only
+        one within t_max, the one the full run finds.  A word with no
+        codeword within t_max fails every early try.  Each yield is a view
+        of C, valid until the generator resumes.
         """
         exp, log, order = self.exp, self.log, self.order
         nsyn, t_max = self.nparity, self.params.t_max
@@ -344,38 +339,36 @@ class ReedSolomon:
             yield C[:L + 1]
 
     def _chien(self, locator: np.ndarray) -> np.ndarray:
-        """Indices of erroneous symbols (0 = first symbol of the codeword):
-        those i with locator(X_i^-1) = 0."""
+        """Indices of the erroneous message symbols (0 = first symbol of
+        the codeword): those i < k_sym with locator(X_i^-1) = 0."""
         expo = ((self.log[locator[1:]] + self.order)[:, None]
-                - self._syn_exp[:len(locator) - 1])
-        vals = np.bitwise_xor.reduce(self.exp[expo], axis=0) ^ locator[0]
-        return np.nonzero(vals == 0)[0]
+                - self._syn_exp[:len(locator) - 1, :self.params.k_sym])
+        vals = np.bitwise_xor.reduce(self.exp.take(expo), axis=0) ^ locator[0]
+        return np.flatnonzero(vals == 0)
 
     def _forney(self, srev: np.ndarray, locator: np.ndarray,
                 positions: np.ndarray) -> np.ndarray:
-        """Error magnitudes omega(X_i^-1) / locator'(X_i^-1), where
-        omega = S * locator mod x^nparity and S = sum_j S_(j+1) x^j."""
+        """Error magnitudes omega(X_i^-1) / locator'(X_i^-1) at the given
+        roots only, where omega = S * locator mod x^L, S = sum_u S_(u+1) x^u
+        and L = len(locator) - 1.
+
+        With P_m = sum_(u<=m) S_(u+1) X^-(u+1), a prefix XOR per root,
+        omega(X^-1) X^-1 = sum_(j<L) lambda_j X^-j P_(L-1-j), and
+        locator'(X^-1) X^-1 = sum_(j odd) lambda_j X^-j (char 2), so each
+        root costs O(L).  A zero derivative (a repeated root: no error
+        pattern has this locator) gives an arbitrary magnitude; the
+        caller's re-encoding check decides, as for any locator.
+        """
         exp, log, order = self.exp, self.log, self.order
         L = len(locator) - 1
-        lam_log = log[locator]
-        # omega_k = sum_{j<=k} lambda_j S_(k+1-j), and omega_k = 0 for k >= L
-        # because the locator generates the syndromes.  Window nsyn-1-k of
-        # srev is S_(k+1), S_k, ... (zeros below S_1), so windows
-        # nsyn-L .. nsyn-1 give omega_(L-1) .. omega_0.
-        windows = sliding_window_view(srev, L)[self.nparity - L:self.nparity]
-        omega = np.bitwise_xor.reduce(exp[windows + lam_log[:L]],
-                                      axis=1)[::-1]
-        deriv_log = lam_log[1:].copy()  # locator' has lambda_(j+1) at x^j
-        deriv_log[1::2] = 2 * order     # for even j only (char 2)
-        # log X_i^-j: 0 for j = 0, order - _syn_exp[j-1, i] after
-        inv_pow = np.zeros((L, len(positions)), dtype=np.int64)
-        inv_pow[1:] = order - self._syn_exp[:L - 1, positions]
-        coefs = np.stack((log[omega], deriv_log))
-        om, dprime = np.bitwise_xor.reduce(exp[coefs[:, :, None] + inv_pow],
-                                           axis=1)
-        if not dprime.all():
-            return np.zeros(len(positions), dtype=np.int64)
-        return exp[log[om] + order - log[dprime]]
+        inv = order - self._syn_exp[:L, positions]  # log X^-u, u = 1..L
+        lam = exp.take(log[locator[1:]][:, None] + inv)  # lambda_u X^-u
+        syn = exp.take(srev[self.nparity - L:][::-1, None] + inv)
+        pre = np.bitwise_xor.accumulate(syn, axis=0)  # P_0 .. P_(L-1)
+        om = pre[L - 1] ^ np.bitwise_xor.reduce(
+            exp.take(log[lam[:L - 1]] + log[pre[:L - 1][::-1]]), axis=0)
+        dprime = np.bitwise_xor.reduce(lam[::2], axis=0)
+        return exp.take(log[om] + order - log[dprime])
 
 
 @cache

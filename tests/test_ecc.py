@@ -223,6 +223,74 @@ def test_each_derived_key_code_corrects_t_max_errors(derive):
         assert rs.decode(rs.encode(msg).flip(*flips)) == msg
 
 
+# the stress code and the two key codes the default config derives
+FINISH_CODES = [DEFAULT, ExperimentConfig().ecc_params(),
+                ExperimentConfig().c3_ecc_params()]
+
+
+def corrupt(rs, word, syms, rng):
+    """word with a random nonzero error in each symbol of syms."""
+    bps, n = rs.params.bits_per_symbol, rs.params.n_sym
+    for s in syms:
+        word ^= rng.randrange(1, 1 << bps) << (bps * (n - 1 - s))
+    return BitString(word, rs.params.n_bits)
+
+
+def record_chien(monkeypatch, rs):
+    """The positions each _chien call returns, in order."""
+    found = []
+    chien = rs._chien
+
+    def recorded(locator):
+        positions = chien(locator)
+        found.append(positions.tolist())
+        return positions
+    monkeypatch.setattr(rs, "_chien", recorded)
+    return found
+
+
+@pytest.mark.parametrize("params", FINISH_CODES)
+def test_parity_errors_leave_the_message_untouched(monkeypatch, params):
+    # t_max errors, all in parity symbols: the accepted locator has no
+    # root among the message symbols, so nothing of the message is changed
+    rs, rng = reed_solomon(params), random.Random(params.n_sym + 3)
+    found = record_chien(monkeypatch, rs)
+    for _ in range(5):
+        msg = BitString.random(rng, params.data_bits)
+        syms = rng.sample(range(params.k_sym, params.n_sym), params.t_max)
+        found.clear()
+        assert rs.decode(corrupt(rs, rs.encode(msg).value, syms, rng)) == msg
+        assert found[-1] == []
+
+
+@pytest.mark.parametrize("params", FINISH_CODES)
+def test_every_message_symbol_in_error_decodes(monkeypatch, params):
+    # k_sym message errors and t_max - k_sym parity errors: t_max in all
+    rs, rng = reed_solomon(params), random.Random(params.n_sym + 4)
+    found = record_chien(monkeypatch, rs)
+    for _ in range(5):
+        msg = BitString.random(rng, params.data_bits)
+        syms = list(range(params.k_sym)) + rng.sample(
+            range(params.k_sym, params.n_sym), params.t_max - params.k_sym)
+        found.clear()
+        assert rs.decode(corrupt(rs, rs.encode(msg).value, syms, rng)) == msg
+        assert found[-1] == list(range(params.k_sym))
+
+
+@pytest.mark.parametrize("params", FINISH_CODES)
+def test_chien_finds_exactly_the_message_errors(params):
+    # the locator of t errors anywhere in the word has roots at all t
+    # symbols; Chien reports only those below k_sym
+    rs, rng = reed_solomon(params), random.Random(params.n_sym + 5)
+    for t in (1, 2, params.k_sym, params.t_max // 2, params.t_max):
+        syms = rng.sample(range(params.n_sym), t)
+        recv = rs._bits_to_symbols(corrupt(rs, 0, syms, rng))
+        *_, locator = rs._berlekamp_massey(rs.log[rs._syndromes(recv)[::-1]])
+        assert len(locator) - 1 == t
+        assert rs._chien(locator).tolist() == \
+            sorted(s for s in syms if s < params.k_sym)
+
+
 @pytest.mark.parametrize("params", [
     EccParams(k_sym=2, n_sym=6, bits_per_symbol=4),
     EccParams(k_sym=2, n_sym=7, bits_per_symbol=3),
